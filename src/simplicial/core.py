@@ -533,11 +533,12 @@ class SimplicialComplex:
         return result
 
     def is_pseudomanifold(self) -> Verdict:
-        """Strongly connected and every codimension-two face in two facets.
+        """Strongly connected and every ridge (codimension one in each
+        facet) in exactly two facets.
 
-        Defined here for any dimension >= 0; at dimension 0 the codimension
-        two face is the empty face, so the test asks for exactly two
-        vertices.  The void and empty complexes are rejected outright.
+        Defined here for any dimension >= 0; at dimension 0 the only ridge
+        is the empty face, so the test asks for exactly two vertices.  The
+        void and empty complexes are rejected outright.
         """
         if self._pm_verdict is not None:
             return self._pm_verdict

@@ -1,10 +1,15 @@
 """Reduced simplicial homology over exact fields, and the classifiers on it.
 
 Chain groups are spanned by the faces of each dimension, with the empty
-face spanning degree -1, so every Betti table is reduced.  Boundary
-matrices use the alternating sign on the position of the omitted vertex
-within the sorted face.  Ranks come from the exact kernels in linalg, and
-all deciders report the first failing face in (dimension, label) order.
+face spanning degree -1, so every Betti table is reduced.  The boundary of
+a k-face is built straight from its bitmask as one sparse column over the
+index of the (k-1)-faces, with sign (-1)^i on the i-th vertex dropped from
+the sorted face.  Ranks come from the sparse column reduction in linalg,
+run from the top dimension down with the clearing ("twist") step of Chen
+and Kerber: a pivot row of a reduced column of the (k+1)-th boundary is a
+k-face whose column would reduce to zero, so it is never built.  Each
+Betti table is checked against the bounds the ranks must obey, and all
+deciders report the first failing face in (dimension, label) order.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from itertools import combinations
 
 from . import linalg
 from .core import Face, SimplicialComplex, Verdict
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalInvariantError, ResourceLimitError
 
 DEFAULT_SUBSET_CAP = 1 << 22
 
@@ -98,19 +103,27 @@ def boundary_matrix(cx: SimplicialComplex, k: int, field: FieldSpec = GF2):
         raise InputError("the void complex has no boundary matrices")
     if k < 0 or k > cx.dimension:
         raise InputError(f"k={k} outside 0..{cx.dimension}")
-    rows = cx.faces(k - 1)
-    cols = cx.faces(k)
-    row_index = {f: i for i, f in enumerate(rows)}
+    row_index = {m: i for i, m in enumerate(cx._faces_masks(k - 1))}
+    cols = cx._faces_masks(k)
     p = field.characteristic
-    mat = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        for omit in range(len(face)):
-            sub = face[:omit] + face[omit + 1 :]
-            entry = 1 if omit % 2 == 0 else -1
-            if p:
-                entry %= p
-            mat[row_index[sub]][j] = entry
+    mat = [[0] * len(cols) for _ in row_index]
+    for j, mask in enumerate(cols):
+        for i, entry in _boundary_column(mask, row_index).items():
+            mat[i][j] = entry % p if p else entry
     return mat
+
+
+def _boundary_column(mask: int, row_index: dict[int, int]) -> dict[int, int]:
+    """Boundary of one face mask: sign (-1)^i on the i-th vertex dropped."""
+    col = {}
+    sign = 1
+    rest = mask
+    while rest:
+        low = rest & -rest
+        col[row_index[mask ^ low]] = sign
+        sign = -sign
+        rest ^= low
+    return col
 
 
 def _chain_ranks(cx: SimplicialComplex, field: FieldSpec) -> list[int]:
@@ -120,17 +133,36 @@ def _chain_ranks(cx: SimplicialComplex, field: FieldSpec) -> list[int]:
         hit = cx._aux.get(key)
     if hit is not None:
         return hit
-    ranks = [
-        linalg.rank(boundary_matrix(cx, k, field), field.characteristic)
-        for k in range(cx.dimension + 1)
-    ]
+    d = cx.dimension
+    ranks = [0] * (d + 1)
+    cleared: set[int] = set()
+    cols = cx._faces_masks(d)
+    for k in range(d, -1, -1):
+        rows = cx._faces_masks(k - 1)
+        row_index = {m: i for i, m in enumerate(rows)}
+        cleared = linalg.pivot_rows(
+            (
+                _boundary_column(m, row_index)
+                for j, m in enumerate(cols)
+                if j not in cleared
+            ),
+            field.characteristic,
+        )
+        ranks[k] = len(cleared)
+        cols = rows
     with cx._lock:
         cx._aux.setdefault(key, ranks)
     return ranks
 
 
 def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> BettiTable:
-    """Reduced Betti table from dimension -1 through the top dimension."""
+    """Reduced Betti table from dimension -1 through the top dimension.
+
+    Raises InternalInvariantError when a boundary rank exceeds the size of
+    its domain or codomain, or a Betti number comes out negative; the
+    latter means a rank is wrong or two consecutive boundary maps do not
+    compose to zero.
+    """
     if cx.is_void:
         raise InputError("the void complex has no homology")
     d = cx.dimension
@@ -138,9 +170,17 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
         return BettiTable(values=(1,), field=field)
     f = cx.f_vector().counts
     r = _chain_ranks(cx, field) + [0]
+    for k in range(d + 1):
+        if r[k] > min(f[k], f[k + 1]):
+            raise InternalInvariantError(
+                f"rank {r[k]} of boundary map {k} exceeds its shape "
+                f"{f[k]}x{f[k + 1]}"
+            )
     values = [1 - r[0]]
     for k in range(d + 1):
         values.append(f[k + 1] - r[k] - r[k + 1])
+    if min(values) < 0:
+        raise InternalInvariantError(f"negative Betti number in {values}")
     return BettiTable(values=tuple(values), field=field)
 
 

@@ -1,101 +1,99 @@
-"""Exact rank kernels: GF(p) elimination and fraction-free integer elimination.
+"""Exact sparse column reduction over GF(2), GF(p) and the rationals.
 
-Matrices are lists of rows (lists of ints).  Nothing here is approximate;
-ranks over the rationals are computed on the integer matrix itself with
-Bareiss pivoting, so no floating point is involved anywhere.
+Columns are dicts ``{row: int}`` holding only their nonzero entries.  They
+are reduced left to right in the persistence style: a column's pivot
+("low") is its largest row index, and while another column already owns
+that pivot, a multiple of the owner is subtracted.  The nonzero reduced
+columns have distinct pivots, so they are linearly independent and their
+number is the rank.
+
+- GF(2) columns are repacked as int bitsets; subtraction is XOR.
+- GF(p) columns keep residues in 0..p-1; pivot columns are scaled so that
+  their low entry is 1.
+- Rational columns stay integral: ``col = b*col - a*pivot_col`` with
+  ``a``, ``b`` the two low entries divided by their gcd, then ``col`` is
+  divided by the gcd of its entries.  No fraction and no floating point
+  appears anywhere.
+
+The pivot rows are returned, not just their number, because a chain
+complex can use them: see ``homology._chain_ranks`` for the clearing step
+that skips the columns they name.
 """
 
 from __future__ import annotations
 
-
-def rank_gf2(bitrows) -> int:
-    """Rank over GF(2) of rows packed as integers (bit j = column j)."""
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for row in bitrows:
-        for pb, pr in pivots:
-            if (row >> pb) & 1:
-                row ^= pr
-        if row:
-            pivots.append((row.bit_length() - 1, row))
-            rank += 1
-    return rank
+from math import gcd
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank over GF(p) by straightforward Gaussian elimination."""
-    rows = [[x % p for x in r] for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                mult = f * inv % p
-                ri = rows[i]
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - mult * prow[j]) % p
-        rank += 1
-    return rank
+def pivot_rows(columns, characteristic: int) -> set[int]:
+    """Pivot rows of the nonzero reduced columns; their number is the rank.
 
-
-def rank_integer(matrix) -> int:
-    """Rank over the rationals via one-step Bareiss elimination.
-
-    Works on integer entries only; every division below is exact by the
-    Sylvester determinant identity, so the arithmetic never leaves the
-    integers.
+    ``columns`` is an iterable of ``{row: int}`` dicts with integer
+    entries; characteristic 0 means the rationals, otherwise GF(p).
     """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
+    if characteristic == 2:
+        return _pivot_rows_gf2(columns)
+    return _pivot_rows_sparse(columns, characteristic)
+
+
+def _pivot_rows_gf2(columns) -> set[int]:
+    pivots: dict[int, int] = {}
+    for col in columns:
+        bits = 0
+        for r, x in col.items():
+            if x & 1:
+                bits |= 1 << r
+        while bits:
+            low = bits.bit_length() - 1
+            owner = pivots.get(low)
+            if owner is None:
+                pivots[low] = bits
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            lead = ri[c]
-            for j in range(c + 1, ncols):
-                ri[j] = (ri[j] * prow[c] - lead * prow[j]) // prev
-            ri[c] = 0
-        prev = prow[c]
-        rank += 1
-    return rank
+            bits ^= owner
+    return set(pivots)
+
+
+def _pivot_rows_sparse(columns, p: int) -> set[int]:
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        if p:
+            col = {r: x % p for r, x in col.items() if x % p}
+        else:
+            col = {r: x for r, x in col.items() if x}
+        while col:
+            low = max(col)
+            owner = pivots.get(low)
+            if owner is None:
+                if p:
+                    inv = pow(col[low], -1, p)
+                    col = {r: x * inv % p for r, x in col.items()}
+                pivots[low] = col
+                break
+            a, b = col[low], owner[low]
+            if b != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                col = {r: x * b for r, x in col.items()}
+            for r, y in owner.items():
+                v = col.get(r, 0) - a * y
+                if p:
+                    v %= p
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+            if not p and col:
+                g = gcd(*col.values())
+                if g != 1:
+                    col = {r: x // g for r, x in col.items()}
+    return set(pivots)
 
 
 def rank(matrix, characteristic: int) -> int:
-    """Dispatch on field characteristic: 0 means rationals, else GF(p)."""
-    if characteristic == 0:
-        return rank_integer(matrix)
-    if characteristic == 2:
-        bitrows = []
-        for r in matrix:
-            m = 0
-            for j, x in enumerate(r):
-                if x % 2:
-                    m |= 1 << j
-            bitrows.append(m)
-        return rank_gf2(bitrows)
-    return rank_mod_p(matrix, characteristic)
+    """Rank of an integer matrix given as a list of rows.
+
+    Characteristic 0 means the rationals, otherwise GF(p).  Row rank equals
+    column rank, so each row is reduced as one sparse column.
+    """
+    rows = ({j: x for j, x in enumerate(row) if x} for row in matrix)
+    return len(pivot_rows(rows, characteristic))

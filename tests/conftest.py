@@ -72,10 +72,18 @@ def two_triangles():
     return build_complex([(1, 2, 3), (4, 5, 6)])
 
 
+# the six-vertex real projective plane: its homology has 2-torsion, so its
+# Betti numbers over GF(2) differ from those over GF(3) and Q
+@pytest.fixture(scope="session")
+def rp2():
+    return build_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                          (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)])
+
+
 # complexes every whole-corpus sweep iterates over, with stable names
 @pytest.fixture(scope="session")
 def corpus(octa, cross4, cross5, icosa, torus, tetra_bd, bary_tetra, bary_octa,
-           hexagon, books, path_complex, two_triangles):
+           hexagon, books, path_complex, two_triangles, rp2):
     return {
         "octahedron": octa,
         "cross4": cross4,
@@ -89,4 +97,5 @@ def corpus(octa, cross4, cross5, icosa, torus, tetra_bd, bary_tetra, bary_octa,
         "books": books,
         "path": path_complex,
         "two_triangles": two_triangles,
+        "rp2": rp2,
     }

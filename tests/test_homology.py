@@ -19,7 +19,7 @@ from simplicial import (
     reduced_betti_numbers,
 )
 from simplicial import linalg
-from simplicial.errors import ResourceLimitError
+from simplicial.errors import InternalInvariantError, ResourceLimitError
 
 FIELDS = (GF2, GF3, RATIONALS)
 
@@ -83,11 +83,35 @@ def test_betti_numbers_match_oracle(corpus):
             assert got == want, (name, field.name)
 
 
-def test_frozen_betti_values(octa, torus, icosa):
+def test_frozen_betti_values(octa, torus, icosa, rp2):
     assert tuple(reduced_betti_numbers(octa, GF2).values) == (0, 0, 0, 1)
     bt = reduced_betti_numbers(torus, GF2)
     assert (bt.of_dim(0), bt.of_dim(1), bt.of_dim(2)) == (0, 2, 1)
     assert tuple(reduced_betti_numbers(icosa, RATIONALS).values) == (0, 0, 0, 1)
+    assert tuple(reduced_betti_numbers(rp2, GF2).values) == (0, 0, 1, 1)
+    assert tuple(reduced_betti_numbers(rp2, GF3).values) == (0, 0, 0, 0)
+    assert tuple(reduced_betti_numbers(rp2, RATIONALS).values) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(("extra", "message"), [
+    (1, "negative Betti number"),  # rank 8 fits the 12x8 top map; beta_1 = -1
+    (5, "exceeds its shape"),
+])
+def test_betti_self_check_catches_overreported_rank(monkeypatch, extra, message):
+    real = linalg.pivot_rows
+    calls = []
+
+    def overreport_top_rank(columns, characteristic):
+        rows = real(columns, characteristic)
+        calls.append(characteristic)
+        if len(calls) == 1:
+            rows |= set(range(-extra, 0))
+        return rows
+
+    monkeypatch.setattr(linalg, "pivot_rows", overreport_top_rank)
+    octahedron = build_complex([(a, b, c) for a in (1, 4) for b in (2, 5) for c in (3, 6)])
+    with pytest.raises(InternalInvariantError, match=message):
+        reduced_betti_numbers(octahedron, GF2)
 
 
 def test_betti_of_empty_and_points():

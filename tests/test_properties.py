@@ -1,0 +1,73 @@
+"""Property tests of the exact rank kernel against the brute-force oracles.
+
+Examples are derandomized and bounded, so every run checks the same cases.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+import oracles as O
+from simplicial import GF2, GF3, RATIONALS, build_complex, reduced_betti_numbers
+from simplicial import linalg
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+VERTICES = st.integers(1, 7)
+
+random_facets = st.lists(
+    st.frozensets(VERTICES, min_size=1, max_size=6), min_size=1, max_size=8
+)
+
+
+@st.composite
+def clique_complex_facets(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = {e for e in pairs if draw(st.booleans())}
+    cliques = [(v,) for v in range(1, n + 1)]
+    for size in range(2, n + 1):
+        for sub in combinations(range(1, n + 1), size):
+            if all(e in edges for e in combinations(sub, 2)):
+                cliques.append(sub)
+    return cliques
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-10**6, 10**6))
+    zero_rows = draw(st.sets(st.integers(0, 6), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 6), max_size=2))
+    return [
+        [0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def _assert_betti_match_oracle(facets):
+    cx = build_complex(facets)
+    for field in (GF2, GF3, RATIONALS):
+        got = tuple(reduced_betti_numbers(cx, field).values)
+        assert got == O.betti_numbers(cx.facets, field.characteristic), field.name
+
+
+@PROPERTY
+@given(random_facets)
+def test_betti_of_random_complexes_match_oracle(facets):
+    _assert_betti_match_oracle(facets)
+
+
+@PROPERTY
+@given(clique_complex_facets())
+def test_betti_of_clique_complexes_match_oracle(facets):
+    _assert_betti_match_oracle(facets)
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_rank_of_integer_matrices_matches_oracle(mat):
+    assert linalg.rank(mat, 0) == O.rank_fraction(mat)
+    for p in (2, 3, 5, 7):
+        assert linalg.rank(mat, p) == O.rank_mod(mat, p), p
