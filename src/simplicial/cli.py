@@ -247,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
                        help="enumeration cap before failing with exit 3")
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; no randomized component currently")
         if with_field:
             p.add_argument("--field", default="gf2",
                            help="coefficient field: gf2, gf<p>, rational")

@@ -1,15 +1,28 @@
 """Reduced simplicial homology over exact fields, and the classifiers on it.
 
 Chain groups are spanned by the faces of each dimension, with the empty
-face spanning degree -1, so every Betti table is reduced.  The boundary of
-a k-face is built straight from its bitmask as one sparse column over the
-index of the (k-1)-faces, with sign (-1)^i on the i-th vertex dropped from
-the sorted face.  Ranks come from the sparse column reduction in linalg,
-run from the top dimension down with the clearing ("twist") step of Chen
-and Kerber: a pivot row of a reduced column of the (k+1)-th boundary is a
-k-face whose column would reduce to zero, so it is never built.  Each
-Betti table is checked against the bounds the ranks must obey, and all
-deciders report the first failing face in (dimension, label) order.
+face spanning degree -1, so every Betti table is reduced.  A chain complex
+is given by its face levels: sequences of face masks, from the empty face up.
+The boundary of a k-face is built straight from its bitmask as one sparse
+column over the index of the (k-1)-faces, with sign (-1)^i on the i-th
+vertex dropped from the sorted face.  Ranks come from the sparse column
+reduction in linalg, run from the top dimension down with the clearing
+("twist") step of Chen and Kerber: a pivot row of a reduced column of the
+(k+1)-th boundary is a k-face whose column would reduce to zero, so it is
+never built.  Each Betti table is checked against the bounds the ranks
+must obey.
+
+The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
+manifold deciders build no complex.  Each complex keeps, once, a link
+index from every face mask sigma to the face levels of lk(sigma), read off
+the cofaces tau of sigma as tau ^ sigma.  Deleting a vertex set W commutes
+with taking links, lk_{cx - W}(sigma) = lk_cx(sigma) - W, so the links of a
+deletion are the indexed levels with every face meeting W dropped.  Betti
+values are memoized on the complex under (sigma, W restricted to the
+vertices of lk(sigma), field), so the four deciders share one sweep and a
+link that W does not touch is ranked once for every W.  All deciders
+report the first failing face in (dimension, label) order, and the first
+failing W in ``combinations(vertices, size)`` order.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .core import Face, SimplicialComplex, Verdict
+from .core import SimplicialComplex, Verdict
 from .errors import InputError, InternalInvariantError, ResourceLimitError
 
 DEFAULT_SUBSET_CAP = 1 << 22
@@ -126,19 +139,19 @@ def _boundary_column(mask: int, row_index: dict[int, int]) -> dict[int, int]:
     return col
 
 
-def _chain_ranks(cx: SimplicialComplex, field: FieldSpec) -> list[int]:
-    """Ranks of the boundary maps for k = 0..dim, memoized on the complex."""
-    key = ("chain_ranks", field.characteristic)
-    with cx._lock:
-        hit = cx._aux.get(key)
-    if hit is not None:
-        return hit
-    d = cx.dimension
-    ranks = [0] * (d + 1)
+def _chain_ranks(levels, characteristic: int) -> list[int]:
+    """Ranks of the boundary maps of a chain complex given by face levels.
+
+    ``levels[i]`` holds the faces with i vertices as masks, from the empty
+    face up; entry k of the result is the rank of the map from level k+1
+    to level k.
+    """
+    top = len(levels) - 1
+    ranks = [0] * top
     cleared: set[int] = set()
-    cols = cx._faces_masks(d)
-    for k in range(d, -1, -1):
-        rows = cx._faces_masks(k - 1)
+    cols = levels[top]
+    for k in range(top - 1, -1, -1):
+        rows = levels[k]
         row_index = {m: i for i, m in enumerate(rows)}
         cleared = linalg.pivot_rows(
             (
@@ -146,52 +159,145 @@ def _chain_ranks(cx: SimplicialComplex, field: FieldSpec) -> list[int]:
                 for j, m in enumerate(cols)
                 if j not in cleared
             ),
-            field.characteristic,
+            characteristic,
         )
         ranks[k] = len(cleared)
         cols = rows
-    with cx._lock:
-        cx._aux.setdefault(key, ranks)
     return ranks
 
 
-def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> BettiTable:
-    """Reduced Betti table from dimension -1 through the top dimension.
+def _betti_values(levels, characteristic: int) -> tuple[int, ...]:
+    """Reduced Betti numbers from dimension -1 up, for face levels as in
+    ``_chain_ranks``.
 
     Raises InternalInvariantError when a boundary rank exceeds the size of
     its domain or codomain, or a Betti number comes out negative; the
     latter means a rank is wrong or two consecutive boundary maps do not
     compose to zero.
     """
-    if cx.is_void:
-        raise InputError("the void complex has no homology")
-    d = cx.dimension
-    if d == -1:
-        return BettiTable(values=(1,), field=field)
-    f = cx.f_vector().counts
-    r = _chain_ranks(cx, field) + [0]
-    for k in range(d + 1):
+    f = [len(level) for level in levels]
+    r = _chain_ranks(levels, characteristic) + [0]
+    for k in range(len(f) - 1):
         if r[k] > min(f[k], f[k + 1]):
             raise InternalInvariantError(
                 f"rank {r[k]} of boundary map {k} exceeds its shape "
                 f"{f[k]}x{f[k + 1]}"
             )
-    values = [1 - r[0]]
-    for k in range(d + 1):
-        values.append(f[k + 1] - r[k] - r[k + 1])
+    values = [f[k] - (r[k - 1] if k else 0) - r[k] for k in range(len(f))]
     if min(values) < 0:
         raise InternalInvariantError(f"negative Betti number in {values}")
-    return BettiTable(values=tuple(values), field=field)
+    return tuple(values)
 
 
-def _sphere_defect(bt: BettiTable, dim: int):
-    """First (degree, value) violating sphere homology, or None."""
-    for k in range(-1, dim):
-        if bt.of_dim(k) != 0:
-            return (k, bt.of_dim(k))
-    if bt.of_dim(dim) != 1:
-        return (dim, bt.of_dim(dim))
+def _betti_memo(cx: SimplicialComplex, field: FieldSpec) -> dict:
+    """Betti values of lk(sigma) minus W, keyed by the masks (sigma, W).
+
+    W is always cut down to the vertices of lk(sigma), so equal links share
+    one entry; (0, 0) is the whole complex.
+    """
+    return cx._aux.setdefault(("betti", field.characteristic), {})
+
+
+def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> BettiTable:
+    """Reduced Betti table from dimension -1 through the top dimension.
+
+    Raises InternalInvariantError when the ranks break the bounds that
+    ``_betti_values`` checks.
+    """
+    if cx.is_void:
+        raise InputError("the void complex has no homology")
+    memo = _betti_memo(cx, field)
+    values = memo.get((0, 0))
+    if values is None:
+        levels = [cx._faces_masks(k) for k in range(-1, cx.dimension + 1)]
+        values = memo[(0, 0)] = _betti_values(levels, field.characteristic)
+    return BettiTable(values=values, field=field)
+
+
+def _link_index(cx: SimplicialComplex) -> dict[int, tuple[int, list[list[int]]]]:
+    """Face mask sigma -> (vertex mask of lk(sigma), face levels of lk(sigma)).
+
+    Level i holds tau ^ sigma for every face tau containing sigma with
+    |sigma| + i vertices.  Built once per complex from its face levels:
+    each face is entered into the link of each of its subsets.  The keys
+    run in (dimension, label) order.
+    """
+    index = cx._aux.get("link_index")
+    if index is not None:
+        return index
+    links: dict[int, list[list[int]]] = {}
+    for size in range(cx.dimension + 2):
+        for tau in cx._faces_masks(size - 1):
+            links[tau] = [[0]]
+            sub = tau
+            while sub:
+                sub = (sub - 1) & tau
+                levels = links[sub]
+                i = size - sub.bit_count()
+                if len(levels) == i:
+                    levels.append([])
+                levels[i].append(tau ^ sub)
+    # level 1 holds the link's vertices, one bit each, so their sum is their union
+    index = {s: (sum(lv[1]) if len(lv) > 1 else 0, lv) for s, lv in links.items()}
+    cx._aux["link_index"] = index
+    return index
+
+
+def _link_sweep(
+    cx: SimplicialComplex, field: FieldSpec, deleted: int = 0, skip_empty: bool = False
+):
+    """Yield (sigma, Betti values of lk(sigma) minus the deleted vertices).
+
+    sigma runs over the faces that miss the deleted vertex mask, in
+    (dimension, label) order, from the empty face unless it is skipped.
+    These are the faces of the deletion, and lk_{cx - W}(sigma) =
+    lk_cx(sigma) - W, so no complex is built.
+    """
+    memo = _betti_memo(cx, field)
+    faces = iter(_link_index(cx).items())
+    if skip_empty:
+        next(faces)
+    for sigma, (verts, levels) in faces:
+        if sigma & deleted:
+            continue
+        w = deleted & verts
+        values = memo.get((sigma, w))
+        if values is None:
+            if w:
+                levels = [[t for t in level if not t & w] for level in levels]
+                while not levels[-1]:
+                    levels.pop()
+            values = memo[(sigma, w)] = _betti_values(levels, field.characteristic)
+        yield sigma, values
+
+
+def _low_defect(values):
+    """First (degree, value) of homology below the top degree, or None."""
+    for k, b in enumerate(values[:-1], -1):
+        if b:
+            return (k, b)
     return None
+
+
+def _sphere_links(
+    cx: SimplicialComplex, field: FieldSpec, skip_empty: bool, reason: str
+) -> Verdict:
+    """First face whose link is not a homology sphere of its own dimension."""
+    if cx.is_void:
+        raise InputError("the void complex cannot be classified")
+    for sigma, values in _link_sweep(cx, field, skip_empty=skip_empty):
+        defect = _low_defect(values)
+        if defect is None and values[-1] != 1:
+            defect = (len(values) - 2, values[-1])
+        if defect is not None:
+            return Verdict(
+                False,
+                witness={
+                    "face": cx._labels_of(sigma), "degree": defect[0], "betti": defect[1]
+                },
+                reason=reason,
+            )
+    return Verdict(True)
 
 
 def is_homology_sphere(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
@@ -200,52 +306,32 @@ def is_homology_sphere(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict
     The empty face is included, so the complex itself must look like a
     sphere as well.  Witness: the first face whose link deviates.
     """
-    if cx.is_void:
-        raise InputError("the void complex cannot be classified")
-    for face in cx.all_faces():
-        lk = cx.link(face)
-        defect = _sphere_defect(reduced_betti_numbers(lk, field), lk.dimension)
-        if defect is not None:
-            return Verdict(
-                False,
-                witness={"face": face, "degree": defect[0], "betti": defect[1]},
-                reason="a link deviates from sphere homology",
-            )
-    return Verdict(True)
+    return _sphere_links(cx, field, False, "a link deviates from sphere homology")
 
 
 def is_homology_manifold(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
     """Links of nonempty faces have sphere homology; the global type is free."""
-    if cx.is_void:
-        raise InputError("the void complex cannot be classified")
-    for face in cx.all_faces():
-        if not face:
-            continue
-        lk = cx.link(face)
-        defect = _sphere_defect(reduced_betti_numbers(lk, field), lk.dimension)
+    return _sphere_links(cx, field, True, "a vertex or higher face has a non-sphere link")
+
+
+def _cm_defect(cx: SimplicialComplex, field: FieldSpec, deleted: int = 0):
+    """Reisner witness for the deletion of a vertex mask, or None when it is CM."""
+    for sigma, values in _link_sweep(cx, field, deleted):
+        defect = _low_defect(values)
         if defect is not None:
-            return Verdict(
-                False,
-                witness={"face": face, "degree": defect[0], "betti": defect[1]},
-                reason="a vertex or higher face has a non-sphere link",
-            )
-    return Verdict(True)
+            return {"face": cx._labels_of(sigma), "degree": defect[0], "betti": defect[1]}
+    return None
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
     """Reisner test: links have vanishing reduced homology below top degree."""
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
-    for face in cx.all_faces():
-        lk = cx.link(face)
-        bt = reduced_betti_numbers(lk, field)
-        for k in range(-1, lk.dimension):
-            if bt.of_dim(k) != 0:
-                return Verdict(
-                    False,
-                    witness={"face": face, "degree": k, "betti": bt.of_dim(k)},
-                    reason="a link has homology below its top degree",
-                )
+    witness = _cm_defect(cx, field)
+    if witness is not None:
+        return Verdict(
+            False, witness=witness, reason="a link has homology below its top degree"
+        )
     return Verdict(True)
 
 
@@ -258,33 +344,37 @@ def is_m_cohen_macaulay(
     """Removing any fewer than m vertices leaves the complex Cohen-Macaulay
     of unchanged dimension.
 
-    m = 1 is the plain Reisner test; m = 2 is the "doubly" variant.
+    m = 1 is the plain Reisner test; m = 2 is the "doubly" variant.  The
+    deleted sets W are tried in ``combinations(vertices, size)`` order; the
+    dimension drops exactly when W meets every top-dimensional facet.
     """
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
     if m < 1:
         raise InputError(f"m must be a positive integer, got {m}")
     d = cx.dimension
+    top = [fm for fm in cx._facet_masks if fm.bit_count() == d + 1]
+    bits = [1 << i for i in range(cx.num_vertices)]
     examined = 0
     for size in range(m):
-        for sigma in combinations(cx.vertices, size):
+        for chosen in combinations(bits, size):
             examined += 1
             if examined > cap:
                 raise ResourceLimitError(
                     f"vertex-subset sweep exceeded {cap} candidates"
                 )
-            rest = cx.delete(sigma)
-            if rest.dimension != d:
+            deleted = sum(chosen)
+            if all(fm & deleted for fm in top):
                 return Verdict(
                     False,
-                    witness={"deleted": sigma, "defect": "dimension-drop"},
+                    witness={"deleted": cx._labels_of(deleted), "defect": "dimension-drop"},
                     reason="deletion lowers the dimension",
                 )
-            inner = is_cohen_macaulay(rest, field)
-            if not inner:
+            inner = _cm_defect(cx, field, deleted)
+            if inner is not None:
                 return Verdict(
                     False,
-                    witness={"deleted": sigma, "defect": inner.witness},
+                    witness={"deleted": cx._labels_of(deleted), "defect": inner},
                     reason="a deletion is not Cohen-Macaulay",
                 )
     return Verdict(True)

@@ -207,6 +207,72 @@ def betti_numbers(facets, characteristic):
     return tuple(betti)
 
 
+def _ordered(faces):
+    """Faces as sorted tuples, by (cardinality, label tuple)."""
+    return sorted((tuple(sorted(f)) for f in faces), key=lambda t: (len(t), t))
+
+
+def _link_betti(faces, sigma, characteristic):
+    """Betti numbers of the link of sigma, built as a set of faces."""
+    link = [f - sigma for f in faces if sigma <= f]
+    return betti_numbers([tuple(sorted(f)) for f in link], characteristic)
+
+
+def _reisner_witness(faces, characteristic):
+    for sigma in _ordered(faces):
+        betti = _link_betti(faces, frozenset(sigma), characteristic)
+        for k in range(-1, len(betti) - 2):
+            if betti[k + 1]:
+                return {"face": sigma, "degree": k, "betti": betti[k + 1]}
+    return None
+
+
+def _sphere_witness(faces, characteristic, skip_empty):
+    for sigma in _ordered(faces):
+        if skip_empty and not sigma:
+            continue
+        betti = _link_betti(faces, frozenset(sigma), characteristic)
+        top = len(betti) - 2
+        for k in range(-1, top + 1):
+            if betti[k + 1] != (1 if k == top else 0):
+                return {"face": sigma, "degree": k, "betti": betti[k + 1]}
+    return None
+
+
+def is_cohen_macaulay(facets, characteristic):
+    """Reisner witness (first face whose link has homology below its top
+    degree), or None when the complex is Cohen-Macaulay."""
+    return _reisner_witness(close_downward(facets), characteristic)
+
+
+def is_m_cohen_macaulay(facets, m, characteristic):
+    """Witness of the first vertex set W of size < m, in combinations order,
+    whose deletion drops the dimension or is not Cohen-Macaulay; or None."""
+    faces = close_downward(facets)
+    top = max(len(f) for f in faces)
+    vertices = sorted({v for f in faces for v in f})
+    for size in range(m):
+        for deleted in combinations(vertices, size):
+            rest = {f for f in faces if not f & set(deleted)}
+            if max(len(f) for f in rest) != top:
+                return {"deleted": deleted, "defect": "dimension-drop"}
+            inner = _reisner_witness(rest, characteristic)
+            if inner is not None:
+                return {"deleted": deleted, "defect": inner}
+    return None
+
+
+def is_homology_sphere(facets, characteristic):
+    """First face (the empty one included) whose link lacks the homology of
+    a sphere of its dimension, as a witness dict; or None."""
+    return _sphere_witness(close_downward(facets), characteristic, False)
+
+
+def is_homology_manifold(facets, characteristic):
+    """As is_homology_sphere, over the nonempty faces only."""
+    return _sphere_witness(close_downward(facets), characteristic, True)
+
+
 def graph_is_connected(nodes, edges):
     nodes = list(nodes)
     if len(nodes) <= 1:

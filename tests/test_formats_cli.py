@@ -289,10 +289,10 @@ def test_cli_version_flag(capsys):
     assert out.strip() == cli.__version__
 
 
-def test_cli_seed_is_accepted_and_ignored(octa_file, capsys):
-    a = _run(capsys, ["verify", "t1", octa_file, "--seed", "7"])
-    b = _run(capsys, ["verify", "t1", octa_file])
-    assert a[0] == 0 and a[1] == b[1]
+def test_cli_seed_is_a_usage_error(octa_file, capsys):
+    code, out, _ = _run(capsys, ["verify", "t1", octa_file, "--seed", "7"])
+    assert code == 2
+    assert out == ""
 
 
 def test_read_complex_file_missing(tmp_path):

@@ -9,8 +9,12 @@ from simplicial import (
     RATIONALS,
     FieldSpec,
     InputError,
+    SimplicialComplex,
+    Verdict,
+    barycentric_subdivision,
     boundary_matrix,
     build_complex,
+    cross_polytope_boundary,
     is_cohen_macaulay,
     is_homology_manifold,
     is_homology_sphere,
@@ -93,11 +97,15 @@ def test_frozen_betti_values(octa, torus, icosa, rp2):
     assert tuple(reduced_betti_numbers(rp2, RATIONALS).values) == (0, 0, 0, 0)
 
 
-@pytest.mark.parametrize(("extra", "message"), [
+OVERREPORTED = pytest.mark.parametrize(("extra", "message"), [
     (1, "negative Betti number"),  # rank 8 fits the 12x8 top map; beta_1 = -1
     (5, "exceeds its shape"),
 ])
-def test_betti_self_check_catches_overreported_rank(monkeypatch, extra, message):
+
+
+def _overreport_first_rank(monkeypatch, extra):
+    """Make the first reduction report `extra` pivots too many; return a
+    fresh octahedron, whose top boundary map is the first one reduced."""
     real = linalg.pivot_rows
     calls = []
 
@@ -109,9 +117,21 @@ def test_betti_self_check_catches_overreported_rank(monkeypatch, extra, message)
         return rows
 
     monkeypatch.setattr(linalg, "pivot_rows", overreport_top_rank)
-    octahedron = build_complex([(a, b, c) for a in (1, 4) for b in (2, 5) for c in (3, 6)])
+    return build_complex([(a, b, c) for a in (1, 4) for b in (2, 5) for c in (3, 6)])
+
+
+@OVERREPORTED
+def test_betti_self_check_catches_overreported_rank(monkeypatch, extra, message):
+    octahedron = _overreport_first_rank(monkeypatch, extra)
     with pytest.raises(InternalInvariantError, match=message):
         reduced_betti_numbers(octahedron, GF2)
+
+
+@OVERREPORTED
+def test_link_sweep_runs_the_betti_self_check(monkeypatch, extra, message):
+    octahedron = _overreport_first_rank(monkeypatch, extra)
+    with pytest.raises(InternalInvariantError, match=message):
+        is_cohen_macaulay(octahedron, GF2)
 
 
 def test_betti_of_empty_and_points():
@@ -199,6 +219,64 @@ def test_three_cm_fails_for_octahedron(octa):
     assert not v
     assert v.witness["defect"] == "dimension-drop"
     assert len(v.witness["deleted"]) == 2
+
+
+# Exact verdicts, witness and reason included: they are part of the report
+# contract.  The strip of four triangles is Cohen-Macaulay, but deleting
+# vertex 2 cuts the link of vertex 3 in two.
+FROZEN_VERDICTS = [
+    ("torus7", lambda cx: is_cohen_macaulay(cx, GF2),
+     Verdict(False, {"face": (), "degree": 1, "betti": 2},
+             "a link has homology below its top degree")),
+    ("torus7", lambda cx: is_m_cohen_macaulay(cx, 2, GF2),
+     Verdict(False, {"deleted": (), "defect": {"face": (), "degree": 1, "betti": 2}},
+             "a deletion is not Cohen-Macaulay")),
+    ("rp2", lambda cx: is_cohen_macaulay(cx, GF2),
+     Verdict(False, {"face": (), "degree": 1, "betti": 1},
+             "a link has homology below its top degree")),
+    ("rp2", lambda cx: is_cohen_macaulay(cx, GF3), Verdict(True)),
+    ("rp2", lambda cx: is_m_cohen_macaulay(cx, 2, GF3),
+     Verdict(False, {"deleted": (1,), "defect": {"face": (), "degree": 1, "betti": 1}},
+             "a deletion is not Cohen-Macaulay")),
+    ("books", lambda cx: is_homology_manifold(cx, GF2),
+     Verdict(False, {"face": (1,), "degree": 1, "betti": 0},
+             "a vertex or higher face has a non-sphere link")),
+    ("two_triangles", lambda cx: is_cohen_macaulay(cx, GF2),
+     Verdict(False, {"face": (), "degree": 0, "betti": 1},
+             "a link has homology below its top degree")),
+    ("susp_books", lambda cx: is_cohen_macaulay(cx, GF2), Verdict(True)),
+    ("susp_books", lambda cx: is_m_cohen_macaulay(cx, 2, GF2),
+     Verdict(False, {"deleted": (1,), "defect": "dimension-drop"},
+             "deletion lowers the dimension")),
+    ("strip", lambda cx: is_cohen_macaulay(cx, GF2), Verdict(True)),
+    ("strip", lambda cx: is_m_cohen_macaulay(cx, 2, GF2),
+     Verdict(False, {"deleted": (2,), "defect": {"face": (3,), "degree": 0, "betti": 1}},
+             "a deletion is not Cohen-Macaulay")),
+]
+
+
+def test_frozen_decider_verdicts(corpus):
+    complexes = {
+        **corpus,
+        "susp_books": join(corpus["books"], build_complex([(98,), (99,)])),
+        "strip": build_complex([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6)]),
+    }
+    for name, decide, want in FROZEN_VERDICTS:
+        assert decide(complexes[name]) == want, name
+
+
+def test_m_cm_sweep_builds_no_complex(monkeypatch):
+    cx = barycentric_subdivision(cross_polytope_boundary(3))
+    built = []
+    real_init = SimplicialComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    assert is_m_cohen_macaulay(cx, 2, GF2)
+    assert built == []
 
 
 def test_m_cm_cap():

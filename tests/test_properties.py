@@ -1,4 +1,5 @@
-"""Property tests of the exact rank kernel against the brute-force oracles.
+"""Property tests of the exact rank kernel and the homology deciders
+against the brute-force oracles.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 """
@@ -8,7 +9,17 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
-from simplicial import GF2, GF3, RATIONALS, build_complex, reduced_betti_numbers
+from simplicial import (
+    GF2,
+    GF3,
+    RATIONALS,
+    build_complex,
+    is_cohen_macaulay,
+    is_homology_manifold,
+    is_homology_sphere,
+    is_m_cohen_macaulay,
+    reduced_betti_numbers,
+)
 from simplicial import linalg
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -63,6 +74,36 @@ def test_betti_of_random_complexes_match_oracle(facets):
 @given(clique_complex_facets())
 def test_betti_of_clique_complexes_match_oracle(facets):
     _assert_betti_match_oracle(facets)
+
+
+def _assert_deciders_match_oracle(facets, field, m):
+    cx = build_complex(facets)
+    p = field.characteristic
+    pairs = (
+        (is_cohen_macaulay(cx, field), O.is_cohen_macaulay(facets, p)),
+        (is_m_cohen_macaulay(cx, m, field), O.is_m_cohen_macaulay(facets, m, p)),
+        (is_homology_sphere(cx, field), O.is_homology_sphere(facets, p)),
+        (is_homology_manifold(cx, field), O.is_homology_manifold(facets, p)),
+    )
+    for verdict, witness in pairs:
+        assert verdict.ok == (witness is None)
+        assert verdict.witness == witness
+
+
+FIELDS = st.sampled_from((GF2, GF3, RATIONALS))
+SUBSET_SIZES = st.integers(1, 3)
+
+
+@PROPERTY
+@given(random_facets, FIELDS, SUBSET_SIZES)
+def test_deciders_on_random_complexes_match_oracle(facets, field, m):
+    _assert_deciders_match_oracle(facets, field, m)
+
+
+@PROPERTY
+@given(clique_complex_facets(), FIELDS, SUBSET_SIZES)
+def test_deciders_on_clique_complexes_match_oracle(facets, field, m):
+    _assert_deciders_match_oracle(facets, field, m)
 
 
 @PROPERTY
