@@ -8,17 +8,30 @@ at all) and the empty complex (only the empty face) are distinct values.
 
 All operations are deterministic: faces are ordered by (cardinality, label
 tuple) and every reported witness is the first one in that order.
+
+A complex never changes after construction, so everything derived from it
+is computed once, on first use, and kept in one memo dict per complex:
+face levels, links, deletions and stars, verdicts, and the indexes of the
+homology and graph modules.  The memo takes no lock: the package starts no
+threads, and two threads racing on one entry would only build it twice.
+
+Facet adjacency lives in one memo entry, the ridge index, which maps each
+ridge (a facet minus one vertex) to the facets over it.  Two facets share
+a ridge exactly when they have the same size and differ in one vertex, so
+strong components, the pseudomanifold test, the dual graph behind strong
+walks and the facet flips of t2 are all read off this one map.  The flag
+test reads the face levels instead: a candidate nonface on c vertices is
+looked up among the faces with c vertices.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import ClassificationError, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 
 Face = tuple[int, ...]
 
@@ -103,22 +116,6 @@ class StrongComponents:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    index: int
-    count: int
-    bound: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class FaceBoundsReport:
-    """Per-dimension comparison of face counts against 2^i * C(d, i)."""
-
-    rows: tuple[BoundRow, ...]
-    ok: bool
-
-
 def _validate_face(face: Iterable[int]) -> Face:
     out = []
     for v in face:
@@ -140,20 +137,7 @@ class SimplicialComplex:
     collection for the void complex and ``[[]]`` for the empty complex.
     """
 
-    __slots__ = (
-        "_labels",
-        "_pos",
-        "_facet_masks",
-        "_void",
-        "_lock",
-        "_face_cache",
-        "_sub_cache",
-        "_aux",
-        "_flag_verdict",
-        "_pm_verdict",
-        "_strong",
-        "_nonfaces",
-    )
+    __slots__ = ("_labels", "_pos", "_facet_masks", "_void", "_memo")
 
     def __init__(self, facets: Iterable[Iterable[int]] = ()):
         faces = [_validate_face(f) for f in facets]
@@ -169,14 +153,7 @@ class SimplicialComplex:
                 maximal.append(m)
         maximal.sort(key=self._face_key)
         self._facet_masks: tuple[int, ...] = tuple(maximal)
-        self._lock = threading.Lock()
-        self._face_cache: dict[int, tuple[int, ...]] = {}
-        self._sub_cache: dict[tuple[str, int], "SimplicialComplex"] = {}
-        self._aux: dict = {}
-        self._flag_verdict: Verdict | None = None
-        self._pm_verdict: Verdict | None = None
-        self._strong: StrongComponents | None = None
-        self._nonfaces: tuple[Face, ...] | None = None
+        self._memo: dict = {}
 
     # -- representation helpers -------------------------------------------
 
@@ -206,6 +183,13 @@ class SimplicialComplex:
 
     def _face_key(self, mask: int):
         return self._labels_of(mask)
+
+    def _memoized(self, key, build):
+        """The memo entry under key, built on first use."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build()
+        return hit
 
     # -- basic queries ------------------------------------------------------
 
@@ -274,19 +258,12 @@ class SimplicialComplex:
             return ()
         if k == -1:
             return (0,)
-        with self._lock:
-            cached = self._face_cache.get(k)
-        if cached is not None:
-            return cached
-        size = k + 1
+        return self._memoized(("faces", k), lambda: self._enumerate_faces(k + 1))
+
+    def _enumerate_faces(self, size: int) -> tuple[int, ...]:
         seen: set[int] = set()
         for fm in self._facet_masks:
-            bits = []
-            m = fm
-            while m:
-                low = m & -m
-                bits.append(low)
-                m ^= low
+            bits = self._bits(fm)
             if len(bits) < size:
                 continue
             if len(bits) == size:
@@ -297,10 +274,7 @@ class SimplicialComplex:
                 for b in combo:
                     sub |= b
                 seen.add(sub)
-        out = tuple(sorted(seen, key=self._face_key))
-        with self._lock:
-            self._face_cache[k] = out
-        return out
+        return tuple(sorted(seen, key=self._face_key))
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """All faces of dimension k, ordered by label tuple.
@@ -344,16 +318,6 @@ class SimplicialComplex:
 
     # -- derived complexes ---------------------------------------------------
 
-    def _cached_sub(self, kind: str, mask: int, build) -> "SimplicialComplex":
-        key = (kind, mask)
-        with self._lock:
-            hit = self._sub_cache.get(key)
-        if hit is not None:
-            return hit
-        built = build()
-        with self._lock:
-            return self._sub_cache.setdefault(key, built)
-
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
         """Faces that extend the given one, with the face itself stripped."""
         f = _validate_face(face)
@@ -367,7 +331,7 @@ class SimplicialComplex:
             kept = [self._labels_of(fm & ~m) for fm in self._facet_masks if fm & m == m]
             return SimplicialComplex(kept)
 
-        return self._cached_sub("link", m, build)
+        return self._memoized(("link", m), build)
 
     def delete(self, points: Iterable[int]) -> "SimplicialComplex":
         """Subcomplex of faces disjoint from the given vertex set.
@@ -389,7 +353,7 @@ class SimplicialComplex:
         def build():
             return SimplicialComplex([self._labels_of(fm & ~m) for fm in self._facet_masks])
 
-        return self._cached_sub("delete", m, build)
+        return self._memoized(("delete", m), build)
 
     def closed_star(self, vertex: int) -> "SimplicialComplex":
         """Subcomplex generated by the facets containing the vertex."""
@@ -403,7 +367,7 @@ class SimplicialComplex:
                 [self._labels_of(fm) for fm in self._facet_masks if fm & m]
             )
 
-        return self._cached_sub("star", m, build)
+        return self._memoized(("star", m), build)
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         """Subcomplex of all faces of dimension at most k."""
@@ -424,8 +388,9 @@ class SimplicialComplex:
 
         A candidate at level c is a c-set whose proper subsets are all
         faces; it is generated by extending a (c-1)-face past its largest
-        label, so each candidate appears exactly once.  Levels beyond
-        dimension + 2 cannot carry minimal nonfaces and are not visited.
+        label, so each candidate appears exactly once, and it is a nonface
+        when the c-vertex faces do not hold it.  Levels beyond dimension + 2
+        cannot carry minimal nonfaces and are not visited.
         """
         if self._void:
             return
@@ -436,6 +401,7 @@ class SimplicialComplex:
             if not lower:
                 return
             lower_set = set(lower)
+            level_set = set(self._faces_masks(c - 1))
             level: list[Face] = []
             for tm in lower:
                 top_bit = tm.bit_length()  # positions strictly above the max label
@@ -451,7 +417,7 @@ class SimplicialComplex:
                         for b in self._bits(sm)
                         if b != (1 << i)
                     ):
-                        if not any(sm & fm == sm for fm in self._facet_masks):
+                        if sm not in level_set:
                             level.append(self._labels_of(sm))
             yield from sorted(level)
 
@@ -466,13 +432,9 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self, cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Face, ...]:
         """All minimal nonfaces, ordered by (cardinality, label tuple)."""
-        if self._nonfaces is not None:
-            return self._nonfaces
-        out = tuple(self._iter_minimal_nonfaces(cap))
-        with self._lock:
-            if self._nonfaces is None:
-                self._nonfaces = out
-        return out
+        return self._memoized(
+            "nonfaces", lambda: tuple(self._iter_minimal_nonfaces(cap))
+        )
 
     def is_flag(self, cap: int = DEFAULT_CANDIDATE_CAP) -> Verdict:
         """Whether every minimal nonface has at most two vertices.
@@ -481,28 +443,41 @@ class SimplicialComplex:
         The witness on failure is the first minimal nonface with three or
         more vertices.
         """
-        if self._flag_verdict is not None:
-            return self._flag_verdict
-        verdict = Verdict(True)
-        for nf in self._iter_minimal_nonfaces(cap):
-            if len(nf) >= 3:
-                verdict = Verdict(
-                    False, witness=nf, reason="minimal nonface with 3 or more vertices"
-                )
-                break
-        with self._lock:
-            if self._flag_verdict is None:
-                self._flag_verdict = verdict
-        return verdict
 
-    # -- strong components and pseudomanifolds --------------------------------
+        def build():
+            for nf in self._iter_minimal_nonfaces(cap):
+                if len(nf) >= 3:
+                    return Verdict(
+                        False, witness=nf, reason="minimal nonface with 3 or more vertices"
+                    )
+            return Verdict(True)
+
+        return self._memoized("flag", build)
+
+    # -- the ridge index: strong components and pseudomanifolds --------------
+
+    def _ridge_facets(self) -> dict[int, list[int]]:
+        """Ridge mask -> the facet masks over it, in facet order.
+
+        The ridges of a facet are the facet minus one vertex each; a ridge
+        group only ever holds facets of one size.
+        """
+
+        def build():
+            groups: dict[int, list[int]] = {}
+            for fm in self._facet_masks:
+                for b in self._bits(fm):
+                    groups.setdefault(fm & ~b, []).append(fm)
+            return groups
+
+        return self._memoized("ridges", build)
 
     def strong_components(self) -> StrongComponents:
         """Group facets by chains of codimension-one (in both) overlaps."""
-        if self._strong is not None:
-            return self._strong
-        masks = self._facet_masks
-        parent = list(range(len(masks)))
+        return self._memoized("strong", self._compute_strong)
+
+    def _compute_strong(self) -> StrongComponents:
+        parent = {fm: fm for fm in self._facet_masks}
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -510,27 +485,18 @@ class SimplicialComplex:
                 x = parent[x]
             return x
 
-        for i in range(len(masks)):
-            ci = masks[i].bit_count()
-            for j in range(i + 1, len(masks)):
-                if masks[j].bit_count() != ci:
-                    continue
-                if (masks[i] & masks[j]).bit_count() == ci - 1:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
+        for first, *rest in self._ridge_facets().values():
+            root = find(first)
+            for fm in rest:
+                parent[find(fm)] = root
         groups: dict[int, list[Face]] = {}
-        for i, m in enumerate(masks):
-            groups.setdefault(find(i), []).append(self._labels_of(m))
+        for fm in self._facet_masks:
+            groups.setdefault(find(fm), []).append(self._labels_of(fm))
         comps = tuple(
             tuple(sorted(g, key=lambda f: (len(f), f)))
             for g in sorted(groups.values(), key=lambda g: (len(min(g)), min(g)))
         )
-        result = StrongComponents(components=comps, pure=self.is_pure)
-        with self._lock:
-            if self._strong is None:
-                self._strong = result
-        return result
+        return StrongComponents(components=comps, pure=self.is_pure)
 
     def is_pseudomanifold(self) -> Verdict:
         """Strongly connected and every ridge (codimension one in each
@@ -540,13 +506,7 @@ class SimplicialComplex:
         is the empty face, so the test asks for exactly two vertices.  The
         void and empty complexes are rejected outright.
         """
-        if self._pm_verdict is not None:
-            return self._pm_verdict
-        verdict = self._compute_pm()
-        with self._lock:
-            if self._pm_verdict is None:
-                self._pm_verdict = verdict
-        return verdict
+        return self._memoized("pm", self._compute_pm)
 
     def _compute_pm(self) -> Verdict:
         if self.dimension < 0:
@@ -558,20 +518,15 @@ class SimplicialComplex:
                 witness={"strong_components": sc.count},
                 reason="not strongly connected",
             )
-        ridge_count: dict[int, int] = {}
-        for fm in self._facet_masks:
-            for b in self._bits(fm):
-                ridge_count[fm & ~b] = ridge_count.get(fm & ~b, 0) + 1
-        for rm in sorted(ridge_count, key=self._face_key):
-            if ridge_count[rm] != 2:
-                return Verdict(
-                    False,
-                    witness={
-                        "ridge": self._labels_of(rm),
-                        "facet_count": ridge_count[rm],
-                    },
-                    reason="a codimension-two face is not in exactly two facets",
-                )
+        ridges = self._ridge_facets()
+        bad = [rm for rm, group in ridges.items() if len(group) != 2]
+        if bad:
+            rm = min(bad, key=self._face_key)
+            return Verdict(
+                False,
+                witness={"ridge": self._labels_of(rm), "facet_count": len(ridges[rm])},
+                reason="a codimension-two face is not in exactly two facets",
+            )
         return Verdict(True)
 
 
@@ -586,24 +541,3 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     if overlap:
         raise InputError(f"ground sets overlap on {sorted(overlap)}")
     return SimplicialComplex([fa + fb for fa in a.facets for fb in b.facets])
-
-
-def check_face_lower_bounds(cx: SimplicialComplex, cap: int = DEFAULT_CANDIDATE_CAP) -> FaceBoundsReport:
-    """Compare each face count f_{i-1} with 2^i * C(d, i).
-
-    Requires a flag pseudomanifold; a failed membership check raises
-    ClassificationError naming the check instead of producing a report.
-    """
-    flag = cx.is_flag(cap)
-    if not flag:
-        raise ClassificationError("flag", witness=flag.witness)
-    pm = cx.is_pseudomanifold()
-    if not pm:
-        raise ClassificationError("pseudomanifold", witness=pm.witness)
-    d = cx.dimension + 1
-    f = cx.f_vector().counts
-    rows = []
-    for i in range(d + 1):
-        bound = (1 << i) * comb(d, i)
-        rows.append(BoundRow(index=i, count=f[i], bound=bound, ok=f[i] >= bound))
-    return FaceBoundsReport(rows=tuple(rows), ok=all(r.ok for r in rows))

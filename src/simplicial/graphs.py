@@ -306,36 +306,35 @@ class WalkCertificate:
     witness_facets: tuple[Face, ...]
 
 
-def _dual_adjacency(cx: SimplicialComplex):
-    """Facet adjacency through shared faces of codimension one in both."""
-    key = ("dual_adjacency",)
-    with cx._lock:
-        hit = cx._aux.get(key)
-    if hit is not None:
-        return hit
-    facets = [set(f) for f in cx.facets]
-    labels = cx.facets
-    adj: dict[Face, list[Face]] = {f: [] for f in labels}
-    for i in range(len(facets)):
-        for j in range(i + 1, len(facets)):
-            if len(facets[i]) != len(facets[j]):
-                continue
-            if len(facets[i] & facets[j]) == len(facets[i]) - 1:
-                adj[labels[i]].append(labels[j])
-                adj[labels[j]].append(labels[i])
-    adj = {f: tuple(sorted(ns, key=lambda x: (len(x), x))) for f, ns in adj.items()}
-    with cx._lock:
-        return cx._aux.setdefault(key, adj)
+def _dual_adjacency(cx: SimplicialComplex) -> dict[Face, tuple[Face, ...]]:
+    """Facet adjacency through shared ridges, read off the ridge index."""
+
+    def build():
+        label = dict(zip(cx._facet_masks, cx.facets))
+        adj: dict[Face, list[Face]] = {f: [] for f in cx.facets}
+        for group in cx._ridge_facets().values():
+            for fm in group:
+                adj[label[fm]].extend(label[g] for g in group if g != fm)
+        # neighbours share the facet's size, so label order is (size, label) order
+        return {f: tuple(sorted(ns)) for f, ns in adj.items()}
+
+    return cx._memoized("dual_adjacency", build)
 
 
-def _dual_path(cx: SimplicialComplex, sources, accept):
-    """BFS in the facet-adjacency graph from sorted sources to acceptance."""
+def _dual_path(cx: SimplicialComplex, sources, accept, avoid=None):
+    """BFS in the facet-adjacency graph from sorted sources to acceptance.
+
+    Facets containing the vertex avoid are never entered.  In a
+    pseudomanifold they are exactly the facets that the deletion of avoid
+    loses, and the deletion keeps every other facet and its adjacency.
+    """
     adj = _dual_adjacency(cx)
     parent: dict[Face, Face | None] = {}
     queue = deque()
     for f in sorted(sources, key=lambda x: (len(x), x)):
-        parent[f] = None
-        queue.append(f)
+        if avoid not in f:
+            parent[f] = None
+            queue.append(f)
     while queue:
         f = queue.popleft()
         if accept(f):
@@ -345,7 +344,7 @@ def _dual_path(cx: SimplicialComplex, sources, accept):
             chain.reverse()
             return chain
         for w in adj[f]:
-            if w not in parent:
+            if w not in parent and avoid not in w:
                 parent[w] = f
                 queue.append(w)
     return None
@@ -374,8 +373,7 @@ def strong_chain_avoiding(
             raise InputError(f"{list(f)} is not a facet")
         if vertex in f:
             raise InputError(f"facet {list(f)} contains the avoided vertex {vertex}")
-    rest = cx.delete([vertex])
-    chain = _dual_path(rest, [start], lambda f: f == end)
+    chain = _dual_path(cx, [start], lambda f: f == end, avoid=vertex)
     if chain is None:
         raise InternalInvariantError(
             "a pseudomanifold minus one vertex lost strong connectivity"
@@ -415,21 +413,10 @@ def strong_walk_avoiding(
         if x in avoid:
             raise InputError(f"endpoint {x} lies in the avoided set")
 
-    if avoid:
-        v = min(avoid)
-        scene = cx.delete([v])
-    else:
-        scene = cx
-    sources = [f for f in scene.facets if a in f]
-    chain = _dual_path(scene, sources, lambda f: b in f)
+    sources = [f for f in cx.facets if a in f]
+    chain = _dual_path(cx, sources, lambda f: b in f, avoid=min(avoid, default=None))
     if chain is None:
         raise InternalInvariantError("facet chain between endpoint stars not found")
-
-    # facets of the trimmed complex are facets of the original
-    facet_set = set(cx.facets)
-    for f in chain:
-        if f not in facet_set:
-            raise InternalInvariantError("trimmed facet is not a facet of the input")
 
     picks = []
     prev = a

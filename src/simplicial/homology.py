@@ -195,7 +195,7 @@ def _betti_memo(cx: SimplicialComplex, field: FieldSpec) -> dict:
     W is always cut down to the vertices of lk(sigma), so equal links share
     one entry; (0, 0) is the whole complex.
     """
-    return cx._aux.setdefault(("betti", field.characteristic), {})
+    return cx._memo.setdefault(("betti", field.characteristic), {})
 
 
 def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> BettiTable:
@@ -222,7 +222,7 @@ def _link_index(cx: SimplicialComplex) -> dict[int, tuple[int, list[list[int]]]]
     each face is entered into the link of each of its subsets.  The keys
     run in (dimension, label) order.
     """
-    index = cx._aux.get("link_index")
+    index = cx._memo.get("link_index")
     if index is not None:
         return index
     links: dict[int, list[list[int]]] = {}
@@ -239,7 +239,7 @@ def _link_index(cx: SimplicialComplex) -> dict[int, tuple[int, list[list[int]]]]
                 levels[i].append(tau ^ sub)
     # level 1 holds the link's vertices, one bit each, so their sum is their union
     index = {s: (sum(lv[1]) if len(lv) > 1 else 0, lv) for s, lv in links.items()}
-    cx._aux["link_index"] = index
+    cx._memo["link_index"] = index
     return index
 
 

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import (
-    DEFAULT_CANDIDATE_CAP,
-    Face,
-    SimplicialComplex,
-    build_complex,
-    check_face_lower_bounds,
-)
+from .core import DEFAULT_CANDIDATE_CAP, Face, SimplicialComplex, build_complex
 from .errors import ClassificationError, InputError, InternalInvariantError
 from .generators import cross_polytope_boundary, is_isomorphic
 from .graphs import (
@@ -207,13 +201,14 @@ def check_face_lower_bounds_report(
     hyps = (_flag_hypothesis(cx, cap), _pm_hypothesis(cx))
     if not all(h.ok for h in hyps):
         return TheoremReport("lb", hyps, None, {})
-    rep = check_face_lower_bounds(cx, cap)
-    rows = [
-        {"index": r.index, "value": r.count, "bound": r.bound, "ok": r.ok}
-        for r in rep.rows
-    ]
+    d = cx.dimension + 1
+    f = cx.f_vector()
+    rows = []
+    for i in range(d + 1):
+        bound = (1 << i) * comb(d, i)
+        rows.append({"index": i, "value": f[i], "bound": bound, "ok": f[i] >= bound})
     return TheoremReport(
-        "lb", hyps, rep.ok, {"facet_size": cx.dimension + 1, "rows": rows}
+        "lb", hyps, all(r["ok"] for r in rows), {"facet_size": d, "rows": rows}
     )
 
 
@@ -236,19 +231,17 @@ def cross_polytope_graph(d: int) -> Graph:
 
 def _facet_flip(cx: SimplicialComplex, facet: Face, drop: int) -> int:
     """The vertex replacing drop in the unique other facet over the ridge."""
-    ridge = set(facet) - {drop}
-    other = None
-    for f in cx.facets:
-        if f != facet and ridge <= set(f):
-            if other is not None:
-                raise InternalInvariantError("ridge lies in three facets")
-            other = f
-    if other is None:
+    fm = cx._mask_of(facet)
+    ridge = fm & ~cx._mask_of((drop,))
+    others = [g for g in cx._ridge_facets()[ridge] if g != fm]
+    if len(others) > 1:
+        raise InternalInvariantError("ridge lies in three facets")
+    if not others:
         raise InternalInvariantError("ridge lies in one facet only")
-    extra = set(other) - ridge
+    extra = cx._labels_of(others[0] & ~ridge)
     if len(extra) != 1:
         raise InternalInvariantError("flip facet has unexpected size")
-    return extra.pop()
+    return extra[0]
 
 
 def _circle_path(L: SimplicialComplex, start: int, came_from: int, goal: int):

@@ -7,11 +7,10 @@ from simplicial import (
     InputError,
     SimplicialComplex,
     build_complex,
-    check_face_lower_bounds,
+    check_face_lower_bounds_report,
     cross_polytope_boundary,
     join,
 )
-from simplicial.errors import ClassificationError
 
 
 def test_void_and_empty_are_distinct():
@@ -264,29 +263,36 @@ def test_h_recursion_on_random_pure_subcomplexes(corpus):
                 assert left == _as_poly(dl.h_vector()), (cx.facets, v)
 
 
+def _bound_rows(report):
+    return [(row["value"], row["bound"]) for row in report.details["rows"]]
+
+
 def test_lower_bounds_equalities(octa, cross4):
-    rep = check_face_lower_bounds(octa)
-    assert rep.ok
-    assert [(r.count, r.bound) for r in rep.rows] == [
-        (1, 1), (6, 6), (12, 12), (8, 8)]
-    rep4 = check_face_lower_bounds(cross4)
-    assert all(r.count == r.bound for r in rep4.rows)
+    rep = check_face_lower_bounds_report(octa)
+    assert rep.status == "pass" and rep.conclusion_ok
+    assert _bound_rows(rep) == [(1, 1), (6, 6), (12, 12), (8, 8)]
+    rep4 = check_face_lower_bounds_report(cross4)
+    assert rep4.status == "pass"
+    assert all(row["ok"] and row["value"] == row["bound"] for row in rep4.details["rows"])
 
 
 def test_lower_bounds_inequalities(icosa):
-    rep = check_face_lower_bounds(icosa)
-    assert rep.ok
-    assert [(r.count, r.bound) for r in rep.rows] == [
-        (1, 1), (12, 6), (30, 12), (20, 8)]
+    rep = check_face_lower_bounds_report(icosa)
+    assert rep.status == "pass" and rep.conclusion_ok
+    assert _bound_rows(rep) == [(1, 1), (12, 6), (30, 12), (20, 8)]
+    assert [row["index"] for row in rep.details["rows"]] == [0, 1, 2, 3]
 
 
 def test_lower_bounds_reject_bad_hypotheses(torus, books):
-    with pytest.raises(ClassificationError) as e:
-        check_face_lower_bounds(torus)
-    assert e.value.check == "flag"
-    with pytest.raises(ClassificationError) as e:
-        check_face_lower_bounds(books)
-    assert e.value.check == "pseudomanifold"
+    rep = check_face_lower_bounds_report(torus)
+    assert rep.status == "not-applicable" and rep.details == {}
+    assert [(h.name, h.ok, h.witness) for h in rep.hypotheses] == [
+        ("flag", False, (1, 2, 3)), ("pseudomanifold", True, None)]
+    rep = check_face_lower_bounds_report(books)
+    assert rep.status == "not-applicable" and rep.details == {}
+    assert [(h.name, h.ok, h.witness) for h in rep.hypotheses] == [
+        ("flag", True, None),
+        ("pseudomanifold", False, {"ridge": (1, 2), "facet_count": 3})]
 
 
 def test_equality_and_hashing():

@@ -7,9 +7,12 @@ import oracles as O
 from simplicial import (
     Graph,
     InputError,
+    SimplicialComplex,
     Walk,
     WalkCertificate,
+    barycentric_subdivision,
     build_complex,
+    cross_polytope_boundary,
     face_adjacency_graph,
     graph_of,
     is_m_connected,
@@ -260,6 +263,29 @@ def test_deletion_of_pseudomanifold_is_strongly_connected(corpus):
             dl = cx.delete((v,))
             assert dl.strong_components().count == 1, (name, v)
             assert dl.is_pure, (name, v)
+            # the walks run on cx itself and skip the facets through v
+            assert dl.facets == tuple(f for f in cx.facets if v not in f), (name, v)
+
+
+def test_walks_build_no_complex(monkeypatch):
+    cx = barycentric_subdivision(cross_polytope_boundary(3))
+    built = []
+    real_init = SimplicialComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    vs = cx.vertices
+    for avoid in (vs[1:3], vs[4:5], ()):
+        cert = strong_walk_avoiding(cx, vs[0], vs[-1], avoid)
+        assert verify_strong_walk(cx, cert)
+    for v in vs[:4]:
+        rest = [f for f in cx.facets if v not in f]
+        chain = strong_chain_avoiding(cx, v, rest[0], rest[-1])
+        assert chain[0] == rest[0] and chain[-1] == rest[-1]
+    assert built == []
 
 
 def test_link_components_of_pseudomanifold_are_pseudomanifolds(corpus):

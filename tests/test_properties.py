@@ -1,5 +1,7 @@
-"""Property tests of the exact rank kernel and the homology deciders
-against the brute-force oracles.
+"""Property tests of the exact rank kernel, the homology deciders and the
+answers read off the ridge index (strong components, the pseudomanifold
+test) and the face levels (minimal nonfaces, the flag test) against the
+brute-force oracles.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 """
@@ -88,6 +90,34 @@ def _assert_deciders_match_oracle(facets, field, m):
     for verdict, witness in pairs:
         assert verdict.ok == (witness is None)
         assert verdict.witness == witness
+
+
+def _assert_incidence_matches_oracle(facets):
+    cx = build_complex(facets)
+    comps = sorted(
+        (sorted(c, key=lambda f: (len(f), f)) for c in O.strong_components(cx.facets)),
+        key=lambda c: (len(min(c)), min(c)),
+    )
+    assert cx.strong_components().components == tuple(map(tuple, comps))
+    assert bool(cx.is_pseudomanifold()) == O.is_pseudomanifold(cx.facets)
+    nonfaces = O.minimal_nonfaces(cx.facets)
+    assert list(cx.minimal_nonfaces()) == nonfaces
+    big = [nf for nf in nonfaces if len(nf) > 2]
+    flag = cx.is_flag()
+    assert bool(flag) == (not big)
+    assert flag.witness == (big[0] if big else None)
+
+
+@PROPERTY
+@given(random_facets)
+def test_incidence_answers_on_random_complexes_match_oracle(facets):
+    _assert_incidence_matches_oracle(facets)
+
+
+@PROPERTY
+@given(clique_complex_facets())
+def test_incidence_answers_on_clique_complexes_match_oracle(facets):
+    _assert_incidence_matches_oracle(facets)
 
 
 FIELDS = st.sampled_from((GF2, GF3, RATIONALS))
