@@ -19,15 +19,19 @@ Facet adjacency lives in one memo entry, the ridge index, which maps each
 ridge (a facet minus one vertex) to the facets over it.  Two facets share
 a ridge exactly when they have the same size and differ in one vertex, so
 strong components, the pseudomanifold test, the dual graph behind strong
-walks and the facet flips of t2 are all read off this one map.  The flag
-test reads the face levels instead: a candidate nonface on c vertices is
-looked up among the faces with c vertices.
+walks and the facet flips of t2 are all read off this one map.
+
+Vertex adjacency lives in a second memo entry, the graph index, which maps
+each vertex to the bitmask of its neighbours in the 1-skeleton.  The flag
+test grows candidate nonfaces only by common neighbours (an AND of masks)
+and looks each one up among the faces of its size; the flag walk, the
+circle walks of t2 and the isomorphism search read adjacency off it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from typing import Iterable, Iterator
 
@@ -147,11 +151,12 @@ class SimplicialComplex:
         self._pos = {v: i for i, v in enumerate(labels)}
         masks = sorted({self._mask_unchecked(f) for f in faces}, key=int.bit_count)
         maximal: list[int] = []
-        # scan from large to small; smaller faces are absorbed by larger ones
-        for m in reversed(masks):
-            if not any(m & big == m for big in maximal):
-                maximal.append(m)
-        maximal.sort(key=self._face_key)
+        # scan from large to small; two distinct faces of one size never hold
+        # each other, so a face is tested only against the strictly larger ones
+        for _, same_size in groupby(reversed(masks), key=int.bit_count):
+            larger = tuple(maximal)
+            maximal.extend(m for m in same_size if not any(m & big == m for big in larger))
+        maximal.sort(key=self._labels_of)
         self._facet_masks: tuple[int, ...] = tuple(maximal)
         self._memo: dict = {}
 
@@ -180,9 +185,6 @@ class SimplicialComplex:
             out.append(self._labels[low.bit_length() - 1])
             mask ^= low
         return tuple(out)
-
-    def _face_key(self, mask: int):
-        return self._labels_of(mask)
 
     def _memoized(self, key, build):
         """The memo entry under key, built on first use."""
@@ -274,7 +276,7 @@ class SimplicialComplex:
                 for b in combo:
                     sub |= b
                 seen.add(sub)
-        return tuple(sorted(seen, key=self._face_key))
+        return tuple(sorted(seen, key=self._labels_of))
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """All faces of dimension k, ordered by label tuple.
@@ -389,13 +391,18 @@ class SimplicialComplex:
         A candidate at level c is a c-set whose proper subsets are all
         faces; it is generated by extending a (c-1)-face past its largest
         label, so each candidate appears exactly once, and it is a nonface
-        when the c-vertex faces do not hold it.  Levels beyond dimension + 2
-        cannot carry minimal nonfaces and are not visited.
+        when the c-vertex faces do not hold it.  Past two vertices such a
+        set is a clique of the graph, so a face is extended only by the
+        common neighbours of its vertices.  The cap still counts each label
+        past a face's largest one as a candidate, and trips only where one
+        is counted.  Levels beyond dimension + 2 cannot carry minimal
+        nonfaces and are not visited.
         """
         if self._void:
             return
         examined = 0
         n = len(self._labels)
+        nbrs = self._neighbour_masks()
         for c in range(2, self.dimension + 3):
             lower = self._faces_masks(c - 2)
             if not lower:
@@ -405,20 +412,22 @@ class SimplicialComplex:
             level: list[Face] = []
             for tm in lower:
                 top_bit = tm.bit_length()  # positions strictly above the max label
-                for i in range(top_bit, n):
-                    sm = tm | (1 << i)
-                    examined += 1
-                    if examined > cap:
-                        raise ResourceLimitError(
-                            f"minimal nonface search exceeded {cap} candidate sets"
-                        )
-                    if all(
-                        (sm & ~b) in lower_set
-                        for b in self._bits(sm)
-                        if b != (1 << i)
+                examined += n - top_bit
+                if examined > cap and top_bit < n:
+                    raise ResourceLimitError(
+                        f"minimal nonface search exceeded {cap} candidate sets"
+                    )
+                tm_bits = self._bits(tm)
+                extend = (1 << n) - (1 << top_bit)
+                if c > 2:
+                    for b in tm_bits:
+                        extend &= nbrs[b.bit_length() - 1]
+                for new in self._bits(extend):
+                    sm = tm | new
+                    if sm not in level_set and all(
+                        (sm & ~b) in lower_set for b in tm_bits
                     ):
-                        if sm not in level_set:
-                            level.append(self._labels_of(sm))
+                        level.append(self._labels_of(sm))
             yield from sorted(level)
 
     @staticmethod
@@ -453,6 +462,20 @@ class SimplicialComplex:
             return Verdict(True)
 
         return self._memoized("flag", build)
+
+    # -- the graph index -------------------------------------------------------
+
+    def _neighbour_masks(self) -> tuple[int, ...]:
+        """Vertex position -> bitmask of the other vertices of its facets."""
+
+        def build():
+            nbrs = [0] * len(self._labels)
+            for fm in self._facet_masks:
+                for b in self._bits(fm):
+                    nbrs[b.bit_length() - 1] |= fm & ~b
+            return tuple(nbrs)
+
+        return self._memoized("neighbours", build)
 
     # -- the ridge index: strong components and pseudomanifolds --------------
 
@@ -521,7 +544,7 @@ class SimplicialComplex:
         ridges = self._ridge_facets()
         bad = [rm for rm, group in ridges.items() if len(group) != 2]
         if bad:
-            rm = min(bad, key=self._face_key)
+            rm = min(bad, key=self._labels_of)
             return Verdict(
                 False,
                 witness={"ridge": self._labels_of(rm), "facet_count": len(ridges[rm])},

@@ -94,15 +94,15 @@ def barycentric_subdivision(cx: SimplicialComplex) -> SimplicialComplex:
 
 
 def _vertex_signature(cx: SimplicialComplex):
-    deg = {v: 0 for v in cx.vertices}
-    for u, w in cx.faces(1):
-        deg[u] += 1
-        deg[w] += 1
-    sig = {}
-    for v in cx.vertices:
-        sizes = sorted(len(f) for f in cx.facets if v in f)
-        sig[v] = (deg[v], tuple(sizes))
-    return sig
+    """Vertex -> (degree, sorted sizes of the facets through it)."""
+    adj = cx._neighbour_masks()
+    return {
+        v: (
+            adj[i].bit_count(),
+            tuple(sorted(fm.bit_count() for fm in cx._facet_masks if fm >> i & 1)),
+        )
+        for i, v in enumerate(cx.vertices)
+    }
 
 
 def is_isomorphic(a: SimplicialComplex, b: SimplicialComplex):
@@ -131,14 +131,8 @@ def is_isomorphic(a: SimplicialComplex, b: SimplicialComplex):
     # rarest signatures first cuts the branching early
     order = sorted(a.vertices, key=lambda v: (len(by_sig[sig_a[v]]), v))
 
-    adj_a = {v: set() for v in a.vertices}
-    for u, w in a.faces(1):
-        adj_a[u].add(w)
-        adj_a[w].add(u)
-    adj_b = {v: set() for v in b.vertices}
-    for u, w in b.faces(1):
-        adj_b[u].add(w)
-        adj_b[w].add(u)
+    adj_a, adj_b = a._neighbour_masks(), b._neighbour_masks()
+    pos_a, pos_b = a._pos, b._pos
 
     facets_b = set(b.facets)
     mapping: dict = {}
@@ -151,15 +145,14 @@ def is_isomorphic(a: SimplicialComplex, b: SimplicialComplex):
                     return False
             return True
         v = order[i]
+        nv = adj_a[pos_a[v]]
         for w in by_sig[sig_a[v]]:
             if w in used:
                 continue
-            ok = True
-            for u in mapping:
-                if (u in adj_a[v]) != (mapping[u] in adj_b[w]):
-                    ok = False
-                    break
-            if not ok:
+            nw = adj_b[pos_b[w]]
+            if any(
+                (nv >> pos_a[u] & 1) != (nw >> pos_b[x] & 1) for u, x in mapping.items()
+            ):
                 continue
             mapping[v] = w
             used.add(w)

@@ -91,8 +91,13 @@ def check_graph_connectivity_bound(
     if not all(h.ok for h in hyps):
         return TheoremReport("t1", hyps, None, {})
     d = cx.dimension + 1
-    bound = 2 * d - 2
-    res = vertex_connectivity(graph_of(cx))
+    ok, details = _connectivity_details(graph_of(cx), d, 2 * d - 2)
+    return TheoremReport("t1", hyps, ok, details)
+
+
+def _connectivity_details(graph: Graph, d: int, bound: int) -> tuple[bool, dict]:
+    """Whether graph is bound-connected, and the details t1 and gk report."""
+    res = vertex_connectivity(graph)
     details = {
         "facet_size": d,
         "bound": bound,
@@ -102,7 +107,7 @@ def check_graph_connectivity_bound(
     if res.cut is not None:
         details["minimum_cut"] = res.cut.cut
         details["separated_pair"] = res.cut.separated_pair
-    return TheoremReport("t1", hyps, res.value >= bound, details)
+    return res.value >= bound, details
 
 
 def check_h_vector_bound(
@@ -174,19 +179,9 @@ def check_face_graph_connectivity_bound(
         return TheoremReport("gk", hyps, None, {"k": k}, field=field.name)
     d = cx.dimension + 1
     bound = 2 * (k + 1) * (d - k - 1)
-    res = vertex_connectivity(face_adjacency_graph(cx, k))
-    details = {
-        "k": k,
-        "facet_size": d,
-        "bound": bound,
-        "connectivity": res.value,
-        "complete_graph": res.complete,
-        "note": "instance check only",
-    }
-    if res.cut is not None:
-        details["minimum_cut"] = res.cut.cut
-        details["separated_pair"] = res.cut.separated_pair
-    return TheoremReport("gk", hyps, res.value >= bound, details, field=field.name)
+    ok, details = _connectivity_details(face_adjacency_graph(cx, k), d, bound)
+    details.update(k=k, note="instance check only")
+    return TheoremReport("gk", hyps, ok, details, field=field.name)
 
 
 def _homology_manifold_hypothesis(cx: SimplicialComplex, field: FieldSpec):
@@ -248,15 +243,12 @@ def _circle_path(L: SimplicialComplex, start: int, came_from: int, goal: int):
     """Walk a union of circles from start away from came_from until goal."""
     if L.dimension != 1:
         raise InternalInvariantError("expected a one-dimensional link")
-    adj: dict = {}
-    for x, y in L.faces(1):
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
+    adj = L._neighbour_masks()
     path = [start]
     prev, cur = came_from, start
     limit = L.num_vertices + 1
     while cur != goal:
-        nbrs = adj.get(cur, ())
+        nbrs = L._labels_of(adj[L._pos[cur]]) if cur in L._pos else ()
         if len(nbrs) != 2:
             raise InternalInvariantError("link is not a disjoint union of circles")
         if nbrs[0] == prev:
@@ -297,10 +289,11 @@ def cross_polytope_subdivision(
     us = [_facet_flip(cx, facet, v) for v in vs]
     if len(set(us)) != d:
         raise InternalInvariantError("opposite vertices collide")
+    adj = cx._neighbour_masks()
     for v, u in zip(vs, us):
         if u in vs:
             raise InternalInvariantError("opposite vertex fell inside the facet")
-        if cx.has_face((u, v) if u > v else (v, u)):
+        if adj[cx._pos[v]] & cx._mask_of((u,)):
             raise InternalInvariantError("antipodal pair spans an edge")
 
     branch = {}
@@ -401,37 +394,31 @@ def check_cross_polytope_subdivision(
 # -- walks that dodge arbitrary small vertex sets -----------------------------
 
 
-def _graph_adjacency(cx: SimplicialComplex) -> dict:
-    adj: dict = {v: set() for v in cx.vertices}
-    for u, w in cx.faces(1):
-        adj[u].add(w)
-        adj[w].add(u)
-    return adj
+def _link_component(cx: SimplicialComplex, face: Face, anchor: Face):
+    """lk(face) and the facets of its strong component holding anchor, or None."""
+    lk = cx.link(face)
+    for comp in lk.strong_components().components:
+        if anchor in comp:
+            return lk, comp
+    return lk, None
 
 
 def _same_star_component(cx: SimplicialComplex, v: int, f1: Face, f2: Face) -> bool:
     """Whether two facets through v lie in one strong component of its star."""
-    lk = cx.link((v,))
-    comps = lk.strong_components()
     a = tuple(x for x in f1 if x != v)
     b = tuple(x for x in f2 if x != v)
-    for comp in comps.components:
-        items = set(comp)
-        if a in items:
-            return b in items
-    return False
+    _, comp = _link_component(cx, (v,), a)
+    return comp is not None and b in comp
 
 
 def _component_complex(cx: SimplicialComplex, v: int, anchor: Face):
     """Strong component of the link of v containing anchor, as a complex."""
-    lk = cx.link((v,))
-    comps = lk.strong_components()
-    if comps.count == 1:
-        return lk, set(comps.components[0])
-    for comp in comps.components:
-        if anchor in comp:
-            return build_complex(comp), set(comp)
-    raise InternalInvariantError("anchor facet missing from its own link")
+    lk, comp = _link_component(cx, (v,), anchor)
+    if comp is None:
+        raise InternalInvariantError("anchor facet missing from its own link")
+    if lk.strong_components().count > 1:
+        lk = build_complex(comp)
+    return lk, set(comp)
 
 
 def strong_walk_avoiding_set(
@@ -489,9 +476,10 @@ def _avoiding_walk(cx, a, b, avoid, depth, max_depth, cap):
         if not cx.is_pseudomanifold():
             raise InternalInvariantError("link component is not a pseudomanifold")
     d = cx.dimension + 1
-    adj = _graph_adjacency(cx)
+    adj = cx._neighbour_masks()
+    avoid_mask = cx._mask_of(avoid)
     core_set = frozenset(
-        x for x in avoid if len(adj[x] & avoid) >= 2 * d - 4
+        x for x in avoid if (adj[cx._pos[x]] & avoid_mask).bit_count() >= 2 * d - 4
     )
     if core_set and not cx.has_face(tuple(sorted(core_set))):
         raise InternalInvariantError("densely joined avoided vertices are not a face")
@@ -511,13 +499,7 @@ def _avoiding_walk(cx, a, b, avoid, depth, max_depth, cap):
             # split the avoided pair with a clean vertex from the edge link
             e = (v, nodes[i + 1]) if v < nodes[i + 1] else (nodes[i + 1], v)
             anchor = tuple(x for x in wits[i] if x not in e)
-            lk = cx.link(e)
-            comps = lk.strong_components()
-            gamma = None
-            for comp in comps.components:
-                if anchor in set(comp):
-                    gamma = comp
-                    break
+            _, gamma = _link_component(cx, e, anchor)
             if gamma is None:
                 raise InternalInvariantError("witness missing from the edge link")
             gamma_vertices = sorted({x for f in gamma for x in f})

@@ -6,7 +6,7 @@ Keep these slow and obvious; they only ever run on small inputs.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 
@@ -69,6 +69,43 @@ def minimal_nonfaces(facets):
             if all(s - {v} in faces for v in s):
                 out.append(tuple(sorted(s)))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+def nonface_candidate_count(facets, flag_only=False):
+    """Candidate sets the minimal-nonface search counts against its cap.
+
+    Level c (from 2 up to the top facet size plus one) counts, for each face
+    on c - 1 vertices, one candidate per label above its largest.  With
+    flag_only the count ends at the first level c >= 3 that holds a minimal
+    nonface, where the flag test has its answer.
+    """
+    faces = close_downward(facets)
+    labels = sorted({v for f in facets for v in f})
+    count = 0
+    for c in range(2, max(len(f) for f in facets) + 2):
+        count += sum(
+            sum(1 for v in labels if v > max(f)) for f in faces if len(f) == c - 1
+        )
+        if flag_only and c >= 3 and any(
+            s not in faces and all(s - {v} in faces for v in s)
+            for s in map(frozenset, combinations(labels, c))
+        ):
+            break
+    return count
+
+
+def is_isomorphic(facets_a, facets_b):
+    """Whether some vertex bijection carries facets onto facets, trying each one."""
+    va = sorted({v for f in facets_a for v in f})
+    vb = sorted({v for f in facets_b for v in f})
+    if len(va) != len(vb):
+        return False
+    target = {frozenset(f) for f in facets_b}
+    for image in permutations(vb):
+        m = dict(zip(va, image))
+        if {frozenset(m[v] for v in f) for f in facets_a} == target:
+            return True
+    return False
 
 
 def strong_components(facets):

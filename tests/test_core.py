@@ -5,6 +5,7 @@ import pytest
 import oracles as O
 from simplicial import (
     InputError,
+    ResourceLimitError,
     SimplicialComplex,
     build_complex,
     check_face_lower_bounds_report,
@@ -162,6 +163,17 @@ def test_flagness(corpus):
     hollow = build_complex([(1, 2), (1, 3), (2, 3)])
     v = hollow.is_flag()
     assert not v and v.witness == (1, 2, 3)
+
+
+def test_nonface_cap_counts_every_label_past_a_face(corpus):
+    # the cap counts candidates as if every face were extended by every
+    # higher label, so where a cap trips does not depend on the pruning
+    for name, cx in corpus.items():
+        for method, flag_only in (("is_flag", True), ("minimal_nonfaces", False)):
+            count = O.nonface_candidate_count(cx.facets, flag_only)
+            getattr(build_complex(cx.facets), method)(cap=count)
+            with pytest.raises(ResourceLimitError):
+                getattr(build_complex(cx.facets), method)(cap=count - 1)
 
 
 def test_strong_components_match_oracle(corpus):

@@ -1,7 +1,8 @@
-"""Property tests of the exact rank kernel, the homology deciders and the
-answers read off the ridge index (strong components, the pseudomanifold
-test) and the face levels (minimal nonfaces, the flag test) against the
-brute-force oracles.
+"""Property tests of the exact rank kernel, the homology deciders, the
+maximal faces kept on construction, the answers read off the ridge index
+(strong components, the pseudomanifold test), the graph index and the face
+levels (neighbours, minimal nonfaces, the flag test) and the isomorphism
+search against the brute-force oracles.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 """
@@ -19,6 +20,7 @@ from simplicial import (
     is_cohen_macaulay,
     is_homology_manifold,
     is_homology_sphere,
+    is_isomorphic,
     is_m_cohen_macaulay,
     reduced_betti_numbers,
 )
@@ -94,6 +96,13 @@ def _assert_deciders_match_oracle(facets, field, m):
 
 def _assert_incidence_matches_oracle(facets):
     cx = build_complex(facets)
+    drawn = [frozenset(f) for f in facets]
+    maximal = {tuple(sorted(f)) for f in drawn if not any(f < g for g in drawn)}
+    assert list(cx.facets) == sorted(maximal)
+    edges = [e for e in O.close_downward(cx.facets) if len(e) == 2]
+    nbrs = cx._neighbour_masks()
+    for i, v in enumerate(cx.vertices):
+        assert set(cx._labels_of(nbrs[i])) == {u for e in edges if v in e for u in e - {v}}
     comps = sorted(
         (sorted(c, key=lambda f: (len(f), f)) for c in O.strong_components(cx.facets)),
         key=lambda c: (len(min(c)), min(c)),
@@ -118,6 +127,30 @@ def test_incidence_answers_on_random_complexes_match_oracle(facets):
 @given(clique_complex_facets())
 def test_incidence_answers_on_clique_complexes_match_oracle(facets):
     _assert_incidence_matches_oracle(facets)
+
+
+small_facets = st.lists(
+    st.frozensets(st.integers(1, 6), min_size=1, max_size=4), min_size=1, max_size=6
+)
+
+
+@PROPERTY
+@given(small_facets, st.permutations(range(11, 17)))
+def test_isomorphism_to_a_relabelling_carries_facets_onto_facets(facets, image):
+    a = build_complex(facets)
+    b = build_complex([[image[v - 1] for v in f] for f in facets])
+    mapping = is_isomorphic(a, b)
+    assert mapping is not None
+    assert sorted(mapping) == list(a.vertices)
+    assert sorted(mapping.values()) == list(b.vertices)
+    assert {tuple(sorted(mapping[v] for v in f)) for f in a.facets} == set(b.facets)
+
+
+@PROPERTY
+@given(small_facets, small_facets)
+def test_isomorphism_existence_matches_oracle(fa, fb):
+    a, b = build_complex(fa), build_complex(fb)
+    assert (is_isomorphic(a, b) is not None) == O.is_isomorphic(a.facets, b.facets)
 
 
 FIELDS = st.sampled_from((GF2, GF3, RATIONALS))
