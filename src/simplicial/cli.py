@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted({**_GEN_FIXED, **_GEN_SIZED, **_GEN_DERIVED}))
     p.add_argument("size", nargs="?", type=int, default=None)
     p.add_argument("--of", default=None, help="input complex for derived generators")
-    common(p)
+    p.add_argument("--out", default=None, help="write the facet file to a file")
     return parser
 
 

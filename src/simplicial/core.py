@@ -11,7 +11,7 @@ tuple) and every reported witness is the first one in that order.
 
 A complex never changes after construction, so everything derived from it
 is computed once, on first use, and kept in one memo dict per complex:
-face levels, links, deletions and stars, verdicts, and the indexes of the
+face levels, links and deletions, verdicts, and the indexes of the
 homology and graph modules.  The memo takes no lock: the package starts no
 threads, and two threads racing on one entry would only build it twice.
 
@@ -39,7 +39,8 @@ from .errors import InputError, ResourceLimitError
 
 Face = tuple[int, ...]
 
-# Cap on candidate sets examined while searching for minimal nonfaces.
+# Cap on the candidates an enumeration examines: candidate nonfaces in the
+# flag test, deleted vertex sets in the m-Cohen-Macaulay test.
 DEFAULT_CANDIDATE_CAP = 1 << 22
 
 
@@ -93,13 +94,6 @@ class HVector:
 
     def __len__(self):
         return len(self.counts)
-
-    @property
-    def reduced_euler_characteristic(self) -> int:
-        """Signed top entry: chi~ = (-1)^(d-1) h_d."""
-        d = len(self.counts) - 1
-        sign = 1 if (d - 1) % 2 == 0 else -1
-        return sign * self.counts[d]
 
 
 @dataclass(frozen=True)
@@ -356,32 +350,6 @@ class SimplicialComplex:
             return SimplicialComplex([self._labels_of(fm & ~m) for fm in self._facet_masks])
 
         return self._memoized(("delete", m), build)
-
-    def closed_star(self, vertex: int) -> "SimplicialComplex":
-        """Subcomplex generated by the facets containing the vertex."""
-        i = self._pos.get(vertex)
-        if i is None:
-            raise InputError(f"{vertex!r} is not a vertex of this complex")
-        m = 1 << i
-
-        def build():
-            return SimplicialComplex(
-                [self._labels_of(fm) for fm in self._facet_masks if fm & m]
-            )
-
-        return self._memoized(("star", m), build)
-
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        """Subcomplex of all faces of dimension at most k."""
-        if self._void or k >= self.dimension:
-            return self
-        if k < -1:
-            raise InputError("skeleton dimension below -1 makes no sense")
-        top = [self._labels_of(m) for m in self._faces_masks(k)]
-        low = [
-            self._labels_of(m) for m in self._facet_masks if m.bit_count() <= k
-        ]
-        return SimplicialComplex(top + low)
 
     # -- minimal nonfaces and flagness ---------------------------------------
 

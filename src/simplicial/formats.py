@@ -1,16 +1,17 @@
-"""Text formats: facet files for complexes, edge lists for graphs.
+"""Facet files, the text format of complexes.
 
-Facet file: UTF-8, one facet per line as base-10 nonnegative labels
-separated by spaces.  Blank lines and lines starting with # are ignored.
+UTF-8 text, one facet per line as base-10 nonnegative labels separated
+by spaces.  Blank lines and lines starting with # are ignored.
 An empty file is the void complex; a file whose only facet line is *
 is the empty complex (the one whose sole face is the empty set).
 """
 
 from __future__ import annotations
 
+import io
+
 from .core import SimplicialComplex, build_complex
 from .errors import InputError
-from .graphs import Graph
 
 
 def parse_facet_lines(lines) -> list[tuple[int, ...]]:
@@ -44,8 +45,14 @@ def read_complex_text(text: str) -> SimplicialComplex:
 
 
 def read_complex_file(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_complex(parse_facet_lines(fh))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 at byte {e.start}") from None
+    # universal newlines, so lines split exactly as a text-mode file does
+    return build_complex(parse_facet_lines(io.StringIO(text, newline=None)))
 
 
 def facet_file_text(cx: SimplicialComplex) -> str:
@@ -58,37 +65,3 @@ def facet_file_text(cx: SimplicialComplex) -> str:
     for f in sorted(cx.facets, key=lambda f: (len(f), f)):
         lines.append(" ".join(str(v) for v in f))
     return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(lines) -> Graph:
-    """One edge per line as two labels; a single label is an isolated node."""
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    nodes = set()
-    edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) > 2:
-            raise InputError(f"line {lineno}: expected at most two labels")
-        try:
-            labels = [int(p) for p in parts]
-        except ValueError:
-            raise InputError(f"line {lineno}: labels must be integers")
-        nodes.update(labels)
-        if len(labels) == 2:
-            if labels[0] == labels[1]:
-                raise InputError(f"line {lineno}: loop edge")
-            edges.append(tuple(labels))
-    return Graph(nodes, edges)
-
-
-def edge_list_text(g: Graph) -> str:
-    lines = [f"{u} {v}" for u, v in g.edges]
-    covered = {x for e in g.edges for x in e}
-    for u in g.nodes:
-        if u not in covered:
-            lines.append(str(u))
-    return "\n".join(lines) + ("\n" if lines else "")

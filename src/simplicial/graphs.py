@@ -55,12 +55,6 @@ class Graph:
     def has_node(self, u) -> bool:
         return u in self._adj
 
-    def without_nodes(self, drop) -> "Graph":
-        gone = set(drop)
-        keep = [u for u in self.nodes if u not in gone]
-        kept_edges = [e for e in self.edges if e[0] not in gone and e[1] not in gone]
-        return Graph(keep, kept_edges)
-
     def is_connected(self) -> bool:
         """Graphs with at most one node count as connected."""
         if len(self.nodes) <= 1:
@@ -235,18 +229,6 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     )
 
 
-def is_m_connected(g: Graph, m: int) -> Verdict:
-    """At least m + 1 nodes, and no separating set smaller than m."""
-    if m < 1:
-        raise InputError(f"m must be a positive integer, got {m}")
-    if len(g.nodes) < m + 1:
-        return Verdict(False, reason=f"fewer than {m + 1} nodes")
-    res = vertex_connectivity(g)
-    if res.value >= m:
-        return Verdict(True)
-    return Verdict(False, witness=res.cut, reason=f"cut of size {res.value}")
-
-
 # -- walks with facet witnesses ---------------------------------------------
 
 
@@ -263,35 +245,6 @@ class Walk:
             (ns[i - 1], ns[i]) if ns[i - 1] <= ns[i] else (ns[i], ns[i - 1])
             for i in range(1, len(ns))
         )
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def is_path(self) -> bool:
-        return len(set(self.nodes)) == len(self.nodes)
-
-
-def loop_erased(walk: Walk) -> Walk:
-    """Erase loops so every node appears once.  For plain walks only.
-
-    Witnessed walks must not be simplified this way; cutting a loop can
-    break the star-component condition even when the input satisfied it.
-    """
-    out: list = []
-    pos: dict = {}
-    for u in walk.nodes:
-        if u in pos:
-            k = pos[u]
-            for x in out[k + 1 :]:
-                del pos[x]
-            del out[k + 1 :]
-        else:
-            pos[u] = len(out)
-            out.append(u)
-    return Walk(tuple(out))
-
 
 @dataclass(frozen=True)
 class WalkCertificate:
@@ -348,37 +301,6 @@ def _dual_path(cx: SimplicialComplex, sources, accept, avoid=None):
                 parent[w] = f
                 queue.append(w)
     return None
-
-
-def strong_chain_avoiding(
-    cx: SimplicialComplex, vertex: int, start: Face, end: Face
-) -> tuple[Face, ...]:
-    """Chain of facets from start to end avoiding a vertex entirely.
-
-    Consecutive facets share a common face of codimension one in both.
-    Requires a pseudomanifold; deleting one vertex from a pseudomanifold
-    cannot disconnect the facet-adjacency structure, so the chain always
-    exists and the shortest one (by BFS) is returned.
-    """
-    pm = cx.is_pseudomanifold()
-    if not pm:
-        raise ClassificationError("pseudomanifold", witness=pm.witness)
-    if vertex not in set(cx.vertices):
-        raise InputError(f"{vertex!r} is not a vertex")
-    start = tuple(sorted(start))
-    end = tuple(sorted(end))
-    facet_set = set(cx.facets)
-    for f in (start, end):
-        if f not in facet_set:
-            raise InputError(f"{list(f)} is not a facet")
-        if vertex in f:
-            raise InputError(f"facet {list(f)} contains the avoided vertex {vertex}")
-    chain = _dual_path(cx, [start], lambda f: f == end, avoid=vertex)
-    if chain is None:
-        raise InternalInvariantError(
-            "a pseudomanifold minus one vertex lost strong connectivity"
-        )
-    return tuple(chain)
 
 
 def strong_walk_avoiding(

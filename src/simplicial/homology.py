@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .core import SimplicialComplex, Verdict
+from .core import DEFAULT_CANDIDATE_CAP, SimplicialComplex, Verdict
 from .errors import InputError, InternalInvariantError, ResourceLimitError
-
-DEFAULT_SUBSET_CAP = 1 << 22
 
 
 def _is_prime(n: int) -> bool:
@@ -339,7 +337,7 @@ def is_m_cohen_macaulay(
     cx: SimplicialComplex,
     m: int,
     field: FieldSpec = GF2,
-    cap: int = DEFAULT_SUBSET_CAP,
+    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> Verdict:
     """Removing any fewer than m vertices leaves the complex Cohen-Macaulay
     of unchanged dimension.

@@ -282,7 +282,11 @@ def cross_polytope_subdivision(
     if not pm:
         raise ClassificationError("pseudomanifold", witness=pm.witness)
     facet = tuple(sorted(facet))
-    if facet not in set(cx.facets):
+    fm = cx._mask_of(facet)
+    # a facet sits over its ridge without its lowest vertex; a repeated label
+    # leaves the mask smaller than the tuple
+    group = cx._ridge_facets().get(fm & (fm - 1), ()) if fm else ()
+    if fm not in group or fm.bit_count() != len(facet):
         raise InputError(f"{list(facet)} is not a facet")
     vs = facet
     d = len(vs)

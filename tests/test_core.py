@@ -122,24 +122,6 @@ def test_delete_vertex(octa):
     assert dl.dimension == 2
 
 
-def test_closed_star(octa):
-    st = octa.closed_star(1)
-    assert all(1 in f for f in st.facets)
-    assert len(st.facets) == 4
-    # closed star contains the link
-    for f in octa.link((1,)).facets:
-        assert st.has_face(f)
-
-
-def test_skeleton(octa):
-    sk = octa.skeleton(1)
-    assert sk.dimension == 1
-    assert tuple(sk.f_vector()) == (1, 6, 12)
-    assert tuple(octa.skeleton(0).f_vector()) == (1, 6)
-    with pytest.raises(InputError):
-        octa.skeleton(-2)
-
-
 def test_minimal_nonfaces_match_oracle(corpus):
     for name, cx in corpus.items():
         if cx.num_vertices > 16:

@@ -5,13 +5,10 @@ import pytest
 
 import simplicial.cli as cli
 from simplicial import (
-    Graph,
     InputError,
     Verdict,
     build_complex,
-    edge_list_text,
     facet_file_text,
-    parse_edge_list,
     parse_facet_lines,
     read_complex_file,
     read_complex_text,
@@ -37,15 +34,6 @@ def test_facet_parse_errors_carry_line_numbers():
         with pytest.raises(InputError) as e:
             parse_facet_lines(text.splitlines())
         assert f"line {lineno}" in str(e.value)
-
-
-def test_edge_list_round_trip():
-    g = Graph((1, 2, 3, 9), [(1, 2), (2, 3)])
-    assert parse_edge_list(edge_list_text(g)) == g
-    with pytest.raises(InputError):
-        parse_edge_list("1 2 3")
-    with pytest.raises(InputError):
-        parse_edge_list("5 5")
 
 
 @pytest.fixture()
@@ -139,9 +127,10 @@ def test_cli_verify_t2_icosahedron(tmp_path, icosa, capsys):
 def test_cli_verify_t2_explicit_facet(octa_file, capsys):
     code, out, _ = _run(capsys, ["verify", "t2", octa_file, "--facet", "2 3 4"])
     assert code == 0
-    code, _, err = _run(capsys, ["verify", "t2", octa_file, "--facet", "1 2 4"])
-    assert code == 2
-    assert "not a facet" in err
+    for root in ("1 2 4", "1 2", "1 2 99"):
+        code, out, err = _run(capsys, ["verify", "t2", octa_file, "--facet", root])
+        assert (code, out) == (2, "")
+        assert "not a facet" in err
 
 
 def test_cli_verify_t3_gk_lb(octa_file, capsys):
@@ -249,12 +238,23 @@ def test_cli_gen_misuse(capsys):
     assert _run(capsys, ["gen", "cycle"])[0] == 2
     assert _run(capsys, ["gen", "barycentric"])[0] == 2
     assert _run(capsys, ["gen", "nope"])[0] == 2
+    code, out, _ = _run(capsys, ["gen", "cycle", "5", "--cap", "1"])
+    assert (code, out) == (2, "")
 
 
 def test_cli_usage_errors(octa_file, capsys):
     assert _run(capsys, ["verify", "zz", octa_file])[0] == 2
     assert _run(capsys, ["analyze", "/does/not/exist"])[0] == 2
     assert _run(capsys, ["verify", "gk", octa_file, "--k", "7"])[0] == 2
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["gen", "barycentric", "--of"]])
+def test_cli_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2 3\n\xff\xfe1 2 4\n")
+    code, out, err = _run(capsys, command + [str(path)])
+    assert (code, out) == (2, "")
+    assert str(path) in err and "byte 6" in err
 
 
 def test_cli_parse_error_carries_line_number(tmp_path, capsys):

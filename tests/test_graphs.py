@@ -15,9 +15,6 @@ from simplicial import (
     cross_polytope_boundary,
     face_adjacency_graph,
     graph_of,
-    is_m_connected,
-    loop_erased,
-    strong_chain_avoiding,
     strong_walk_avoiding,
     verify_strong_walk,
     verify_subdivision,
@@ -44,7 +41,7 @@ def test_graph_construction():
 def test_graph_connectivity_helpers():
     g = Graph((1, 2, 3, 4), [(1, 2), (3, 4)])
     assert not g.is_connected()
-    assert g.without_nodes([3, 4]).is_connected()
+    assert Graph((1, 2), [(1, 2)]).is_connected()
     assert Graph((5,), []).is_connected()
 
 
@@ -101,6 +98,13 @@ def test_complete_graph_marker():
         vertex_connectivity(Graph((1,), []))
 
 
+def _connected_without(g, cut):
+    """Whether G minus the cut is connected, by the oracle's search."""
+    gone = set(cut)
+    rest = [u for u in g.nodes if u not in gone]
+    return O.graph_is_connected(rest, [e for e in g.edges if not gone & set(e)])
+
+
 def test_connectivity_matches_bruteforce_on_corpus(corpus):
     for name, cx in corpus.items():
         if cx.dimension < 1 or cx.num_vertices > 13:
@@ -110,8 +114,7 @@ def test_connectivity_matches_bruteforce_on_corpus(corpus):
         want, _ = O.vertex_connectivity_bruteforce(g.nodes, g.edges)
         assert got.value == want, name
         if got.cut is not None:
-            rest = g.without_nodes(got.cut.cut)
-            assert not rest.is_connected(), name
+            assert not _connected_without(g, got.cut.cut), name
             assert len(got.cut.cut) == want, name
 
 
@@ -128,61 +131,12 @@ def test_connectivity_matches_bruteforce_on_random_graphs():
         assert got.value == want, (trial, edges)
         if got.cut is not None:
             assert len(got.cut.cut) == want
-            assert not g.without_nodes(got.cut.cut).is_connected()
-
-
-def test_is_m_connected(octa):
-    g = graph_of(octa)
-    assert is_m_connected(g, 4)
-    v = is_m_connected(g, 5)
-    assert not v
-    assert len(v.witness.cut) == 4
-    assert not g.without_nodes(v.witness.cut).is_connected()
-    with pytest.raises(InputError):
-        is_m_connected(g, 0)
-
-
-def test_is_m_connected_node_count_clause():
-    k3 = Graph((1, 2, 3), [(1, 2), (1, 3), (2, 3)])
-    v = is_m_connected(k3, 3)
-    assert not v and "fewer than 4 nodes" in v.reason
-    assert is_m_connected(k3, 2)
-
-
-def test_m_connected_is_monotone(octa, icosa):
-    for cx in (octa, icosa):
-        g = graph_of(cx)
-        top = vertex_connectivity(g).value
-        for m in range(1, top + 1):
-            assert is_m_connected(g, m)
-        assert not is_m_connected(g, top + 1)
+            assert not _connected_without(g, got.cut.cut)
 
 
 def test_walk_objects():
     w = Walk((1, 2, 3, 2))
     assert w.edges == ((1, 2), (2, 3), (2, 3))  # edges come out sorted
-    assert w.length == 3
-    assert not w.is_path
-    assert loop_erased(w).nodes == (1, 2)
-    assert loop_erased(Walk((5,))).nodes == (5,)
-    p = Walk((4, 2, 7))
-    assert p.is_path
-    assert loop_erased(p).nodes == (4, 2, 7)
-
-
-def test_strong_chain_avoiding(octa):
-    chain = strong_chain_avoiding(octa, 1, (2, 3, 4), (4, 5, 6))
-    assert len(chain) <= 4
-    assert chain[0] == (2, 3, 4) and chain[-1] == (4, 5, 6)
-    for f in chain:
-        assert 1 not in f
-        assert octa.has_face(f)
-    for f, g in zip(chain, chain[1:]):
-        assert len(set(f) & set(g)) == len(f) - 1
-    with pytest.raises(InputError):
-        strong_chain_avoiding(octa, 9, (2, 3, 4), (4, 5, 6))
-    with pytest.raises(InputError):
-        strong_chain_avoiding(octa, 1, (1, 2, 3), (4, 5, 6))
 
 
 def test_walk_frozen_example(octa):
@@ -281,10 +235,6 @@ def test_walks_build_no_complex(monkeypatch):
     for avoid in (vs[1:3], vs[4:5], ()):
         cert = strong_walk_avoiding(cx, vs[0], vs[-1], avoid)
         assert verify_strong_walk(cx, cert)
-    for v in vs[:4]:
-        rest = [f for f in cx.facets if v not in f]
-        chain = strong_chain_avoiding(cx, v, rest[0], rest[-1])
-        assert chain[0] == rest[0] and chain[-1] == rest[-1]
     assert built == []
 
 

@@ -1,0 +1,97 @@
+"""The public surface: what the package exports and what the tracer wraps.
+
+The export list is frozen so that a name added or dropped shows up in
+review.  The tracer in perfbench/spans.py replaces package functions by
+name; every one it names must exist, or a traced run fails.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import simplicial
+from simplicial import SimplicialComplex
+
+PUBLIC = [
+    "BettiTable",
+    "ClassificationError",
+    "ConnectivityResult",
+    "CutCertificate",
+    "DEFAULT_CANDIDATE_CAP",
+    "FVector",
+    "FieldSpec",
+    "GF2",
+    "GF3",
+    "Graph",
+    "HVector",
+    "HypothesisCheck",
+    "InputError",
+    "InternalInvariantError",
+    "RATIONALS",
+    "ResourceLimitError",
+    "SimplicialComplex",
+    "SimplicialError",
+    "StrongComponents",
+    "SubdivisionEmbedding",
+    "TheoremReport",
+    "Verdict",
+    "Walk",
+    "WalkCertificate",
+    "__version__",
+    "barycentric_subdivision",
+    "boundary_matrix",
+    "build_complex",
+    "check_cross_polytope_subdivision",
+    "check_face_graph_connectivity_bound",
+    "check_face_lower_bounds_report",
+    "check_graph_connectivity_bound",
+    "check_h_vector_bound",
+    "cross_polytope_boundary",
+    "cross_polytope_graph",
+    "cross_polytope_subdivision",
+    "cycle",
+    "face_adjacency_graph",
+    "facet_file_text",
+    "graph_of",
+    "icosahedron",
+    "is_cohen_macaulay",
+    "is_homology_manifold",
+    "is_homology_sphere",
+    "is_isomorphic",
+    "is_m_cohen_macaulay",
+    "join",
+    "parse_facet_lines",
+    "read_complex_file",
+    "read_complex_text",
+    "reduced_betti_numbers",
+    "simplex_boundary",
+    "strong_walk_avoiding",
+    "strong_walk_avoiding_set",
+    "suspension",
+    "torus_7",
+    "verify_strong_walk",
+    "verify_subdivision",
+    "vertex_connectivity",
+]
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_all_is_frozen_and_resolves():
+    assert PUBLIC == sorted(PUBLIC)
+    assert sorted(simplicial.__all__) == PUBLIC
+    assert len(set(simplicial.__all__)) == len(simplicial.__all__)
+    for name in PUBLIC:
+        assert hasattr(simplicial, name), name
+
+
+def test_every_traced_target_resolves():
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for name, module, attr in spans.TARGETS:
+        if module is None:
+            assert attr in SimplicialComplex.__dict__, name
+        else:
+            assert hasattr(importlib.import_module(module), attr), name

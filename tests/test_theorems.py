@@ -221,10 +221,10 @@ def test_subdivision_claims(icosa):
 
 
 def test_subdivision_rejects_non_facet(octa):
-    with pytest.raises(InputError):
-        cross_polytope_subdivision(octa, (1, 2, 4))
-    with pytest.raises(InputError):
-        cross_polytope_subdivision(octa, (1, 2))
+    # a non-face, a proper face, an unknown label, a repeated label, the empty face
+    for root in ((1, 2, 4), (1, 2), (1, 2, 99), (1, 1, 2), ()):
+        with pytest.raises(InputError, match="is not a facet"):
+            cross_polytope_subdivision(octa, root)
 
 
 def test_subdivision_rejects_bad_hypotheses(torus, books):
