@@ -318,16 +318,18 @@ class SimplicialComplex:
         """Faces that extend the given one, with the face itself stripped."""
         f = _validate_face(face)
         m = self._mask_of(f)
-        if m is None or not any(m & fm == m for fm in self._facet_masks):
+        key = ("link", m)
+        # only a face that passed the test below has a memo entry
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        kept = [] if m is None else [fm & ~m for fm in self._facet_masks if fm & m == m]
+        if not kept:
             raise InputError(f"{list(f)} is not a face of this complex")
         if m == 0:
             return self
-
-        def build():
-            kept = [self._labels_of(fm & ~m) for fm in self._facet_masks if fm & m == m]
-            return SimplicialComplex(kept)
-
-        return self._memoized(("link", m), build)
+        hit = self._memo[key] = SimplicialComplex(map(self._labels_of, kept))
+        return hit
 
     def delete(self, points: Iterable[int]) -> "SimplicialComplex":
         """Subcomplex of faces disjoint from the given vertex set.

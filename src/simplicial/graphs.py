@@ -1,10 +1,13 @@
 """Graphs attached to complexes: connectivity certificates and witnessed walks.
 
-Vertex connectivity is computed by Menger duality: a minimum s-t vertex
-cut is a maximum set of internally disjoint s-t paths, found by max-flow
-on the split network where every node other than s and t has capacity
-one.  Sweeping a deterministic set of pairs gives the global value and a
-checkable cut certificate.
+Vertex connectivity is computed by Menger duality: the size of a
+minimum s-t vertex cut is the largest number of internally disjoint s-t
+paths.  The paths are grown by augmenting searches over neighbour
+bitmasks of the unsplit graph, and the last, failed search yields the
+cut.  Sweeping a deterministic set of pairs gives the global value.  The
+certificate is checked by code that shares nothing with the search:
+every pair's paths are real, internally disjoint and as many as its cut
+has nodes, and the reported cut separates its pair.
 
 Walks through a pseudomanifold carry a witness facet per edge; the walk
 is accepted when consecutive witnesses lie in one strong component of the
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import Face, SimplicialComplex, Verdict
 from .errors import ClassificationError, InputError, InternalInvariantError
@@ -96,12 +100,7 @@ def face_adjacency_graph(cx: SimplicialComplex, k: int) -> Graph:
     nodes = cx.faces(k)
     edges = set()
     for top in cx.faces(k + 1):
-        subs = []
-        for omit in range(len(top)):
-            subs.append(top[:omit] + top[omit + 1 :])
-        for i in range(len(subs)):
-            for j in range(i + 1, len(subs)):
-                edges.add((subs[i], subs[j]) if subs[i] <= subs[j] else (subs[j], subs[i]))
+        edges.update(combinations([top[:i] + top[i + 1 :] for i in range(len(top))], 2))
     return Graph(nodes, edges)
 
 
@@ -120,78 +119,122 @@ class ConnectivityResult:
     cut: CutCertificate | None
 
 
-def _min_vertex_cut(g: Graph, s, t):
-    """Minimum s-t vertex cut for a non-adjacent pair, as a sorted tuple.
-
-    Node-splitting: every node u becomes an arc u_in -> u_out of capacity
-    one (unbounded for s and t); each edge becomes two unbounded arcs.
-    Unit augmenting paths are found by BFS, so runtime is flow * edges.
-    """
-    order = {u: i for i, u in enumerate(g.nodes)}
-    n = len(g.nodes)
-    big = n + 1
-
-    # arcs stored as parallel lists; arc i's reverse is i ^ 1
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(2 * n)]
-
-    def add(u: int, v: int, cap: int):
-        out[u].append(len(arc_to))
-        arc_to.append(v)
-        arc_cap.append(cap)
-        out[v].append(len(arc_to))
-        arc_to.append(u)
-        arc_cap.append(0)
-
-    for u in g.nodes:
-        i = order[u]
-        add(2 * i, 2 * i + 1, big if u in (s, t) else 1)
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Bit j of entry i is set when g.nodes[i] and g.nodes[j] are adjacent."""
+    pos = {u: i for i, u in enumerate(g.nodes)}
+    nbr = [0] * len(g.nodes)
     for u, v in g.edges:
-        iu, iv = order[u], order[v]
-        add(2 * iu + 1, 2 * iv, big)
-        add(2 * iv + 1, 2 * iu, big)
+        nbr[pos[u]] |= 1 << pos[v]
+        nbr[pos[v]] |= 1 << pos[u]
+    return nbr
 
-    src = 2 * order[s] + 1
-    dst = 2 * order[t]
+
+def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], int]:
+    """Most internally disjoint s-t paths, and the minimum cut nearest s.
+
+    s and t are non-adjacent indices into the neighbour masks.  The flow is
+    kept as pred/succ pointers of the nodes on it.  A search runs over
+    out-states; an in-state only leads on, a free node's to its own
+    out-state and a used node's back to its pred's.  Forward moves are
+    nbr[u] & ~seen_in; a used u may also step back to its in-state.  Each
+    search augments every tree path to t that has its own first step.  The
+    first search that misses t gives the cut: the nodes whose in-state it
+    reaches and whose out-state it does not, the same after any max flow.
+    """
+    n = len(nbr)
+    pred, succ = [-1] * n, [-1] * n
     while True:
-        prev_arc = [-1] * (2 * n)
-        prev_arc[src] = -2
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if x == dst:
-                break
-            for ai in out[x]:
-                y = arc_to[ai]
-                if arc_cap[ai] > 0 and prev_arc[y] == -1:
-                    prev_arc[y] = ai
-                    queue.append(y)
-        if prev_arc[dst] == -1:
+        seen_in = seen_out = 1 << s
+        par_in, par_out = {}, {}  # state -> the state it was entered from
+        ends = []  # reached out-states next to t
+        queue = [s]
+        for u in queue:
+            fresh = nbr[u] & ~seen_in
+            if pred[u] >= 0 and not seen_in >> u & 1:
+                fresh |= 1 << u
+            if fresh >> t & 1:
+                ends.append(u)
+                fresh ^= 1 << t
+            seen_in |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                y = low.bit_length() - 1
+                par_in[y] = u
+                z = y if pred[y] < 0 else pred[y]
+                if not seen_out >> z & 1:
+                    seen_out |= 1 << z
+                    par_out[z] = y
+                    queue.append(z)
+        if not ends:
             break
-        x = dst
-        while x != src:
-            ai = prev_arc[x]
-            arc_cap[ai] -= 1
-            arc_cap[ai ^ 1] += 1
-            x = arc_to[ai ^ 1]
+        # tree paths with distinct first steps share no state, so each one
+        # augments the flow the others leave
+        firsts = 0
+        for u in ends:
+            hops = [(u, t)]  # arcs (out-state u, in-state y), back from t
+            while u != s:
+                y = par_out[u]
+                u = par_in[y]
+                hops.append((u, y))
+            if firsts >> hops[-1][1] & 1:
+                continue
+            firsts |= 1 << hops[-1][1]
+            # in path order; a pointer is cleared only while it names the
+            # cancelled arc, because this path may already have reset it
+            w = -1
+            for u, y in reversed(hops):
+                if w >= 0 and w != u:  # back along the flow u -> w
+                    if succ[u] == w:
+                        succ[u] = -1
+                    if pred[w] == u:
+                        pred[w] = -1
+                if u != y:  # forward along the edge u -> y
+                    if u != s:
+                        succ[u] = y
+                    if y != t:
+                        pred[y] = u
+                w = y
+    paths = [[s, w] for w in range(n) if pred[w] == s]
+    for path in paths:
+        while path[-1] != t:
+            if succ[path[-1]] < 0 or len(path) > n:
+                raise InternalInvariantError("flow pointers break off before the target")
+            path.append(succ[path[-1]])
+    return paths, seen_in & ~seen_out
 
-    reach = [False] * (2 * n)
-    reach[src] = True
-    queue = deque([src])
+
+def _check_menger(g: Graph, s, t, paths, cut) -> None:
+    """Raise unless paths are len(cut) internally disjoint s-t paths of g."""
+    if len(paths) != len(cut):
+        raise InternalInvariantError(f"{len(paths)} disjoint paths for a cut of {len(cut)} nodes")
+    interior = {s, t}
+    for path in paths:
+        if path[0] != s or path[-1] != t:
+            raise InternalInvariantError(f"path {path!r} does not run from {s!r} to {t!r}")
+        for a, b in zip(path, path[1:]):
+            if not g.has_edge(a, b):
+                raise InternalInvariantError(f"path step {(a, b)!r} is not an edge")
+        for x in path[1:-1]:
+            if x in interior:
+                raise InternalInvariantError(f"two paths between {s!r} and {t!r} share {x!r}")
+            interior.add(x)
+
+
+def _check_separates(g: Graph, cut, s, t) -> None:
+    """Raise unless s and t are apart in g minus the cut, by BFS over neighbors."""
+    seen = set(cut)
+    if s in seen or t in seen:
+        raise InternalInvariantError(f"cut {cut!r} contains an end of {(s, t)!r}")
+    seen.add(s)
+    queue = deque([s])
     while queue:
-        x = queue.popleft()
-        for ai in out[x]:
-            y = arc_to[ai]
-            if arc_cap[ai] > 0 and not reach[y]:
-                reach[y] = True
-                queue.append(y)
-    cut = tuple(
-        u
-        for u in g.nodes
-        if u not in (s, t) and reach[2 * order[u]] and not reach[2 * order[u] + 1]
-    )
-    return cut
+        for w in g.neighbors(queue.popleft()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if t in seen:
+        raise InternalInvariantError(f"cut {cut!r} does not separate {s!r} from {t!r}")
 
 
 def vertex_connectivity(g: Graph) -> ConnectivityResult:
@@ -201,7 +244,9 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     Otherwise the sweep fixes a minimum-degree node v and runs max-flow
     against every non-neighbor of v and between every non-adjacent pair of
     neighbors of v; some minimum cut is always caught this way.  Among the
-    minimum cuts seen, the lexicographically least is reported.
+    minimum cuts seen, the lexicographically least is reported.  Each
+    pair's paths prove its cut minimum (Menger), and the reported cut is
+    checked to separate its pair, by code that reads only g.
     """
     n = len(g.nodes)
     if n < 2:
@@ -210,18 +255,19 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(value=n - 1, complete=True, cut=None)
     v = min(g.nodes, key=lambda u: (g.degree(u), u))
     pairs = [(v, w) for w in g.nodes if w != v and not g.has_edge(v, w)]
-    nbrs = g.neighbors(v)
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            if not g.has_edge(nbrs[i], nbrs[j]):
-                pairs.append((nbrs[i], nbrs[j]))
-    best_cut = None
-    best_pair = None
+    pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
+    nodes = g.nodes
+    pos = {u: i for i, u in enumerate(nodes)}
+    nbr = _neighbour_masks(g)
+    best_cut = best_pair = None
     for s, t in pairs:
-        cut = _min_vertex_cut(g, s, t)
+        index_paths, cut_mask = _disjoint_paths(nbr, pos[s], pos[t])
+        cut = tuple(u for i, u in enumerate(nodes) if cut_mask >> i & 1)
+        _check_menger(g, s, t, [[nodes[i] for i in p] for p in index_paths], cut)
         if best_cut is None or (len(cut), cut) < (len(best_cut), best_cut):
             best_cut = cut
             best_pair = (s, t)
+    _check_separates(g, best_cut, *best_pair)
     return ConnectivityResult(
         value=len(best_cut),
         complete=False,

@@ -350,6 +350,41 @@ def vertex_connectivity_bruteforce(nodes, edges):
     raise AssertionError("unreachable for non-complete graphs")
 
 
+def nearest_min_vertex_cut(nodes, edges, s, t):
+    """Among the minimum s-t vertex separators, the one whose component of s
+    is smallest, as a sorted tuple; s and t must not be adjacent.
+
+    Minimum cuts are closed under taking the smaller side, so this cut is
+    unique; a tie raises.  Exponential; keep to graphs with at most 9 nodes.
+    """
+    adj = {u: set() for u in nodes}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if t in adj[s]:
+        raise ValueError("s and t are adjacent")
+    others = sorted(u for u in adj if u not in (s, t))
+    for size in range(len(others) + 1):
+        found = []
+        for cut in combinations(others, size):
+            gone = set(cut)
+            side = {s}
+            stack = [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in side and w not in gone:
+                        side.add(w)
+                        stack.append(w)
+            if t not in side:
+                found.append((len(side), cut))
+        if found:
+            found.sort()
+            if len(found) > 1 and found[0][0] == found[1][0]:
+                raise AssertionError("two nearest minimum cuts")
+            return found[0][1]
+    raise AssertionError("unreachable: removing every other node separates")
+
+
 def barycentric_counts(facets):
     """(vertex count, facet count) of the barycentric subdivision."""
     faces = close_downward(facets) - {frozenset()}

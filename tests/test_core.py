@@ -115,6 +115,17 @@ def test_link_of_empty_face_is_identity(octa):
     assert octa.link(()) == octa
 
 
+def test_link_of_non_face_raises_and_memo_hits_return_the_link():
+    cx = build_complex([(1, 2, 3), (2, 3, 4)])
+    lk = cx.link((2, 3))
+    assert cx.link((3, 2)) is lk
+    for bad in ((1, 4), (1, 99), (1, 2, 3, 4)):
+        with pytest.raises(InputError, match="is not a face"):
+            cx.link(bad)
+    with pytest.raises(InputError, match="is not a face"):
+        build_complex([]).link(())
+
+
 def test_delete_vertex(octa):
     dl = octa.delete((1,))
     assert dl.facets == ((2, 3, 4), (2, 4, 6), (3, 4, 5), (4, 5, 6))

@@ -18,7 +18,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import simplicial.cli as cli
-from simplicial import facet_file_text
+from simplicial import (
+    barycentric_subdivision,
+    build_complex,
+    cross_polytope_boundary,
+    facet_file_text,
+)
 
 PSEUDOMANIFOLDS = (
     "octahedron", "cross4", "cross5", "icosahedron", "torus7", "simplex_bd3",
@@ -56,11 +61,11 @@ def _commands(cx, path):
     }
 
 
-def _digests(cx, path):
+def _digests(cx, path, commands=_commands):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(facet_file_text(cx))
     out = {}
-    for name, argv in _commands(cx, path).items():
+    for name, argv in commands(cx, path).items():
         stdout = io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
             code = cli.main(argv)
@@ -171,3 +176,42 @@ GOLDEN = {
 def test_cli_reports_match_golden_digests(name, corpus, tmp_path):
     assert _digests(corpus[name], str(tmp_path / f"{name}.txt")) == GOLDEN[name]
 
+
+def _connectivity_commands(cx, path):
+    return {
+        "t1": ["verify", "t1", path],
+        "gk1": ["verify", "gk", path, "--k", "1"],
+    }
+
+
+def _bary_cross3_relabelled():
+    """bary(cross3) with vertex i (1..26) renamed 7 * i mod 29, so the
+    minimum-degree vertex and the pair order differ from the corpus copy."""
+    cx = barycentric_subdivision(cross_polytope_boundary(3))
+    return build_complex([[7 * v % 29 for v in f] for f in cx.facets])
+
+
+# the connectivity instances of the certify benchmark, whose pair lists are
+# longer than the corpus ones
+CONNECTIVITY_INSTANCES = {
+    "cross6": lambda: cross_polytope_boundary(6),
+    "bary_cross3_relabelled": _bary_cross3_relabelled,
+}
+
+GOLDEN_CONNECTIVITY = {
+    'cross6': {
+        't1': (0, '6543bc79e97e97e6cabc1474214f0ec41aa008ad8a0ac873e89586e75703ffb5'),
+        'gk1': (0, '6bf2d804c83ca2807917346c0585c73ebdd29c59a6d563b3cb93e3824960080d'),
+    },
+    'bary_cross3_relabelled': {
+        't1': (0, '768ead62f537d508590ad9f90831115f43685987d37db5482e6ee6f0cbe089c9'),
+        'gk1': (0, 'c98c53789e7d50f2d96868d5cfab1a85b0c378acd122681893d1b1f0144989af'),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_INSTANCES))
+def test_connectivity_reports_match_golden_digests(name, tmp_path):
+    cx = CONNECTIVITY_INSTANCES[name]()
+    got = _digests(cx, str(tmp_path / f"{name}.txt"), _connectivity_commands)
+    assert got == GOLDEN_CONNECTIVITY[name]

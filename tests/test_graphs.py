@@ -14,13 +14,16 @@ from simplicial import (
     build_complex,
     cross_polytope_boundary,
     face_adjacency_graph,
+    facet_file_text,
     graph_of,
     strong_walk_avoiding,
     verify_strong_walk,
     verify_subdivision,
     vertex_connectivity,
 )
-from simplicial.errors import ClassificationError
+import simplicial.cli as cli
+from simplicial import graphs
+from simplicial.errors import ClassificationError, InternalInvariantError
 from simplicial.graphs import SubdivisionEmbedding
 
 
@@ -132,6 +135,53 @@ def test_connectivity_matches_bruteforce_on_random_graphs():
         if got.cut is not None:
             assert len(got.cut.cut) == want
             assert not _connected_without(g, got.cut.cut)
+
+
+def _share_interior(paths):
+    return [paths[0], paths[0]] + paths[2:]
+
+
+def _step_off_edge(paths):
+    return [[paths[0][0], paths[0][-1]]] + paths[1:]
+
+
+def _drop_one(paths):
+    return paths[:-1]
+
+
+CORRUPTIONS = {
+    "shared interior": (_share_interior, "share"),
+    "non-edge step": (_step_off_edge, "not an edge"),
+    "dropped path": (_drop_one, "3 disjoint paths for a cut of 4 nodes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_connectivity_certificate_is_caught(name, octa, tmp_path, capsys, monkeypatch):
+    corrupt, message = CORRUPTIONS[name]
+    search = graphs._disjoint_paths
+
+    def corrupted(nbr, s, t):
+        paths, cut = search(nbr, s, t)
+        return corrupt(paths), cut
+
+    monkeypatch.setattr(graphs, "_disjoint_paths", corrupted)
+    with pytest.raises(InternalInvariantError, match=message):
+        vertex_connectivity(graph_of(octa))
+    path = tmp_path / "octa.txt"
+    path.write_text(facet_file_text(octa))
+    assert cli.main(["verify", "t1", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "suspect" in captured.err
+
+
+def test_cut_that_does_not_separate_is_caught(octa):
+    g = graph_of(octa)
+    graphs._check_separates(g, (1, 2, 4, 5), 3, 6)
+    with pytest.raises(InternalInvariantError, match="does not separate"):
+        graphs._check_separates(g, (1, 2, 4), 3, 6)
+    with pytest.raises(InternalInvariantError, match="contains an end"):
+        graphs._check_separates(g, (1, 2, 3, 4, 5), 3, 6)
 
 
 def test_walk_objects():

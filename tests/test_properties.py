@@ -1,30 +1,34 @@
 """Property tests of the exact rank kernel, the homology deciders, the
 maximal faces kept on construction, the answers read off the ridge index
 (strong components, the pseudomanifold test), the graph index and the face
-levels (neighbours, minimal nonfaces, the flag test) and the isomorphism
-search against the brute-force oracles.
+levels (neighbours, minimal nonfaces, the flag test), the isomorphism
+search and the vertex-connectivity sweep with its per-pair cuts against
+the brute-force oracles.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as O
 from simplicial import (
     GF2,
     GF3,
     RATIONALS,
+    Graph,
     build_complex,
+    graph_of,
     is_cohen_macaulay,
     is_homology_manifold,
     is_homology_sphere,
     is_isomorphic,
     is_m_cohen_macaulay,
     reduced_betti_numbers,
+    vertex_connectivity,
 )
-from simplicial import linalg
+from simplicial import graphs, linalg
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -175,3 +179,74 @@ def test_rank_of_integer_matrices_matches_oracle(mat):
     assert linalg.rank(mat, 0) == O.rank_fraction(mat)
     for p in (2, 3, 5, 7):
         assert linalg.rank(mat, p) == O.rank_mod(mat, p), p
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(2, 9))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph(range(1, n + 1), [e for e in pairs if draw(st.booleans())])
+
+
+def _pair_list(g):
+    """The sweep's pairs: a minimum-degree node v (least label on ties)
+    against its non-neighbours, then the non-adjacent pairs of its
+    neighbours, each in node order."""
+    v = min(g.nodes, key=lambda u: (len(g.neighbors(u)), u))
+    pairs = [(v, w) for w in g.nodes if w != v and w not in g.neighbors(v)]
+    nbrs = g.neighbors(v)
+    pairs += [(a, b) for a, b in combinations(nbrs, 2) if b not in g.neighbors(a)]
+    return pairs
+
+
+def _assert_connectivity_matches_oracle(g):
+    pos = {u: i for i, u in enumerate(g.nodes)}
+    nbr = graphs._neighbour_masks(g)
+    cuts = {}
+    for s, t in permutations(g.nodes, 2):
+        if t in g.neighbors(s):
+            continue
+        paths, cut_mask = graphs._disjoint_paths(nbr, pos[s], pos[t])
+        cut = tuple(u for u in g.nodes if cut_mask >> pos[u] & 1)
+        want = O.nearest_min_vertex_cut(g.nodes, g.edges, s, t)
+        assert cut == want, (s, t)
+        assert len(paths) == len(want), (s, t)
+        cuts[s, t] = want
+    got = vertex_connectivity(g)
+    value, _ = O.vertex_connectivity_bruteforce(g.nodes, g.edges)
+    assert got.value == value
+    if not cuts:
+        assert got.complete and got.cut is None
+        return
+    pairs = _pair_list(g)
+    first = min(range(len(pairs)), key=lambda i: (len(cuts[pairs[i]]), cuts[pairs[i]]))
+    assert got.cut.cut == cuts[pairs[first]]
+    assert got.cut.separated_pair == pairs[first]
+
+
+# Graphs on which a search must back along the flow.  They catch a search
+# that never steps back from a used node's out-state to its in-state, and
+# pointer updates that clear a pointer the same path has already reset.
+FLOW_BACKING_GRAPHS = (
+    Graph(range(1, 7), [(1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (3, 6), (4, 5)]),
+    Graph(range(1, 8), [(1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4), (3, 6), (4, 6),
+                        (4, 7), (5, 7)]),
+    Graph(range(1, 8), [(1, 2), (2, 5), (2, 7), (3, 6), (3, 7), (4, 5), (4, 6)]),
+)
+
+
+@PROPERTY
+@given(random_graphs())
+@example(FLOW_BACKING_GRAPHS[0])
+@example(FLOW_BACKING_GRAPHS[1])
+@example(FLOW_BACKING_GRAPHS[2])
+def test_connectivity_of_random_graphs_matches_oracle(g):
+    _assert_connectivity_matches_oracle(g)
+
+
+@PROPERTY
+@given(clique_complex_facets())
+def test_connectivity_of_clique_complex_graphs_matches_oracle(facets):
+    g = graph_of(build_complex(facets))
+    if len(g.nodes) >= 2:
+        _assert_connectivity_matches_oracle(g)
