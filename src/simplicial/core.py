@@ -15,23 +15,25 @@ face levels, links and deletions, verdicts, and the indexes of the
 homology and graph modules.  The memo takes no lock: the package starts no
 threads, and two threads racing on one entry would only build it twice.
 
-Facet adjacency lives in one memo entry, the ridge index, which maps each
-ridge (a facet minus one vertex) to the facets over it.  Two facets share
-a ridge exactly when they have the same size and differ in one vertex, so
-strong components, the pseudomanifold test, the dual graph behind strong
-walks and the facet flips of t2 are all read off this one map.
+Face-facet incidence lives in one memo entry, the face index, which maps
+every face mask, the empty face included, to the facets over it.  The face
+levels are its keys by size, a set is a face exactly when it is a key
+(``has_face``, the flag test), a link is read off the facets over its face,
+and the facets over a face r with one vertex more than r, its ridge group,
+drive strong components, the pseudomanifold test, the dual graph behind
+strong walks and the facet flips of t2.
 
 Vertex adjacency lives in a second memo entry, the graph index, which maps
 each vertex to the bitmask of its neighbours in the 1-skeleton.  The flag
 test grows candidate nonfaces only by common neighbours (an AND of masks)
-and looks each one up among the faces of its size; the flag walk, the
+and looks each one up in the face index; the flag walk, the
 circle walks of t2 and the isomorphism search read adjacency off it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import groupby
 from math import comb
 from typing import Iterable, Iterator
 
@@ -135,15 +137,14 @@ class SimplicialComplex:
     collection for the void complex and ``[[]]`` for the empty complex.
     """
 
-    __slots__ = ("_labels", "_pos", "_facet_masks", "_void", "_memo")
+    __slots__ = ("_labels", "_pos", "_facet_masks", "_memo")
 
     def __init__(self, facets: Iterable[Iterable[int]] = ()):
         faces = [_validate_face(f) for f in facets]
-        self._void = not faces
         labels = sorted({v for f in faces for v in f})
         self._labels: tuple[int, ...] = tuple(labels)
         self._pos = {v: i for i, v in enumerate(labels)}
-        masks = sorted({self._mask_unchecked(f) for f in faces}, key=int.bit_count)
+        masks = sorted({self._mask_of(f) for f in faces}, key=int.bit_count)
         maximal: list[int] = []
         # scan from large to small; two distinct faces of one size never hold
         # each other, so a face is tested only against the strictly larger ones
@@ -155,12 +156,6 @@ class SimplicialComplex:
         self._memo: dict = {}
 
     # -- representation helpers -------------------------------------------
-
-    def _mask_unchecked(self, face: Face) -> int:
-        m = 0
-        for v in face:
-            m |= 1 << self._pos[v]
-        return m
 
     def _mask_of(self, face: Iterable[int]) -> int | None:
         """Bitmask for a validated face, or None if a label is unknown."""
@@ -191,7 +186,7 @@ class SimplicialComplex:
 
     @property
     def is_void(self) -> bool:
-        return self._void
+        return not self._facet_masks
 
     @property
     def is_empty_complex(self) -> bool:
@@ -201,9 +196,7 @@ class SimplicialComplex:
     @property
     def dimension(self) -> int:
         """Largest face dimension; -1 for both the empty and void complexes."""
-        if self._void:
-            return -1
-        return max(m.bit_count() for m in self._facet_masks) - 1
+        return max((m.bit_count() for m in self._facet_masks), default=0) - 1
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -220,57 +213,60 @@ class SimplicialComplex:
     @property
     def is_pure(self) -> bool:
         """All facets share one dimension (vacuously true without facets)."""
-        if self._void:
-            return True
-        sizes = {m.bit_count() for m in self._facet_masks}
-        return len(sizes) <= 1
+        return len({m.bit_count() for m in self._facet_masks}) <= 1
 
     def has_face(self, face: Iterable[int]) -> bool:
-        m = self._mask_of(_validate_face(face))
-        if m is None:
-            return False
-        return any(m & f == m for f in self._facet_masks)
+        return self._mask_of(_validate_face(face)) in self._face_index()
 
+    # facet masks are in label order and positions follow the labels, so equal
+    # complexes have equal pairs; void ((), ()) differs from empty ((), (0,))
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._void == other._void and set(self.facets) == set(other.facets)
+        return (self._labels, self._facet_masks) == (other._labels, other._facet_masks)
 
     def __hash__(self) -> int:
-        return hash((self._void, frozenset(self.facets)))
+        return hash((self._labels, self._facet_masks))
 
     def __repr__(self) -> str:
-        if self._void:
+        if self.is_void:
             return "SimplicialComplex(void)"
         return (
             f"SimplicialComplex(dim={self.dimension}, "
             f"vertices={self.num_vertices}, facets={len(self._facet_masks)})"
         )
 
-    # -- face enumeration ----------------------------------------------------
+    # -- the face index and the face levels -----------------------------------
+
+    def _face_index(self) -> dict[int, list[int]]:
+        """Face mask -> the facet masks over it, in facet order.
+
+        Every face is a key, the empty face included; the void complex has
+        no keys.
+        """
+
+        def build():
+            index = {0: list(self._facet_masks)} if self._facet_masks else {}
+            for fm in self._facet_masks:
+                sub = fm
+                while sub:
+                    index.setdefault(sub, []).append(fm)
+                    sub = (sub - 1) & fm
+            return index
+
+        return self._memoized("face_index", build)
 
     def _faces_masks(self, k: int) -> tuple[int, ...]:
-        if self._void or k < -1 or k > self.dimension:
-            return ()
-        if k == -1:
-            return (0,)
-        return self._memoized(("faces", k), lambda: self._enumerate_faces(k + 1))
+        """The faces of dimension k, ordered by label tuple."""
 
-    def _enumerate_faces(self, size: int) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for fm in self._facet_masks:
-            bits = self._bits(fm)
-            if len(bits) < size:
-                continue
-            if len(bits) == size:
-                seen.add(fm)
-                continue
-            for combo in combinations(bits, size):
-                sub = 0
-                for b in combo:
-                    sub |= b
-                seen.add(sub)
-        return tuple(sorted(seen, key=self._labels_of))
+        def build():
+            levels: list[list[int]] = [[] for _ in range(self.dimension + 2)]
+            for m in self._face_index():
+                levels[m.bit_count()].append(m)
+            return tuple(tuple(sorted(lv, key=self._labels_of)) for lv in levels)
+
+        levels = self._memoized("face_levels", build)
+        return levels[k + 1] if 0 <= k + 1 < len(levels) else ()
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """All faces of dimension k, ordered by label tuple.
@@ -291,7 +287,7 @@ class SimplicialComplex:
     # -- f- and h-vectors ------------------------------------------------------
 
     def f_vector(self) -> FVector:
-        if self._void:
+        if self.is_void:
             raise InputError("the void complex has no f-vector")
         return FVector(tuple(self.num_faces(k) for k in range(-1, self.dimension + 1)))
 
@@ -318,18 +314,14 @@ class SimplicialComplex:
         """Faces that extend the given one, with the face itself stripped."""
         f = _validate_face(face)
         m = self._mask_of(f)
-        key = ("link", m)
-        # only a face that passed the test below has a memo entry
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        kept = [] if m is None else [fm & ~m for fm in self._facet_masks if fm & m == m]
-        if not kept:
+        over = self._face_index().get(m)
+        if over is None:
             raise InputError(f"{list(f)} is not a face of this complex")
         if m == 0:
             return self
-        hit = self._memo[key] = SimplicialComplex(map(self._labels_of, kept))
-        return hit
+        return self._memoized(
+            ("link", m), lambda: SimplicialComplex(self._labels_of(fm & ~m) for fm in over)
+        )
 
     def delete(self, points: Iterable[int]) -> "SimplicialComplex":
         """Subcomplex of faces disjoint from the given vertex set.
@@ -355,31 +347,31 @@ class SimplicialComplex:
 
     # -- minimal nonfaces and flagness ---------------------------------------
 
-    def _iter_minimal_nonfaces(self, cap: int) -> Iterator[Face]:
-        """Yield minimal nonfaces by (cardinality, label tuple).
+    def _iter_minimal_nonfaces(self, cap: int) -> Iterator[list[int]]:
+        """Yield the masks of the minimal nonfaces level by level, from two
+        vertices up, each level in label-tuple order.
 
         A candidate at level c is a c-set whose proper subsets are all
         faces; it is generated by extending a (c-1)-face past its largest
         label, so each candidate appears exactly once, and it is a nonface
-        when the c-vertex faces do not hold it.  Past two vertices such a
-        set is a clique of the graph, so a face is extended only by the
-        common neighbours of its vertices.  The cap still counts each label
-        past a face's largest one as a candidate, and trips only where one
-        is counted.  Levels beyond dimension + 2 cannot carry minimal
-        nonfaces and are not visited.
+        when the face index does not hold it.  The (c-1)-faces are taken in
+        label order and each is extended by increasing labels, which is
+        label order at level c.  Past two vertices such a set is a clique
+        of the graph, so a face is extended only by the common neighbours
+        of its vertices.  The cap still counts each label past a face's
+        largest one as a candidate, and trips only where one is counted.
+        Levels beyond dimension + 2 cannot carry minimal nonfaces and are
+        not visited.
         """
-        if self._void:
-            return
         examined = 0
         n = len(self._labels)
         nbrs = self._neighbour_masks()
+        index = self._face_index()
         for c in range(2, self.dimension + 3):
             lower = self._faces_masks(c - 2)
             if not lower:
                 return
-            lower_set = set(lower)
-            level_set = set(self._faces_masks(c - 1))
-            level: list[Face] = []
+            level: list[int] = []
             for tm in lower:
                 top_bit = tm.bit_length()  # positions strictly above the max label
                 examined += n - top_bit
@@ -392,13 +384,18 @@ class SimplicialComplex:
                 if c > 2:
                     for b in tm_bits:
                         extend &= nbrs[b.bit_length() - 1]
-                for new in self._bits(extend):
+                while extend:
+                    new = extend & -extend
+                    extend ^= new
                     sm = tm | new
-                    if sm not in level_set and all(
-                        (sm & ~b) in lower_set for b in tm_bits
-                    ):
-                        level.append(self._labels_of(sm))
-            yield from sorted(level)
+                    if sm in index:
+                        continue
+                    for b in tm_bits:
+                        if (sm & ~b) not in index:
+                            break
+                    else:
+                        level.append(sm)
+            yield level
 
     @staticmethod
     def _bits(mask: int) -> list[int]:
@@ -411,9 +408,12 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self, cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Face, ...]:
         """All minimal nonfaces, ordered by (cardinality, label tuple)."""
-        return self._memoized(
-            "nonfaces", lambda: tuple(self._iter_minimal_nonfaces(cap))
-        )
+
+        def build():
+            levels = self._iter_minimal_nonfaces(cap)
+            return tuple(self._labels_of(m) for level in levels for m in level)
+
+        return self._memoized("nonfaces", build)
 
     def is_flag(self, cap: int = DEFAULT_CANDIDATE_CAP) -> Verdict:
         """Whether every minimal nonface has at most two vertices.
@@ -424,8 +424,9 @@ class SimplicialComplex:
         """
 
         def build():
-            for nf in self._iter_minimal_nonfaces(cap):
-                if len(nf) >= 3:
+            for level in self._iter_minimal_nonfaces(cap):
+                if level and level[0].bit_count() >= 3:
+                    nf = self._labels_of(level[0])
                     return Verdict(
                         False, witness=nf, reason="minimal nonface with 3 or more vertices"
                     )
@@ -447,23 +448,21 @@ class SimplicialComplex:
 
         return self._memoized("neighbours", build)
 
-    # -- the ridge index: strong components and pseudomanifolds --------------
+    # -- ridge groups: strong components and pseudomanifolds ------------------
 
-    def _ridge_facets(self) -> dict[int, list[int]]:
-        """Ridge mask -> the facet masks over it, in facet order.
+    def _ridge_groups(self) -> Iterator[list[int]]:
+        """For each face r, the facets over r with |r| + 1 vertices.
 
-        The ridges of a facet are the facet minus one vertex each; a ridge
-        group only ever holds facets of one size.
+        These are the facets that share r as a ridge; empty groups are
+        skipped.
         """
-
-        def build():
-            groups: dict[int, list[int]] = {}
-            for fm in self._facet_masks:
-                for b in self._bits(fm):
-                    groups.setdefault(fm & ~b, []).append(fm)
-            return groups
-
-        return self._memoized("ridges", build)
+        sizes = {fm.bit_count() for fm in self._facet_masks}
+        for r, over in self._face_index().items():
+            size = r.bit_count() + 1
+            if size in sizes:
+                group = [fm for fm in over if fm.bit_count() == size]
+                if group:
+                    yield group
 
     def strong_components(self) -> StrongComponents:
         """Group facets by chains of codimension-one (in both) overlaps."""
@@ -478,7 +477,7 @@ class SimplicialComplex:
                 x = parent[x]
             return x
 
-        for first, *rest in self._ridge_facets().values():
+        for first, *rest in self._ridge_groups():
             root = find(first)
             for fm in rest:
                 parent[find(fm)] = root
@@ -511,15 +510,16 @@ class SimplicialComplex:
                 witness={"strong_components": sc.count},
                 reason="not strongly connected",
             )
-        ridges = self._ridge_facets()
-        bad = [rm for rm, group in ridges.items() if len(group) != 2]
-        if bad:
-            rm = min(bad, key=self._labels_of)
-            return Verdict(
-                False,
-                witness={"ridge": self._labels_of(rm), "facet_count": len(ridges[rm])},
-                reason="a codimension-two face is not in exactly two facets",
-            )
+        # strongly connected, hence pure: every face one vertex short of the
+        # facets is a ridge, and all the facets over it share its group
+        index = self._face_index()
+        for rm in self._faces_masks(self.dimension - 1):
+            if len(index[rm]) != 2:
+                return Verdict(
+                    False,
+                    witness={"ridge": self._labels_of(rm), "facet_count": len(index[rm])},
+                    reason="a codimension-two face is not in exactly two facets",
+                )
         return Verdict(True)
 
 

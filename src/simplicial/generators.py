@@ -95,12 +95,9 @@ def barycentric_subdivision(cx: SimplicialComplex) -> SimplicialComplex:
 
 def _vertex_signature(cx: SimplicialComplex):
     """Vertex -> (degree, sorted sizes of the facets through it)."""
-    adj = cx._neighbour_masks()
+    adj, index = cx._neighbour_masks(), cx._face_index()
     return {
-        v: (
-            adj[i].bit_count(),
-            tuple(sorted(fm.bit_count() for fm in cx._facet_masks if fm >> i & 1)),
-        )
+        v: (adj[i].bit_count(), tuple(sorted(fm.bit_count() for fm in index[1 << i])))
         for i, v in enumerate(cx.vertices)
     }
 

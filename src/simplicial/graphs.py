@@ -306,12 +306,12 @@ class WalkCertificate:
 
 
 def _dual_adjacency(cx: SimplicialComplex) -> dict[Face, tuple[Face, ...]]:
-    """Facet adjacency through shared ridges, read off the ridge index."""
+    """Facet adjacency through shared ridges, read off the ridge groups."""
 
     def build():
         label = dict(zip(cx._facet_masks, cx.facets))
         adj: dict[Face, list[Face]] = {f: [] for f in cx.facets}
-        for group in cx._ridge_facets().values():
+        for group in cx._ridge_groups():
             for fm in group:
                 adj[label[fm]].extend(label[g] for g in group if g != fm)
         # neighbours share the facet's size, so label order is (size, label) order
@@ -381,7 +381,7 @@ def strong_walk_avoiding(
         if x in avoid:
             raise InputError(f"endpoint {x} lies in the avoided set")
 
-    sources = [f for f in cx.facets if a in f]
+    sources = [cx._labels_of(fm) for fm in cx._face_index()[cx._mask_of((a,))]]
     chain = _dual_path(cx, sources, lambda f: b in f, avoid=min(avoid, default=None))
     if chain is None:
         raise InternalInvariantError("facet chain between endpoint stars not found")

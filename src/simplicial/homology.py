@@ -193,7 +193,7 @@ def _betti_memo(cx: SimplicialComplex, field: FieldSpec) -> dict:
     W is always cut down to the vertices of lk(sigma), so equal links share
     one entry; (0, 0) is the whole complex.
     """
-    return cx._memo.setdefault(("betti", field.characteristic), {})
+    return cx._memoized(("betti", field.characteristic), dict)
 
 
 def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> BettiTable:
@@ -220,25 +220,24 @@ def _link_index(cx: SimplicialComplex) -> dict[int, tuple[int, list[list[int]]]]
     each face is entered into the link of each of its subsets.  The keys
     run in (dimension, label) order.
     """
-    index = cx._memo.get("link_index")
-    if index is not None:
-        return index
-    links: dict[int, list[list[int]]] = {}
-    for size in range(cx.dimension + 2):
-        for tau in cx._faces_masks(size - 1):
-            links[tau] = [[0]]
-            sub = tau
-            while sub:
-                sub = (sub - 1) & tau
-                levels = links[sub]
-                i = size - sub.bit_count()
-                if len(levels) == i:
-                    levels.append([])
-                levels[i].append(tau ^ sub)
-    # level 1 holds the link's vertices, one bit each, so their sum is their union
-    index = {s: (sum(lv[1]) if len(lv) > 1 else 0, lv) for s, lv in links.items()}
-    cx._memo["link_index"] = index
-    return index
+
+    def build():
+        links: dict[int, list[list[int]]] = {}
+        for size in range(cx.dimension + 2):
+            for tau in cx._faces_masks(size - 1):
+                links[tau] = [[0]]
+                sub = tau
+                while sub:
+                    sub = (sub - 1) & tau
+                    levels = links[sub]
+                    i = size - sub.bit_count()
+                    if len(levels) == i:
+                        levels.append([])
+                    levels[i].append(tau ^ sub)
+        # level 1 holds the link's vertices, one bit each, so their sum is their union
+        return {s: (sum(lv[1]) if len(lv) > 1 else 0, lv) for s, lv in links.items()}
+
+    return cx._memoized("link_index", build)
 
 
 def _link_sweep(

@@ -228,7 +228,7 @@ def _facet_flip(cx: SimplicialComplex, facet: Face, drop: int) -> int:
     """The vertex replacing drop in the unique other facet over the ridge."""
     fm = cx._mask_of(facet)
     ridge = fm & ~cx._mask_of((drop,))
-    others = [g for g in cx._ridge_facets()[ridge] if g != fm]
+    others = [g for g in cx._face_index()[ridge] if g != fm]
     if len(others) > 1:
         raise InternalInvariantError("ridge lies in three facets")
     if not others:
@@ -283,10 +283,9 @@ def cross_polytope_subdivision(
         raise ClassificationError("pseudomanifold", witness=pm.witness)
     facet = tuple(sorted(facet))
     fm = cx._mask_of(facet)
-    # a facet sits over its ridge without its lowest vertex; a repeated label
-    # leaves the mask smaller than the tuple
-    group = cx._ridge_facets().get(fm & (fm - 1), ()) if fm else ()
-    if fm not in group or fm.bit_count() != len(facet):
+    # a facet is the only facet over itself; a repeated label leaves the
+    # mask smaller than the tuple
+    if cx._face_index().get(fm) != [fm] or fm.bit_count() != len(facet):
         raise InputError(f"{list(facet)} is not a facet")
     vs = facet
     d = len(vs)

@@ -306,6 +306,7 @@ def test_equality_and_hashing():
     assert a == b
     assert hash(a) == hash(b)
     assert a != build_complex([(1, 2)])
+    assert build_complex([]) != build_complex([()])
 
 
 def test_large_labels_work():

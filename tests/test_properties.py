@@ -1,15 +1,16 @@
 """Property tests of the exact rank kernel, the homology deciders, the
-maximal faces kept on construction, the answers read off the ridge index
-(strong components, the pseudomanifold test), the graph index and the face
-levels (neighbours, minimal nonfaces, the flag test), the isomorphism
-search and the vertex-connectivity sweep with its per-pair cuts against
-the brute-force oracles.
+maximal faces kept on construction, equality and hashing, the answers read
+off the face index (face levels, ``has_face``, links, strong components,
+the pseudomanifold test), the graph index (neighbours, minimal nonfaces,
+the flag test), the isomorphism search and the vertex-connectivity sweep
+with its per-pair cuts against the brute-force oracles.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 """
 
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles as O
@@ -29,6 +30,7 @@ from simplicial import (
     vertex_connectivity,
 )
 from simplicial import graphs, linalg
+from simplicial.errors import InputError
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -103,7 +105,19 @@ def _assert_incidence_matches_oracle(facets):
     drawn = [frozenset(f) for f in facets]
     maximal = {tuple(sorted(f)) for f in drawn if not any(f < g for g in drawn)}
     assert list(cx.facets) == sorted(maximal)
-    edges = [e for e in O.close_downward(cx.facets) if len(e) == 2]
+    rebuilt = build_complex([sorted(f, reverse=True) for f in reversed(facets)])
+    assert rebuilt == cx and hash(rebuilt) == hash(cx)
+    assert build_complex([*facets, {8}]) != cx
+    faces = O.close_downward(cx.facets)
+    for k in range(-2, cx.dimension + 2):
+        assert list(cx.faces(k)) == sorted(tuple(sorted(f)) for f in faces if len(f) == k + 1)
+    assert all(cx.has_face(f) for f in faces)
+    assert not cx.has_face([1, 99])
+    for sigma in faces - {frozenset()}:
+        over = [tau - sigma for tau in faces if sigma <= tau]
+        link = {tuple(sorted(t)) for t in over if not any(t < u for u in over)}
+        assert list(cx.link(sigma).facets) == sorted(link), sorted(sigma)
+    edges = [e for e in faces if len(e) == 2]
     nbrs = cx._neighbour_masks()
     for i, v in enumerate(cx.vertices):
         assert set(cx._labels_of(nbrs[i])) == {u for e in edges if v in e for u in e - {v}}
@@ -115,6 +129,10 @@ def _assert_incidence_matches_oracle(facets):
     assert bool(cx.is_pseudomanifold()) == O.is_pseudomanifold(cx.facets)
     nonfaces = O.minimal_nonfaces(cx.facets)
     assert list(cx.minimal_nonfaces()) == nonfaces
+    for nf in nonfaces:
+        assert not cx.has_face(nf)
+        with pytest.raises(InputError):
+            cx.link(nf)
     big = [nf for nf in nonfaces if len(nf) > 2]
     flag = cx.is_flag()
     assert bool(flag) == (not big)
