@@ -23,6 +23,21 @@ vertices of lk(sigma), field), so the four deciders share one sweep and a
 link that W does not touch is ranked once for every W.  All deciders
 report the first failing face in (dimension, label) order, and the first
 failing W in ``combinations(vertices, size)`` order.
+
+Deleting one vertex w from a Cohen-Macaulay complex sweeps no link of the
+deletion.  Let L = lk(sigma) have dimension s and some facet missing w.
+The Mayer-Vietoris sequence of L = (L - w) u star_L(w), whose parts meet
+in lk(sigma + w), and the vanishing of CM links below their top degree
+leave L - w with homology below its top only in degree s - 1, of dimension
+betti_{s-1}(lk(sigma + w)) minus the rank of the top cycles of L restricted
+to the top faces through w.  So one kernel basis of the top boundary of
+each link answers every w at once (Baclawski, "Cohen-Macaulay connectivity
+and geometric lattices", Europ. J. Combin. 1982; Walker 1981).  For a
+homology sphere that basis is one cycle through every facet, which is
+"Gorenstein* implies 2-CM".  Each such witness is recomputed densely on
+the link of sigma in the deletion, built from label tuples, before it is
+returned.  Deleting two or more vertices (m >= 3) still sweeps the links
+of the deletion.
 """
 
 from __future__ import annotations
@@ -146,7 +161,7 @@ def _chain_ranks(levels, characteristic: int) -> list[int]:
     """
     top = len(levels) - 1
     ranks = [0] * top
-    cleared: set[int] = set()
+    cleared: dict = {}
     cols = levels[top]
     for k in range(top - 1, -1, -1):
         rows = levels[k]
@@ -320,6 +335,85 @@ def _cm_defect(cx: SimplicialComplex, field: FieldSpec, deleted: int = 0):
     return None
 
 
+def _top_cycles(levels, characteristic: int) -> list[dict[int, int]]:
+    """A basis of the top cycles of a chain complex given by face levels,
+    each as ``{index of a top face: coefficient}``.
+
+    Each top face j gets its own row j below the boundary rows, so a column
+    whose boundary reduces to zero keeps its pivot there: those reduced
+    columns are a basis of the kernel of the top boundary map.
+    """
+    top = levels[-1]
+    n = len(top)
+    row_index = {m: n + i for i, m in enumerate(levels[-2])}
+    columns = ({**_boundary_column(m, row_index), j: 1} for j, m in enumerate(top))
+    cycles = [col for low, col in linalg.pivot_rows(columns, characteristic).items() if low < n]
+    if characteristic == 2:
+        return [{j: 1 for j in range(n) if bits >> j & 1} for bits in cycles]
+    return cycles
+
+
+def _restricted_rank(cycles, faces, characteristic: int) -> int:
+    """Rank of the cycles cut down to the top faces with the given indices."""
+    return len(
+        linalg.pivot_rows(({j: c[j] for j in faces if j in c} for c in cycles), characteristic)
+    )
+
+
+def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
+    """Vertex bit w -> (sigma, degree, betti) of the first Reisner defect of
+    cx - w, for every w whose deletion has one, by the Mayer-Vietoris rule
+    of the module docstring.  cx must have passed the W = {} sweep, which
+    leaves the Betti numbers of every link in the memo.  When every facet
+    of lk(sigma) contains w, lk(sigma) - w = lk(sigma + w) has no defect.
+    """
+    p = field.characteristic
+    memo = _betti_memo(cx, field)
+    first: dict[int, tuple[int, int, int]] = {}
+    failed = 0
+    for sigma, (verts, levels) in _link_index(cx).items():
+        if not verts & ~failed:
+            continue
+        top = levels[-1]
+        through: dict[int, list[int]] = {}
+        for j, tau in enumerate(top):
+            rest = tau
+            while rest:
+                low = rest & -rest
+                through.setdefault(low, []).append(j)
+                rest ^= low
+        cycles = _top_cycles(levels, p)
+        for w, faces in through.items():
+            if w & failed or len(faces) == len(top):
+                continue
+            betti = memo[(sigma | w, 0)][-1] - _restricted_rank(cycles, faces, p)
+            if betti:
+                first[w] = (sigma, len(levels) - 3, betti)
+                failed |= w
+    return first
+
+
+def _checked_deletion_witness(cx, field, w, sigma, degree, betti) -> dict:
+    """The witness of a Mayer-Vietoris defect, once the Betti number has
+    been recomputed on the link of sigma in cx - w, built from label tuples
+    and ranked densely.  A mismatch raises InternalInvariantError."""
+    face = cx._labels_of(sigma)
+    link = cx.delete(cx._labels_of(w)).link(face)
+    p = field.characteristic
+    dense = None
+    if link.dimension == degree + 1:
+        mat = boundary_matrix(link, degree + 1, field)
+        dense = len(mat) - linalg.rank(mat, p)
+        if degree >= 0:
+            dense -= linalg.rank(boundary_matrix(link, degree, field), p)
+    if dense != betti:
+        raise InternalInvariantError(
+            f"deleting {list(cx._labels_of(w))}: the link of {list(face)} has "
+            f"Betti number {dense} in degree {degree}, not {betti}"
+        )
+    return {"face": face, "degree": degree, "betti": betti}
+
+
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
     """Reisner test: links have vanishing reduced homology below top degree."""
     if cx.is_void:
@@ -342,8 +436,11 @@ def is_m_cohen_macaulay(
     of unchanged dimension.
 
     m = 1 is the plain Reisner test; m = 2 is the "doubly" variant.  The
-    deleted sets W are tried in ``combinations(vertices, size)`` order; the
-    dimension drops exactly when W meets every top-dimensional facet.
+    deleted sets W are tried in ``combinations(vertices, size)`` order, and
+    ``cap`` bounds their number; the dimension drops exactly when W meets
+    every top-dimensional facet.  Single vertices are decided by the
+    Mayer-Vietoris rule of ``_vertex_deletion_defects``, larger sets by a
+    link sweep of the deletion.
     """
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
@@ -353,6 +450,7 @@ def is_m_cohen_macaulay(
     top = [fm for fm in cx._facet_masks if fm.bit_count() == d + 1]
     bits = [1 << i for i in range(cx.num_vertices)]
     examined = 0
+    first = None  # vertex bit -> its deletion's first defect, once W = {} passed
     for size in range(m):
         for chosen in combinations(bits, size):
             examined += 1
@@ -367,7 +465,14 @@ def is_m_cohen_macaulay(
                     witness={"deleted": cx._labels_of(deleted), "defect": "dimension-drop"},
                     reason="deletion lowers the dimension",
                 )
-            inner = _cm_defect(cx, field, deleted)
+            if size == 1:
+                if first is None:
+                    first = _vertex_deletion_defects(cx, field)
+                inner = first.get(deleted)
+                if inner is not None:
+                    inner = _checked_deletion_witness(cx, field, deleted, *inner)
+            else:
+                inner = _cm_defect(cx, field, deleted)
             if inner is not None:
                 return Verdict(
                     False,

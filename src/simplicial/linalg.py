@@ -15,9 +15,11 @@ number is the rank.
   divided by the gcd of its entries.  No fraction and no floating point
   appears anywhere.
 
-The pivot rows are returned, not just their number, because a chain
-complex can use them: see ``homology._chain_ranks`` for the clearing step
-that skips the columns they name.
+The reduced columns are returned, keyed by their pivot rows, not just
+their number, because a chain complex can use them: see
+``homology._chain_ranks`` for the clearing step that skips the columns
+the pivot rows name, and ``homology._top_cycles`` for a kernel basis read
+off the columns.
 """
 
 from __future__ import annotations
@@ -25,18 +27,21 @@ from __future__ import annotations
 from math import gcd
 
 
-def pivot_rows(columns, characteristic: int) -> set[int]:
-    """Pivot rows of the nonzero reduced columns; their number is the rank.
+def pivot_rows(columns, characteristic: int) -> dict:
+    """The nonzero reduced columns keyed by their pivot rows; their number
+    is the rank.
 
     ``columns`` is an iterable of ``{row: int}`` dicts with integer
-    entries; characteristic 0 means the rationals, otherwise GF(p).
+    entries; characteristic 0 means the rationals, otherwise GF(p).  The
+    reduced columns come back as int bitsets over GF(2) and as ``{row:
+    int}`` dicts otherwise.
     """
     if characteristic == 2:
         return _pivot_rows_gf2(columns)
     return _pivot_rows_sparse(columns, characteristic)
 
 
-def _pivot_rows_gf2(columns) -> set[int]:
+def _pivot_rows_gf2(columns) -> dict[int, int]:
     pivots: dict[int, int] = {}
     for col in columns:
         bits = 0
@@ -50,10 +55,10 @@ def _pivot_rows_gf2(columns) -> set[int]:
                 pivots[low] = bits
                 break
             bits ^= owner
-    return set(pivots)
+    return pivots
 
 
-def _pivot_rows_sparse(columns, p: int) -> set[int]:
+def _pivot_rows_sparse(columns, p: int) -> dict[int, dict[int, int]]:
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         if p:
@@ -86,7 +91,7 @@ def _pivot_rows_sparse(columns, p: int) -> set[int]:
                 g = gcd(*col.values())
                 if g != 1:
                     col = {r: x // g for r, x in col.items()}
-    return set(pivots)
+    return pivots
 
 
 def rank(matrix, characteristic: int) -> int:

@@ -1,4 +1,7 @@
-"""Golden digests of CLI reports on the corpus pseudomanifolds.
+"""Golden digests of CLI reports: seven commands on the corpus
+pseudomanifolds, the connectivity checks on two larger instances, and the
+homology analyses and t3 on every corpus complex and two complexes that are
+Cohen-Macaulay but not doubly so.
 
 Reports are part of the contract: a change that means to keep behaviour
 must keep every report byte-identical.  Each entry below is the exit code
@@ -23,6 +26,7 @@ from simplicial import (
     build_complex,
     cross_polytope_boundary,
     facet_file_text,
+    join,
 )
 
 PSEUDOMANIFOLDS = (
@@ -215,3 +219,149 @@ def test_connectivity_reports_match_golden_digests(name, tmp_path):
     cx = CONNECTIVITY_INSTANCES[name]()
     got = _digests(cx, str(tmp_path / f"{name}.txt"), _connectivity_commands)
     assert got == GOLDEN_CONNECTIVITY[name]
+
+
+def _homology_commands(cx, path):
+    analyze = {
+        f"analyze-{f}": ["analyze", path, "--homology", f]
+        for f in ("gf2", "gf3", "rational")
+    }
+    return {
+        **analyze,
+        "t3": ["verify", "t3", path],
+        "t3-rational": ["verify", "t3", path, "--field", "rational"],
+    }
+
+
+def _homology_instance(name, corpus):
+    """A corpus complex, or one of two CM complexes that are not 2-CM: the
+    cone over the octahedron and the octahedron minus one facet (a disc)."""
+    octa = corpus["octahedron"]
+    if name == "cone_octa":
+        return join(octa, build_complex([(7,)]))
+    if name == "octa_minus_facet":
+        return build_complex(octa.facets[1:])
+    return corpus[name]
+
+
+HOMOLOGY_INSTANCES = (
+    "octahedron", "cross4", "cross5", "icosahedron", "torus7", "simplex_bd3",
+    "bary_tetra", "bary_octa", "hexagon", "books", "path", "two_triangles", "rp2",
+    "cone_octa", "octa_minus_facet",
+)
+
+# recorded from the per-deletion link sweep, before the Mayer-Vietoris rule
+GOLDEN_HOMOLOGY = {
+    'octahedron': {
+        'analyze-gf2': (0, '636f03d2da43876a9f0ff01cd11e8d58d9629f0f54a973ff9b4687388d51d42e'),
+        'analyze-gf3': (0, 'b8130ba437c03cf932c0dc00f502cf1df29d0e96a548e89f34d79adab6184f8c'),
+        'analyze-rational': (0, '15b88b6669301e4933ed51f39ca9186d257c83a71861012d7b12330a05c3c246'),
+        't3': (0, 'f5400823d9609da162c195844f0bd163b49b975997b396ec2bb516577e06ddb2'),
+        't3-rational': (0, '71ff686e5a8dcb694d9f7e2dd57c58121b1302e3297c1953340ed3aef14f5a02'),
+    },
+    'cross4': {
+        'analyze-gf2': (0, 'e0f93fbda646de4919e4beadfa7d1809315258a6b58428e7abb99574694c8f2b'),
+        'analyze-gf3': (0, '7796dc861ec5c21f332358a68137b77bf14b4952483e9003a4c98395db23cd57'),
+        'analyze-rational': (0, '33e57023e5c7091f26272a9d5e607c6677437e2db383f718aa0d76cffdf7c2fb'),
+        't3': (0, 'fc571fe6fd559fcf179b088a6446651684e7ebebaa731b59aebf515df08a7f22'),
+        't3-rational': (0, '0f0ea2e5df645b0f699b6bec8e5e5ceabdd8fae8ca023347277e002c27ba7d9d'),
+    },
+    'cross5': {
+        'analyze-gf2': (0, '4ee0f881f7a9022777665d9ad067c3fe3a353face041de93457c88866da35311'),
+        'analyze-gf3': (0, '7892593ce76f14e3126c3ac5307124e40848c4f9c29c1f5c4a490341adafbc6f'),
+        'analyze-rational': (0, '4c052616e1a720658ce0b0adca774d3aa338358a2bd3027e13e1afef1dbed55a'),
+        't3': (0, '297e7d53ef128c6c1e53d76c333f5ce1626560911bf036a3200d470f0f836660'),
+        't3-rational': (0, '20bd45175bdd79159f4a56faa61d36b6c0cb3e1fb0bf1b34a9244a5e3f1bb3b3'),
+    },
+    'icosahedron': {
+        'analyze-gf2': (0, '5dfed99b2d25c5c241d031dce63aa0d6c8e45025a96bba4d86151312a8e4654a'),
+        'analyze-gf3': (0, '3cb943276e5db1d877fe3184eb251e2d6ac06d58b492a8d63bdb2e0589c4708a'),
+        'analyze-rational': (0, '08b886d197f30cccfa9af1fe353f1fcbef04679ee5fc4f62c513a28571192485'),
+        't3': (0, 'eeca961bec34736c396194bd082214627c31fc7be3b3f5058a6af3e3199d2fa8'),
+        't3-rational': (0, '04a666d4292a1d342cf2d6c85b7b5cad9557d8ecbb5f955bc2661024cea9b014'),
+    },
+    'torus7': {
+        'analyze-gf2': (0, '40669a79e3bf6c3684cf1387436061eedf618af5a097ee146e243c60b3fddc75'),
+        'analyze-gf3': (0, '56467ee02c2aa0d91ee58b94241bdf5810b88d0fd80af23ee83f286629839fd1'),
+        'analyze-rational': (0, '31e3fc6e971accc312a4434bde15f46b2139e7c11813bf6032efe6ab8d8c4694'),
+        't3': (4, 'bd0503ee2c2f9e719ca5389bc529f3e5ea97bd8f331bbce943f05685d1b0f230'),
+        't3-rational': (4, '8f9ef66f967739fd67f044012760777b11a014098eb5839e4b6851330c2d4cb7'),
+    },
+    'simplex_bd3': {
+        'analyze-gf2': (0, 'a52bc74267ae4edf138591225fe28708ef0717a27683c71ab3f1b7b471a86628'),
+        'analyze-gf3': (0, '53f466e6f91a534eda6ef82146debea4704b60d9669ec36445105f70f6bea619'),
+        'analyze-rational': (0, 'ba8dbb2bb7c3dde475b0a48cd8560523838edd884c2bdcf9352c3882850adf1c'),
+        't3': (4, '47f1d4423d05cec40d5855da7aa0625c8970caa7b6a12caf6faa830b4141e2e1'),
+        't3-rational': (4, 'f89b2b5258e0cd2c4ee896004a321add1fcf1bb6c866f9f345a4d73a17431e59'),
+    },
+    'bary_tetra': {
+        'analyze-gf2': (0, 'ea3ba1ec07c4b0f7035f02491cbd2d2fcd24b716a5665e4f7753bdaa7b999d53'),
+        'analyze-gf3': (0, 'f79b1f1a1fad3ae52ae1e4685b9c487d784d4902e0501458a3d70ced4d7db6b6'),
+        'analyze-rational': (0, 'f3a2e1dfab36e5d834721ef89846c9566215a2126eee2297e99c80ae8a602639'),
+        't3': (0, '53a225ec0b5b92c46d94ec865d22a9424f44786df993e40650001fc1fbd1dcd0'),
+        't3-rational': (0, 'abfba821ee1734e163bdc1d00fa6430c491f0b297b21bdbddc1a1259c5504c1f'),
+    },
+    'bary_octa': {
+        'analyze-gf2': (0, '467cd81d46edfbbc3c7daf88f124c97374bf638de6ab3d8398a0d0bdcf7d27fb'),
+        'analyze-gf3': (0, 'b10ec0f44a2f0b1adeae2d5ebac0e53540595f86002149198e755dfa333f01ec'),
+        'analyze-rational': (0, '0a473ae2e251d2f7f8aef43af7328119c1ab0842fa41658c59baa83431c5ef16'),
+        't3': (0, 'c7d3d16ad0faf47addcd28f67f0d42fe5cbe2fb72f080cb8e887764d7eb17863'),
+        't3-rational': (0, '1bf5ee3f85f4907b278f9cb17b0508c6dd245d01c658b66b153141c806d80724'),
+    },
+    'hexagon': {
+        'analyze-gf2': (0, '56cc2bb75c280c615403bc2114d31ecc746e3169f28359f66fd37cd93e7b7d86'),
+        'analyze-gf3': (0, '313b98e8864c843493a73c784030d12d750aa658b420156d42eda98e01cf1f1e'),
+        'analyze-rational': (0, '7740f24383e37a57cd7f26de8f70c230798d359ae9ccf1eb9831eb60c4693f3a'),
+        't3': (0, '9fe1546d8ef6d3ab1367b4ae5cb84348806f66b10534eacdc953232ac7b34255'),
+        't3-rational': (0, 'e45e4ac46a2bab2dddd7baaa172a56e825a2f5f371a4ed7b86077ba88f54bb43'),
+    },
+    'books': {
+        'analyze-gf2': (0, 'aad5404368f35ce251a947fcf98c107f8d5c83c94a5f94affdefeae657261c95'),
+        'analyze-gf3': (0, 'fd84f03a9ff53adfd7e3878899f6f6156170b11118bc582a0f07f4c6cf4ff304'),
+        'analyze-rational': (0, '2cb267c2d8b81cafa8085be5643e5de10947d209c2206a46dd5b5236723eef35'),
+        't3': (4, 'cab6ec83fdebb733117facc4cdb0345d16347851dbcdc42bae0b62bfade51547'),
+        't3-rational': (4, '2b326889b596a15f5e69b0ec5f40f69dc15932420f4883d46122b58b7fb6ca11'),
+    },
+    'path': {
+        'analyze-gf2': (0, '0d3ff61be09a0cb47a0fabb0ec47edc11222a9940d52d345cd675e0141ad7ef4'),
+        'analyze-gf3': (0, 'd69e579423bfba3d0166a577f892cb4740ebeb2df34345f35756bf2741bbff61'),
+        'analyze-rational': (0, '885a90545724c8aba5394a6a7f4c0d806bea67ec3815df0088f3567e37a855c0'),
+        't3': (4, 'be363dc5b67d558e9935a82e16064d701b58d1ce04329ea6fd7079b02cbb99f4'),
+        't3-rational': (4, '571b7a5f013b0d4be9ff39a7c517a290171c201f6f5bbd939cec607e0f89662c'),
+    },
+    'two_triangles': {
+        'analyze-gf2': (0, '0256cd7a0b97329b87b24fcd9f3406b847fdd2271e9cd33a180980f921101f80'),
+        'analyze-gf3': (0, '5bca5a1303614ce7669ad32c3a51f702e51b79a833bc83bb191511fc030f81b8'),
+        'analyze-rational': (0, 'ab85bbaeb08a4c8b5a1817b62a46eaf4d2752728f97387773ad6e24eb0af814b'),
+        't3': (4, 'efa0c24417a3af78ebdd3bcd31e27a4365efbf3eba6da5da62326cc62930dada'),
+        't3-rational': (4, '31bb8f1ca2af9397a5ab1ee50593ed448fe4462cae1a184934d4d1cfa5add925'),
+    },
+    'rp2': {
+        'analyze-gf2': (0, '8a4ffe699d4379afafd2661a2394486c538936386dc21fad364e698b95dce36a'),
+        'analyze-gf3': (0, '35879864d883c346e292fd095922d47d1ffe0f1df44dde15bd7a026d20c34034'),
+        'analyze-rational': (0, '5acfdd8d2aad9e1dd194e4e7be34c0aa992ab198d4518f1a3ba589a37c057a71'),
+        't3': (4, '9a1116e4df6f7ea80a7ef7f734bc403aaa03ef0ac859ccc9c26618f28b237ed6'),
+        't3-rational': (4, 'a43fa0431890108b92be8ef4c514ea5e99deb1f48de29460d30f6ffa40c95772'),
+    },
+    'cone_octa': {
+        'analyze-gf2': (0, '2c65ab33cca8354e1e46b28efdae491fe620fb50698198e417bf497459fcc8b7'),
+        'analyze-gf3': (0, '90cb8e30ae01f5dcaa79aadfd482710c953a930ef9b880da50fa3a545480729d'),
+        'analyze-rational': (0, 'ba22dbe1ed44f74140a082ee9307586f9f402f2aa5dee1f0480bcfeb37d171d1'),
+        't3': (4, 'cca8000481a130a621f7a5e4cacfed202e8626a113cb59fa12b7c9d3b8af699a'),
+        't3-rational': (4, 'd7642bf6ac1ac444e8300686fd4bd3ac5b5cfab39cf26e7f776e6652326f01d0'),
+    },
+    'octa_minus_facet': {
+        'analyze-gf2': (0, '3b55e74165885918f9f5447b21dbb9b4f01f9c33465b59e1af8e48d153b6d81c'),
+        'analyze-gf3': (0, '3f0164f69b721b87014ee2197574b5c65cd9b9d6d1c53378981ad9ed82a7b0af'),
+        'analyze-rational': (0, 'fb675572e566581f26ff066b00010c7999b51e22a07ea1d9d2c82335957683fc'),
+        't3': (4, 'a8c44b8c7fd6ca756910046e1d4f599e2f5fefefabc78e6a43f5320e2cb4c66b'),
+        't3-rational': (4, '28f0184f136a57dc31f91ca5f46db483165eaa3501bf52c475e38b4e2ed985dc'),
+    },
+}
+
+
+@pytest.mark.parametrize("name", HOMOLOGY_INSTANCES)
+def test_homology_reports_match_golden_digests(name, corpus, tmp_path):
+    cx = _homology_instance(name, corpus)
+    got = _digests(cx, str(tmp_path / f"{name}.txt"), _homology_commands)
+    assert got == GOLDEN_HOMOLOGY[name]

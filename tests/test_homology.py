@@ -15,6 +15,7 @@ from simplicial import (
     boundary_matrix,
     build_complex,
     cross_polytope_boundary,
+    facet_file_text,
     is_cohen_macaulay,
     is_homology_manifold,
     is_homology_sphere,
@@ -22,7 +23,7 @@ from simplicial import (
     join,
     reduced_betti_numbers,
 )
-from simplicial import linalg
+from simplicial import cli, homology, linalg
 from simplicial.errors import InternalInvariantError, ResourceLimitError
 
 FIELDS = (GF2, GF3, RATIONALS)
@@ -113,7 +114,7 @@ def _overreport_first_rank(monkeypatch, extra):
         rows = real(columns, characteristic)
         calls.append(characteristic)
         if len(calls) == 1:
-            rows |= set(range(-extra, 0))
+            rows.update(dict.fromkeys(range(-extra, 0), 0))
         return rows
 
     monkeypatch.setattr(linalg, "pivot_rows", overreport_top_rank)
@@ -283,6 +284,34 @@ def test_m_cm_cap():
     big = build_complex([tuple(range(1, 9))])
     with pytest.raises(ResourceLimitError):
         is_m_cohen_macaulay(big, 3, GF2, cap=1)
+
+
+def test_two_cm_cap_counts_deleted_sets(corpus):
+    # path fails at its third set, W = (2,), after () and (1,)
+    path = corpus["path"]
+    v = is_m_cohen_macaulay(path, 2, GF2, cap=3)
+    assert v.witness == {"deleted": (2,), "defect": {"face": (), "degree": 0, "betti": 1}}
+    with pytest.raises(ResourceLimitError):
+        is_m_cohen_macaulay(path, 2, GF2, cap=2)
+    # the octahedron passes after W = () and its six vertices
+    assert is_m_cohen_macaulay(corpus["octahedron"], 2, GF2, cap=7)
+    with pytest.raises(ResourceLimitError):
+        is_m_cohen_macaulay(corpus["octahedron"], 2, GF2, cap=6)
+
+
+def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
+    """A skewed restricted rank gives a witness the dense re-check refutes."""
+    real = homology._restricted_rank
+    monkeypatch.setattr(
+        homology, "_restricted_rank", lambda *args: real(*args) - 1
+    )
+    path = build_complex([(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(InternalInvariantError, match="deleting"):
+        is_m_cohen_macaulay(path, 2, GF2)
+    file = tmp_path / "path.txt"
+    file.write_text(facet_file_text(path))
+    assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_void_complex_is_rejected():

@@ -20,6 +20,8 @@ from simplicial import (
     RATIONALS,
     Graph,
     build_complex,
+    cross_polytope_boundary,
+    cycle,
     graph_of,
     is_cohen_macaulay,
     is_homology_manifold,
@@ -27,6 +29,7 @@ from simplicial import (
     is_isomorphic,
     is_m_cohen_macaulay,
     reduced_betti_numbers,
+    simplex_boundary,
     vertex_connectivity,
 )
 from simplicial import graphs, linalg
@@ -188,6 +191,43 @@ def test_deciders_on_random_complexes_match_oracle(facets, field, m):
 @PROPERTY
 @given(clique_complex_facets(), FIELDS, SUBSET_SIZES)
 def test_deciders_on_clique_complexes_match_oracle(facets, field, m):
+    _assert_deciders_match_oracle(facets, field, m)
+
+
+# small spheres of the corpus, with S^0 and the boundary of a triangle
+SMALL_SPHERES = (
+    ((1,), (2,)),
+    ((1, 2), (1, 3), (2, 3)),
+    cycle(6).facets,
+    simplex_boundary(3).facets,
+    cross_polytope_boundary(3).facets,
+)
+
+
+@st.composite
+def sphere_constructions(draw):
+    """Cones, balls (a sphere minus a facet), suspensions and joins of small
+    spheres: CM complexes that are 2-CM or fail it by a dimension drop or
+    by homology below the top degree after deleting one vertex."""
+    kind = draw(st.sampled_from(("cone", "ball", "suspension", "join")))
+    # the brute-force oracle takes seconds on joins of the larger spheres
+    facets = list(draw(st.sampled_from(SMALL_SPHERES[:3] if kind == "join" else SMALL_SPHERES)))
+    if kind == "cone":
+        return [f + (20,) for f in facets]
+    if kind == "ball":
+        del facets[draw(st.integers(0, len(facets) - 1))]
+        return facets
+    if kind == "suspension":
+        return [f + (a,) for f in facets for a in (20, 21)]
+    other = [tuple(v + 10 for v in g) for g in draw(st.sampled_from(SMALL_SPHERES[:2]))]
+    if draw(st.booleans()):
+        del other[draw(st.integers(0, len(other) - 1))]
+    return [f + g for f in facets for g in other]
+
+
+@PROPERTY
+@given(sphere_constructions(), FIELDS, st.integers(2, 3))
+def test_deciders_on_cones_balls_suspensions_and_joins_match_oracle(facets, field, m):
     _assert_deciders_match_oracle(facets, field, m)
 
 
