@@ -45,6 +45,8 @@ Face = tuple[int, ...]
 # flag test, deleted vertex sets in the m-Cohen-Macaulay test.
 DEFAULT_CANDIDATE_CAP = 1 << 22
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -257,13 +259,16 @@ class SimplicialComplex:
         return self._memoized("face_index", build)
 
     def _faces_masks(self, k: int) -> tuple[int, ...]:
-        """The faces of dimension k, ordered by label tuple."""
+        """The faces of dimension k, ordered by label tuple: positions follow
+        labels, so that is descending order of the bit-reversed mask."""
 
         def build():
+            nb = (self.num_vertices + 7) // 8
             levels: list[list[int]] = [[] for _ in range(self.dimension + 2)]
-            for m in self._face_index():
+            for m in sorted(self._face_index(), reverse=True, key=lambda f: int.from_bytes(
+                    f.to_bytes(nb, "little").translate(_REVERSED_BYTE), "big")):
                 levels[m.bit_count()].append(m)
-            return tuple(tuple(sorted(lv, key=self._labels_of)) for lv in levels)
+            return tuple(tuple(lv) for lv in levels)
 
         levels = self._memoized("face_levels", build)
         return levels[k + 1] if 0 <= k + 1 < len(levels) else ()

@@ -4,13 +4,13 @@ Chain groups are spanned by the faces of each dimension, with the empty
 face spanning degree -1, so every Betti table is reduced.  A chain complex
 is given by its face levels: sequences of face masks, from the empty face up.
 The boundary of a k-face is built straight from its bitmask as one sparse
-column over the index of the (k-1)-faces, with sign (-1)^i on the i-th
-vertex dropped from the sorted face.  Ranks come from the sparse column
-reduction in linalg, run from the top dimension down with the clearing
-("twist") step of Chen and Kerber: a pivot row of a reduced column of the
-(k+1)-th boundary is a k-face whose column would reduce to zero, so it is
-never built.  Each Betti table is checked against the bounds the ranks
-must obey.
+column over the index of the (k-1)-faces: an int bitset over GF(2), else
+sign (-1)^i on the i-th vertex dropped from the sorted face.  Ranks come
+from the sparse column reduction in linalg, run from the top down with the
+clearing ("twist") step of Chen and Kerber: a pivot row of a reduced
+column of the (k+1)-th boundary is a k-face whose column would reduce to
+zero, so it is never built.  Each Betti table is checked against the
+bounds the ranks must obey.
 
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
 manifold deciders build no complex.  Each complex keeps, once, a link
@@ -30,20 +30,24 @@ The Mayer-Vietoris sequence of L = (L - w) u star_L(w), whose parts meet
 in lk(sigma + w), and the vanishing of CM links below their top degree
 leave L - w with homology below its top only in degree s - 1, of dimension
 betti_{s-1}(lk(sigma + w)) minus the rank of the top cycles of L restricted
-to the top faces through w.  So one kernel basis of the top boundary of
-each link answers every w at once (Baclawski, "Cohen-Macaulay connectivity
-and geometric lattices", Europ. J. Combin. 1982; Walker 1981).  For a
-homology sphere that basis is one cycle through every facet, which is
-"Gorenstein* implies 2-CM".  Each such witness is recomputed densely on
-the link of sigma in the deletion, built from label tuples, before it is
-returned.  Deleting two or more vertices (m >= 3) still sweeps the links
-of the deletion.
+to the top faces through w.  So one basis of the top cycles of each link,
+kept from the W = {} sweep's one reduction of it, answers every w at once
+(Baclawski, "Cohen-Macaulay connectivity and geometric lattices", Europ.
+J. Combin. 1982; Walker 1981).  With one top cycle, as in the link of a
+nonempty face of a homology manifold, that rank is 1 exactly at the
+vertices of the faces the cycle is nonzero on, one vertex mask for all w;
+in a homology sphere those are all the facets: "Gorenstein* implies
+2-CM".  Each such witness is recomputed densely on the link of sigma in
+the deletion, built from label tuples, before it is returned.  Deleting
+two or more vertices (m >= 3) still sweeps the links of the deletion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from . import linalg
 from .core import DEFAULT_CANDIDATE_CAP, SimplicialComplex, Verdict
@@ -152,36 +156,54 @@ def _boundary_column(mask: int, row_index: dict[int, int]) -> dict[int, int]:
     return col
 
 
-def _chain_ranks(levels, characteristic: int) -> list[int]:
+def _boundary_bits(mask: int, row_index: dict[int, int]) -> int:
+    """Boundary of one face mask over GF(2), as an int bitset over the rows."""
+    bits = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        bits |= 1 << row_index[mask ^ low]
+        rest ^= low
+    return bits
+
+
+def _chain_ranks(levels, characteristic: int, cycles: list | None = None) -> list[int]:
     """Ranks of the boundary maps of a chain complex given by face levels.
 
     ``levels[i]`` holds the faces with i vertices as masks, from the empty
     face up; entry k of the result is the rank of the map from level k+1
-    to level k.
+    to level k.  With a ``cycles`` list, top face j also gets row j below the
+    boundary rows, and the reduced columns with their pivot there, a basis
+    of the top cycles, are appended to the list.
     """
     top = len(levels) - 1
     ranks = [0] * top
-    cleared: dict = {}
+    cleared: dict | set = {}
     cols = levels[top]
+    below = len(cols) if cycles is not None else 0
+    column = _boundary_bits if characteristic == 2 else _boundary_column
     for k in range(top - 1, -1, -1):
         rows = levels[k]
-        row_index = {m: i for i, m in enumerate(rows)}
-        cleared = linalg.pivot_rows(
-            (
-                _boundary_column(m, row_index)
-                for j, m in enumerate(cols)
-                if j not in cleared
-            ),
-            characteristic,
-        )
+        row_index = {m: below + i for i, m in enumerate(rows)}
+        if not below:
+            columns = (column(m, row_index) for j, m in enumerate(cols) if j not in cleared)
+        elif characteristic == 2:  # the top map: nothing is cleared, and column j also gets row j
+            columns = (_boundary_bits(m, row_index) | 1 << j for j, m in enumerate(cols))
+        else:
+            columns = ({**_boundary_column(m, row_index), j: 1} for j, m in enumerate(cols))
+        cleared = linalg.pivot_rows(columns, characteristic)
+        if below:
+            cycles.extend(c for low, c in cleared.items() if low < below)
+            cleared = {low - below for low in cleared if low >= below}
+            below = 0
         ranks[k] = len(cleared)
         cols = rows
     return ranks
 
 
-def _betti_values(levels, characteristic: int) -> tuple[int, ...]:
-    """Reduced Betti numbers from dimension -1 up, for face levels as in
-    ``_chain_ranks``.
+def _betti_values(levels, characteristic: int, cycles: list | None = None) -> tuple[int, ...]:
+    """Reduced Betti numbers from dimension -1 up, for face levels and an
+    optional ``cycles`` list as in ``_chain_ranks``.
 
     Raises InternalInvariantError when a boundary rank exceeds the size of
     its domain or codomain, or a Betti number comes out negative; the
@@ -189,7 +211,7 @@ def _betti_values(levels, characteristic: int) -> tuple[int, ...]:
     compose to zero.
     """
     f = [len(level) for level in levels]
-    r = _chain_ranks(levels, characteristic) + [0]
+    r = _chain_ranks(levels, characteristic, cycles) + [0]
     for k in range(len(f) - 1):
         if r[k] > min(f[k], f[k + 1]):
             raise InternalInvariantError(
@@ -266,6 +288,7 @@ def _link_sweep(
     lk_cx(sigma) - W, so no complex is built.
     """
     memo = _betti_memo(cx, field)
+    kept = cx._memoized(("cycles", field.characteristic), dict)
     faces = iter(_link_index(cx).items())
     if skip_empty:
         next(faces)
@@ -275,11 +298,14 @@ def _link_sweep(
         w = deleted & verts
         values = memo.get((sigma, w))
         if values is None:
+            cycles = None if w else []
             if w:
                 levels = [[t for t in level if not t & w] for level in levels]
                 while not levels[-1]:
                     levels.pop()
-            values = memo[(sigma, w)] = _betti_values(levels, field.characteristic)
+            values = memo[(sigma, w)] = _betti_values(levels, field.characteristic, cycles)
+            if not w:
+                kept[sigma] = tuple(cycles)
         yield sigma, values
 
 
@@ -335,58 +361,59 @@ def _cm_defect(cx: SimplicialComplex, field: FieldSpec, deleted: int = 0):
     return None
 
 
-def _top_cycles(levels, characteristic: int) -> list[dict[int, int]]:
-    """A basis of the top cycles of a chain complex given by face levels,
-    each as ``{index of a top face: coefficient}``.
+def _cycle_cover(cycles, top) -> int:
+    """Vertex mask of the top faces some cycle is nonzero on."""
+    support = 0
+    for c in cycles:
+        support |= sum(1 << j for j in c) if isinstance(c, dict) else c
+    if support == (1 << len(top)) - 1:  # all of them, as in every link of a sphere
+        return reduce(or_, top)
+    return reduce(or_, (tau for j, tau in enumerate(top) if support >> j & 1), 0)
 
-    Each top face j gets its own row j below the boundary rows, so a column
-    whose boundary reduces to zero keeps its pivot there: those reduced
-    columns are a basis of the kernel of the top boundary map.
-    """
-    top = levels[-1]
-    n = len(top)
-    row_index = {m: n + i for i, m in enumerate(levels[-2])}
-    columns = ({**_boundary_column(m, row_index), j: 1} for j, m in enumerate(top))
-    cycles = [col for low, col in linalg.pivot_rows(columns, characteristic).items() if low < n]
+
+def _restricted_rank(cycles, top, w: int, characteristic: int) -> int:
+    """Rank of the cycles cut down to the top faces through the vertex bit w."""
+    faces = sum(1 << j for j, tau in enumerate(top) if tau & w)
     if characteristic == 2:
-        return [{j: 1 for j in range(n) if bits >> j & 1} for bits in cycles]
-    return cycles
-
-
-def _restricted_rank(cycles, faces, characteristic: int) -> int:
-    """Rank of the cycles cut down to the top faces with the given indices."""
-    return len(
-        linalg.pivot_rows(({j: c[j] for j in faces if j in c} for c in cycles), characteristic)
-    )
+        cut = (c & faces for c in cycles)
+    else:
+        cut = ({j: x for j, x in c.items() if faces >> j & 1} for c in cycles)
+    return len(linalg.pivot_rows(cut, characteristic))
 
 
 def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
     """Vertex bit w -> (sigma, degree, betti) of the first Reisner defect of
     cx - w, for every w whose deletion has one, by the Mayer-Vietoris rule
     of the module docstring.  cx must have passed the W = {} sweep, which
-    leaves the Betti numbers of every link in the memo.  When every facet
-    of lk(sigma) contains w, lk(sigma) - w = lk(sigma + w) has no defect.
+    leaves the Betti numbers and top cycles of every link (CM, so pure) in
+    the memos.  A vertex w in every facet of lk(sigma) makes it a cone, with
+    no top cycle, and lk(sigma) - w = lk(sigma + w) has no defect.
     """
     p = field.characteristic
     memo = _betti_memo(cx, field)
+    kept = cx._memoized(("cycles", p), dict)
     first: dict[int, tuple[int, int, int]] = {}
     failed = 0
     for sigma, (verts, levels) in _link_index(cx).items():
-        if not verts & ~failed:
+        rest = verts & ~failed
+        if not rest:
             continue
         top = levels[-1]
-        through: dict[int, list[int]] = {}
-        for j, tau in enumerate(top):
-            rest = tau
-            while rest:
-                low = rest & -rest
-                through.setdefault(low, []).append(j)
-                rest ^= low
-        cycles = _top_cycles(levels, p)
-        for w, faces in through.items():
-            if w & failed or len(faces) == len(top):
-                continue
-            betti = memo[(sigma | w, 0)][-1] - _restricted_rank(cycles, faces, p)
+        cycles = kept.get(sigma)
+        if cycles is None:  # only sigma = {}, when reduced_betti_numbers ranked it
+            cycles = kept[sigma] = []
+            _chain_ranks(levels[-2:], p, cycles)
+        if not cycles:
+            rest &= ~reduce(and_, top)
+        cover = _cycle_cover(cycles, top)
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            if len(cycles) < 2:  # the one-cycle rule of the module docstring
+                rank = 1 if w & cover else 0
+            else:
+                rank = _restricted_rank(cycles, top, w, p)
+            betti = memo[(sigma | w, 0)][-1] - rank
             if betti:
                 first[w] = (sigma, len(levels) - 3, betti)
                 failed |= w

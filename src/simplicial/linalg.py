@@ -1,15 +1,15 @@
 """Exact sparse column reduction over GF(2), GF(p) and the rationals.
 
-Columns are dicts ``{row: int}`` holding only their nonzero entries.  They
-are reduced left to right in the persistence style: a column's pivot
-("low") is its largest row index, and while another column already owns
-that pivot, a multiple of the owner is subtracted.  The nonzero reduced
-columns have distinct pivots, so they are linearly independent and their
-number is the rank.
+Columns hold only their nonzero entries.  They are reduced left to right
+in the persistence style: a column's pivot ("low") is its largest row
+index, and while another column already owns that pivot, a multiple of
+the owner is subtracted.  The nonzero reduced columns have distinct
+pivots, so they are linearly independent and their number is the rank.
 
-- GF(2) columns are repacked as int bitsets; subtraction is XOR.
-- GF(p) columns keep residues in 0..p-1; pivot columns are scaled so that
-  their low entry is 1.
+- GF(2) columns are int bitsets, bit r for row r, as the caller builds
+  them and as they come back reduced; subtraction is XOR.
+- Other columns are dicts ``{row: int}``.  GF(p) ones keep residues in
+  0..p-1; pivot columns are scaled so that their low entry is 1.
 - Rational columns stay integral: ``col = b*col - a*pivot_col`` with
   ``a``, ``b`` the two low entries divided by their gcd, then ``col`` is
   divided by the gcd of its entries.  No fraction and no floating point
@@ -18,8 +18,7 @@ number is the rank.
 The reduced columns are returned, keyed by their pivot rows, not just
 their number, because a chain complex can use them: see
 ``homology._chain_ranks`` for the clearing step that skips the columns
-the pivot rows name, and ``homology._top_cycles`` for a kernel basis read
-off the columns.
+the pivot rows name, and for a basis of the top cycles read off them.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ def pivot_rows(columns, characteristic: int) -> dict:
     """The nonzero reduced columns keyed by their pivot rows; their number
     is the rank.
 
-    ``columns`` is an iterable of ``{row: int}`` dicts with integer
-    entries; characteristic 0 means the rationals, otherwise GF(p).  The
-    reduced columns come back as int bitsets over GF(2) and as ``{row:
-    int}`` dicts otherwise.
+    ``columns`` yields int bitsets over GF(2), else ``{row: int}`` dicts
+    with integer entries, and the reduced columns come back in that form;
+    characteristic 0 means the rationals, otherwise GF(p).
     """
     if characteristic == 2:
         return _pivot_rows_gf2(columns)
@@ -43,11 +41,7 @@ def pivot_rows(columns, characteristic: int) -> dict:
 
 def _pivot_rows_gf2(columns) -> dict[int, int]:
     pivots: dict[int, int] = {}
-    for col in columns:
-        bits = 0
-        for r, x in col.items():
-            if x & 1:
-                bits |= 1 << r
+    for bits in columns:
         while bits:
             low = bits.bit_length() - 1
             owner = pivots.get(low)
@@ -100,5 +94,8 @@ def rank(matrix, characteristic: int) -> int:
     Characteristic 0 means the rationals, otherwise GF(p).  Row rank equals
     column rank, so each row is reduced as one sparse column.
     """
-    rows = ({j: x for j, x in enumerate(row) if x} for row in matrix)
+    if characteristic == 2:
+        rows = (sum(1 << j for j, x in enumerate(row) if x & 1) for row in matrix)
+    else:
+        rows = ({j: x for j, x in enumerate(row) if x} for row in matrix)
     return len(pivot_rows(rows, characteristic))

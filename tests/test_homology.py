@@ -15,6 +15,7 @@ from simplicial import (
     boundary_matrix,
     build_complex,
     cross_polytope_boundary,
+    cycle,
     facet_file_text,
     is_cohen_macaulay,
     is_homology_manifold,
@@ -106,7 +107,11 @@ OVERREPORTED = pytest.mark.parametrize(("extra", "message"), [
 
 def _overreport_first_rank(monkeypatch, extra):
     """Make the first reduction report `extra` pivots too many; return a
-    fresh octahedron, whose top boundary map is the first one reduced."""
+    fresh octahedron, whose top boundary map is the first one reduced.
+
+    The fake pivots sit past the largest real one, so above every boundary
+    row: a reduction that keeps each top column's own row below the
+    boundary rows reads pivots there as top cycles, not as rank."""
     real = linalg.pivot_rows
     calls = []
 
@@ -114,7 +119,8 @@ def _overreport_first_rank(monkeypatch, extra):
         rows = real(columns, characteristic)
         calls.append(characteristic)
         if len(calls) == 1:
-            rows.update(dict.fromkeys(range(-extra, 0), 0))
+            past = max(rows) + 1
+            rows.update(dict.fromkeys(range(past, past + extra), 0))
         return rows
 
     monkeypatch.setattr(linalg, "pivot_rows", overreport_top_rank)
@@ -300,18 +306,25 @@ def test_two_cm_cap_counts_deleted_sets(corpus):
 
 
 def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
-    """A skewed restricted rank gives a witness the dense re-check refutes."""
+    """A skewed restricted rank gives a witness the dense re-check refutes,
+    in both branches: a link with one top cycle (the hexagon, ranked by the
+    cover of its cycle) and a link with two (the theta graph, ranked by
+    ``_restricted_rank``)."""
     real = homology._restricted_rank
-    monkeypatch.setattr(
-        homology, "_restricted_rank", lambda *args: real(*args) - 1
+    skews = (
+        ("_cycle_cover", lambda cycles, top: 0, cycle(6)),
+        ("_restricted_rank", lambda *args: real(*args) - 1,
+         build_complex([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])),
     )
-    path = build_complex([(1, 2), (2, 3), (3, 4)])
-    with pytest.raises(InternalInvariantError, match="deleting"):
-        is_m_cohen_macaulay(path, 2, GF2)
-    file = tmp_path / "path.txt"
-    file.write_text(facet_file_text(path))
-    assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
-    assert capsys.readouterr().out == ""
+    for name, skewed, cx in skews:
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, name, skewed)
+            with pytest.raises(InternalInvariantError, match="deleting"):
+                is_m_cohen_macaulay(cx, 2, GF2)
+            file = tmp_path / f"{name}.txt"
+            file.write_text(facet_file_text(cx))
+            assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
+            assert capsys.readouterr().out == ""
 
 
 def test_void_complex_is_rejected():

@@ -204,12 +204,36 @@ SMALL_SPHERES = (
 )
 
 
+def _graph_cone(draw, edges):
+    """The cone with apex 20 over a graph whose vertices get the labels
+    1..n in a drawn order; the apex, labelled last, is deleted last."""
+    verts = sorted({v for e in edges for v in e})
+    label = dict(zip(verts, draw(st.permutations(range(1, len(verts) + 1)))))
+    return [tuple(sorted(label[v] for v in e)) + (20,) for e in edges]
+
+
 @st.composite
 def sphere_constructions(draw):
     """Cones, balls (a sphere minus a facet), suspensions and joins of small
     spheres: CM complexes that are 2-CM or fail it by a dimension drop or
-    by homology below the top degree after deleting one vertex."""
-    kind = draw(st.sampled_from(("cone", "ball", "suspension", "join")))
+    by homology below the top degree after deleting one vertex.  Also cones
+    over a lollipop (a cycle with a pendant edge: the apex link's one top
+    cycle misses a top face) and over a theta graph (two top cycles)."""
+    kind = draw(st.sampled_from(("cone", "ball", "suspension", "join", "lollipop", "theta")))
+    if kind == "lollipop":
+        k = draw(st.integers(3, 5))
+        return _graph_cone(draw, [(i, (i + 1) % k) for i in range(k)] + [(0, k)])
+    if kind == "theta":
+        # three paths from 0 to 1 with 0..2 inner vertices each, at most one direct
+        inner = sorted(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+        if inner[1] == 0:
+            inner[1] = 1
+        edges, nxt = [], 2
+        for n in inner:
+            path = [0, *range(nxt, nxt + n), 1]
+            edges += list(zip(path, path[1:]))
+            nxt += n
+        return _graph_cone(draw, edges)
     # the brute-force oracle takes seconds on joins of the larger spheres
     facets = list(draw(st.sampled_from(SMALL_SPHERES[:3] if kind == "join" else SMALL_SPHERES)))
     if kind == "cone":
@@ -225,7 +249,8 @@ def sphere_constructions(draw):
     return [f + g for f in facets for g in other]
 
 
-@PROPERTY
+# six kinds at the 20 examples each that four had at the PROPERTY default
+@settings(PROPERTY, max_examples=120)
 @given(sphere_constructions(), FIELDS, st.integers(2, 3))
 def test_deciders_on_cones_balls_suspensions_and_joins_match_oracle(facets, field, m):
     _assert_deciders_match_oracle(facets, field, m)
