@@ -26,8 +26,11 @@ strong walks and the facet flips of t2.
 Vertex adjacency lives in a second memo entry, the graph index, which maps
 each vertex to the bitmask of its neighbours in the 1-skeleton.  The flag
 test grows candidate nonfaces only by common neighbours (an AND of masks)
-and looks each one up in the face index; the flag walk, the
-circle walks of t2 and the isomorphism search read adjacency off it too.
+and looks each one up in the face index; the isomorphism search reads
+adjacency off it too.  In a flag complex the link of a face is the clique
+complex of the graph induced on the common neighbours of its vertices, so
+t2 walks link circles on these masks and the flag walk takes link
+components from the face index: neither builds a link complex.
 """
 
 from __future__ import annotations

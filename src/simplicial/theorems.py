@@ -239,26 +239,25 @@ def _facet_flip(cx: SimplicialComplex, facet: Face, drop: int) -> int:
     return extra[0]
 
 
-def _circle_path(L: SimplicialComplex, start: int, came_from: int, goal: int):
-    """Walk a union of circles from start away from came_from until goal."""
-    if L.dimension != 1:
-        raise InternalInvariantError("expected a one-dimensional link")
-    adj = L._neighbour_masks()
+def _circle_path(cx: SimplicialComplex, rho_mask: int, start: int, came_from: int, goal: int):
+    """Walk lk(rho), a disjoint union of circles, from start away from
+    came_from until goal.  In a flag complex lk(rho) is the clique complex
+    of the graph induced on N, the common neighbours of rho's vertices."""
+    adj = cx._neighbour_masks()
+    nmask = (1 << cx.num_vertices) - 1
+    for b in cx._bits(rho_mask):
+        nmask &= adj[b.bit_length() - 1]
+    prev, cur, end = (1 << cx._pos[x] for x in (came_from, start, goal))
     path = [start]
-    prev, cur = came_from, start
-    limit = L.num_vertices + 1
-    while cur != goal:
-        nbrs = L._labels_of(adj[L._pos[cur]]) if cur in L._pos else ()
-        if len(nbrs) != 2:
+    limit = nmask.bit_count() + 1
+    while cur != end:
+        nbrs = adj[cur.bit_length() - 1] & nmask if cur & nmask else 0
+        if nbrs.bit_count() != 2:
             raise InternalInvariantError("link is not a disjoint union of circles")
-        if nbrs[0] == prev:
-            nxt = nbrs[1]
-        elif nbrs[1] == prev:
-            nxt = nbrs[0]
-        else:
+        if not nbrs & prev:
             raise InternalInvariantError("circle walk lost its previous node")
-        prev, cur = cur, nxt
-        path.append(cur)
+        prev, cur = cur, nbrs ^ prev
+        path.append(cx._labels[cur.bit_length() - 1])
         if len(path) > limit:
             raise InternalInvariantError("circle walk failed to terminate")
     return tuple(path)
@@ -315,9 +314,7 @@ def cross_polytope_subdivision(
     branch_vals = set(branch.values())
     for i in range(d):
         for j in range(i + 1, d):
-            rho = tuple(x for x in vs if x != vs[i] and x != vs[j])
-            L = cx.link(rho)
-            p = _circle_path(L, us[i], vs[j], us[j])
+            p = _circle_path(cx, fm & ~cx._mask_of((vs[i], vs[j])), us[i], vs[j], us[j])
             for x in p[1:-1]:
                 if x in branch_vals:
                     raise InternalInvariantError("path interior hit a branch vertex")
@@ -398,30 +395,28 @@ def check_cross_polytope_subdivision(
 
 
 def _link_component(cx: SimplicialComplex, face: Face, anchor: Face):
-    """lk(face) and the facets of its strong component holding anchor, or None."""
-    lk = cx.link(face)
-    for comp in lk.strong_components().components:
-        if anchor in comp:
-            return lk, comp
-    return lk, None
+    """The facets of the strong component of lk(face) holding anchor, or None.
+
+    A search over the facets through face, from a facet f to the facets over
+    f less one vertex outside face; cx is pure, so they are all of f's size."""
+    index = cx._face_index()
+    fm, start = cx._mask_of(face), cx._mask_of(face + anchor)
+    if index.get(start) != [start]:
+        return None
+    seen, todo = {start}, [start]
+    for f in todo:
+        for b in cx._bits(f & ~fm):
+            for g in index[f ^ b]:
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+    return {cx._labels_of(g & ~fm) for g in seen}
 
 
 def _same_star_component(cx: SimplicialComplex, v: int, f1: Face, f2: Face) -> bool:
     """Whether two facets through v lie in one strong component of its star."""
-    a = tuple(x for x in f1 if x != v)
-    b = tuple(x for x in f2 if x != v)
-    _, comp = _link_component(cx, (v,), a)
-    return comp is not None and b in comp
-
-
-def _component_complex(cx: SimplicialComplex, v: int, anchor: Face):
-    """Strong component of the link of v containing anchor, as a complex."""
-    lk, comp = _link_component(cx, (v,), anchor)
-    if comp is None:
-        raise InternalInvariantError("anchor facet missing from its own link")
-    if lk.strong_components().count > 1:
-        lk = build_complex(comp)
-    return lk, set(comp)
+    comp = _link_component(cx, (v,), tuple(x for x in f1 if x != v))
+    return comp is not None and tuple(x for x in f2 if x != v) in comp
 
 
 def strong_walk_avoiding_set(
@@ -502,11 +497,10 @@ def _avoiding_walk(cx, a, b, avoid, depth, max_depth, cap):
             # split the avoided pair with a clean vertex from the edge link
             e = (v, nodes[i + 1]) if v < nodes[i + 1] else (nodes[i + 1], v)
             anchor = tuple(x for x in wits[i] if x not in e)
-            _, gamma = _link_component(cx, e, anchor)
+            gamma = _link_component(cx, e, anchor)
             if gamma is None:
                 raise InternalInvariantError("witness missing from the edge link")
-            gamma_vertices = sorted({x for f in gamma for x in f})
-            clean = [x for x in gamma_vertices if x not in avoid]
+            clean = sorted({x for f in gamma for x in f} - avoid)
             if not clean:
                 raise InternalInvariantError(
                     "edge link component contains avoided vertices only"
@@ -519,36 +513,35 @@ def _avoiding_walk(cx, a, b, avoid, depth, max_depth, cap):
             continue
         prev, nxt = nodes[i - 1], nodes[i + 1]
         anchor = tuple(x for x in wits[i - 1] if x != v)
-        lam, lam_facets = _component_complex(cx, v, anchor)
+        lam_facets = _link_component(cx, (v,), anchor)
+        if lam_facets is None:
+            raise InternalInvariantError("anchor facet missing from its own link")
         if tuple(x for x in wits[i] if x != v) not in lam_facets:
             raise InternalInvariantError(
                 "consecutive witnesses straddle link components"
             )
-        tau = avoid & set(lam.vertices)
+        tau = avoid & {x for f in lam_facets for x in f}
         if len(tau) > 2 * (d - 1) - 3:
             raise InternalInvariantError("link component keeps too much avoided mass")
         if prev == nxt:
             # spike: the walk enters and leaves through the same vertex
             del nodes[i : i + 2]
             del wits[i - 1 : i + 1]
-            if 0 < i - 1 < len(nodes) - 1:
-                if not _same_star_component(cx, nodes[i - 1], wits[i - 2], wits[i - 1]):
-                    raise InternalInvariantError(
-                        "spike removal broke the walk at its junction"
-                    )
+            if 0 < i - 1 < len(nodes) - 1 and not _same_star_component(
+                cx, nodes[i - 1], wits[i - 2], wits[i - 1]
+            ):
+                raise InternalInvariantError("spike removal broke the walk at its junction")
             continue
         mid_nodes, mid_wits = _avoiding_walk(
-            lam, prev, nxt, tau, depth + 1, max_depth, cap
+            build_complex(lam_facets), prev, nxt, tau, depth + 1, max_depth, cap
         )
         lifted = [tuple(sorted(w + (v,))) for w in mid_wits]
         if not lifted:
             raise InternalInvariantError("reroute produced no steps for distinct ends")
-        if i - 1 > 0:
-            if not _same_star_component(cx, prev, wits[i - 2], lifted[0]):
-                raise InternalInvariantError("reroute broke the walk entering the detour")
-        if i + 1 < len(nodes) - 1:
-            if not _same_star_component(cx, nxt, lifted[-1], wits[i + 1]):
-                raise InternalInvariantError("reroute broke the walk leaving the detour")
+        if i > 1 and not _same_star_component(cx, prev, wits[i - 2], lifted[0]):
+            raise InternalInvariantError("reroute broke the walk entering the detour")
+        if i + 2 < len(nodes) and not _same_star_component(cx, nxt, lifted[-1], wits[i + 1]):
+            raise InternalInvariantError("reroute broke the walk leaving the detour")
         nodes[i - 1 : i + 2] = mid_nodes
         wits[i - 1 : i + 1] = lifted
     return nodes, wits

@@ -80,6 +80,26 @@ def rp2():
                           (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)])
 
 
+# a 6x6 grid torus with vertex (3, 3) glued to (0, 0), barycentrically
+# subdivided: 215 vertices and 432 facets, flag and a pseudomanifold, and the
+# link of the pinch point (vertex 1) is two circles.  Kept out of the corpus,
+# whose sweeps and golden digests it would otherwise join.
+@pytest.fixture(scope="session")
+def pinched_torus():
+    n = 6
+
+    def label(i, j):
+        i, j = i % n, j % n
+        return 1 if (i, j) == (3, 3) else n * i + j + 1
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            triangles.append((label(i, j), label(i + 1, j), label(i + 1, j + 1)))
+            triangles.append((label(i, j), label(i, j + 1), label(i + 1, j + 1)))
+    return barycentric_subdivision(build_complex(triangles))
+
+
 # complexes every whole-corpus sweep iterates over, with stable names
 @pytest.fixture(scope="session")
 def corpus(octa, cross4, cross5, icosa, torus, tetra_bd, bary_tetra, bary_octa,

@@ -1,7 +1,7 @@
 """Golden digests of CLI reports: seven commands on the corpus
-pseudomanifolds, the connectivity checks on two larger instances, and the
-homology analyses and t3 on every corpus complex and two complexes that are
-Cohen-Macaulay but not doubly so.
+pseudomanifolds, the connectivity checks on two larger instances, t2 and
+four flag walks on a pinched torus, and the homology analyses and t3 on every
+corpus complex and two complexes that are Cohen-Macaulay but not doubly so.
 
 Reports are part of the contract: a change that means to keep behaviour
 must keep every report byte-identical.  Each entry below is the exit code
@@ -219,6 +219,40 @@ def test_connectivity_reports_match_golden_digests(name, tmp_path):
     cx = CONNECTIVITY_INSTANCES[name]()
     got = _digests(cx, str(tmp_path / f"{name}.txt"), _connectivity_commands)
     assert got == GOLDEN_CONNECTIVITY[name]
+
+
+def _pinched_torus_commands(cx, path):
+    """t2 at every facet, and flag walks that avoid the pinch vertex 1.
+
+    Its link is two circles, so t2 walks circles of a disconnected link,
+    and each walk here reroutes through one of the two components of
+    lk(1); the walk from 155 to 8 also splits an avoided edge at 1.
+    """
+    runs = {
+        "t2-all": ["verify", "t2", path, "--all-facets"],
+    }
+    for a, b, avoid in ((36, 47, "1"), (144, 155, "1,2,36"), (155, 8, "1,39"),
+                        (38, 45, "1,144")):
+        runs[f"walk-flag-{a}-{b}"] = [
+            "walk", path, "--from", str(a), "--to", str(b), "--avoid", avoid,
+            "--mode", "flag",
+        ]
+    return runs
+
+
+# recorded before t2 and the flag walk read links off masks
+GOLDEN_PINCHED_TORUS = {
+    't2-all': (0, '5829edd3e43ded75fc8c05e10e007272094617f470885d86b627b5f16bac1013'),
+    'walk-flag-36-47': (0, 'ba82dd1b28269108bea1fcba9257fa2d34c110a3f5dad60670f073669793fd87'),
+    'walk-flag-144-155': (0, '675f3fdd070c5187dce7dd8f25be2991c3739e671422f1eedad3a4827b7288f2'),
+    'walk-flag-155-8': (0, '8ea5534d5803b007769d81540c3c14c2226f4d2aef16c8c79c7ece52cdf00410'),
+    'walk-flag-38-45': (0, 'd80745eab585deb477ccb7f4f8f5a017ff9017226ca2fccb804cc07489482046'),
+}
+
+
+def test_pinched_torus_reports_match_golden_digests(pinched_torus, tmp_path):
+    got = _digests(pinched_torus, str(tmp_path / "pinched.txt"), _pinched_torus_commands)
+    assert got == GOLDEN_PINCHED_TORUS
 
 
 def _homology_commands(cx, path):

@@ -333,3 +333,11 @@ def test_connectivity_of_clique_complex_graphs_matches_oracle(facets):
     g = graph_of(build_complex(facets))
     if len(g.nodes) >= 2:
         _assert_connectivity_matches_oracle(g)
+
+
+@PROPERTY
+@given(sphere_constructions())
+def test_connectivity_of_sphere_construction_graphs_matches_oracle(facets):
+    g = graph_of(build_complex(facets))
+    if len(g.nodes) >= 2:
+        _assert_connectivity_matches_oracle(g)

@@ -355,3 +355,78 @@ def test_flag_walk_on_one_dimensional_sphere(hexagon):
                 cert = strong_walk_avoiding_set(hexagon, a, b, {v})
                 assert verify_strong_walk(hexagon, cert)
                 assert v not in cert.walk.nodes
+
+
+# -- links of flag complexes read off masks ----------------------------------
+
+FLAG_PSEUDOMANIFOLDS = (
+    "octahedron", "cross4", "cross5", "icosahedron", "bary_tetra", "bary_octa",
+    "hexagon", "pinched_torus",
+)
+
+
+@pytest.fixture(scope="module")
+def flag_pseudomanifolds(corpus, pinched_torus):
+    found = {
+        name: cx
+        for name, cx in {**corpus, "pinched_torus": pinched_torus}.items()
+        if cx.is_flag() and cx.is_pseudomanifold()
+    }
+    assert tuple(found) == FLAG_PSEUDOMANIFOLDS
+    return found
+
+
+def test_codimension_two_links_are_induced_subgraphs(flag_pseudomanifolds):
+    # t2 walks lk(rho) as the graph induced on the common neighbours of rho
+    for name, cx in flag_pseudomanifolds.items():
+        adj = cx._neighbour_masks()
+        for rho in cx.faces(cx.dimension - 2):
+            common = (1 << cx.num_vertices) - 1
+            for x in rho:
+                common &= adj[cx._pos[x]]
+            nodes = cx._labels_of(common)
+            edges = {
+                (x, y) for x, y in combinations(nodes, 2) if adj[cx._pos[x]] >> cx._pos[y] & 1
+            }
+            lk = cx.link(rho)
+            assert lk.vertices == nodes, (name, rho)
+            assert set(lk.faces(1)) == edges, (name, rho)
+
+
+def test_link_components_match_strong_components_of_the_link(flag_pseudomanifolds):
+    for name, cx in flag_pseudomanifolds.items():
+        for face in cx.faces(0) + cx.faces(1):
+            for comp in cx.link(face).strong_components().components:
+                for anchor in comp:
+                    got = theorems._link_component(cx, face, anchor)
+                    assert got == set(comp), (name, face, anchor)
+                    # a proper part of a link facet anchors nothing
+                    if anchor:
+                        assert theorems._link_component(cx, face, anchor[1:]) is None
+
+
+def test_pinched_torus_has_a_disconnected_vertex_link(pinched_torus):
+    assert (pinched_torus.num_vertices, len(pinched_torus.facets)) == (215, 432)
+    assert pinched_torus.link((1,)).strong_components().count == 2
+
+
+def test_circle_walk_follows_a_link(octa):
+    # lk(1) in the octahedron is the 4-cycle 2-3-5-6
+    assert theorems._circle_path(octa, octa._mask_of((1,)), 2, 3, 5) == (2, 6, 5)
+
+
+def test_circle_walk_rejects_nodes_without_two_neighbours(path_complex):
+    # a theta graph: three paths of two edges from 0 to 1, walked as lk(empty)
+    theta = build_complex([(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
+    with pytest.raises(InternalInvariantError, match="not a disjoint union of circles"):
+        theorems._circle_path(theta, 0, 2, 1, 3)
+    # the path 1-2-3-4 ends in a node with one neighbour
+    with pytest.raises(InternalInvariantError, match="not a disjoint union of circles"):
+        theorems._circle_path(path_complex, 0, 2, 1, 1)
+
+
+def test_circle_walk_rejects_a_start_outside_the_link(icosa):
+    # lk(1) in the icosahedron is the 5-cycle on 2..6; vertex 7 lies outside
+    # it, though two of its neighbours, 2 and 6, lie on it
+    with pytest.raises(InternalInvariantError, match="not a disjoint union of circles"):
+        theorems._circle_path(icosa, icosa._mask_of((1,)), 7, 2, 4)
