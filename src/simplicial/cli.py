@@ -129,11 +129,12 @@ def _analyze_results(cx: SimplicialComplex, field: FieldSpec | None, cap: int) -
                 "note": "the void complex has no chain complex",
             }
         else:
+            cm = is_cohen_macaulay(cx, field)  # ranks sigma = {} once, keeping its top cycles
             betti = reduced_betti_numbers(cx, field)
             results["homology"] = {
                 "field": field.name,
                 "betti": {"start_dim": -1, "values": list(betti.values)},
-                "cohen_macaulay": is_cohen_macaulay(cx, field),
+                "cohen_macaulay": cm,
                 "doubly_cohen_macaulay": is_m_cohen_macaulay(cx, 2, field, cap),
                 "homology_sphere": is_homology_sphere(cx, field),
                 "homology_manifold": is_homology_manifold(cx, field),

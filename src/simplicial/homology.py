@@ -24,6 +24,14 @@ link that W does not touch is ranked once for every W.  All deciders
 report the first failing face in (dimension, label) order, and the first
 failing W in ``combinations(vertices, size)`` order.
 
+Each link takes the cheapest exact method.  {}, the link of a facet, and
+n points, as the link of a ridge, take closed forms: (1,) and (0, n - 1).
+Over Q a link is ranked over GF(2) first.  By universal coefficients
+betti_i(X; Q) <= betti_i(X; GF(2)), and the reduced Euler characteristic
+does not depend on the field (Hatcher, Algebraic Topology, 3.A), so GF(2)
+values with no homology below the top degree are the Q values.  Only the
+other links are reduced over Q.
+
 Deleting one vertex w from a Cohen-Macaulay complex sweeps no link of the
 deletion.  Let L = lk(sigma) have dimension s and some facet missing w.
 The Mayer-Vietoris sequence of L = (L - w) u star_L(w), whose parts meet
@@ -38,8 +46,10 @@ nonempty face of a homology manifold, that rank is 1 exactly at the
 vertices of the faces the cycle is nonzero on, one vertex mask for all w;
 in a homology sphere those are all the facets: "Gorenstein* implies
 2-CM".  Each such witness is recomputed densely on the link of sigma in
-the deletion, built from label tuples, before it is returned.  Deleting
-two or more vertices (m >= 3) still sweeps the links of the deletion.
+the deletion, built from label tuples, before it is returned.  Over Q the
+rule runs only when GF(2) finds a defect, in the W = {} sweep or in the
+rule, since a complex 2-CM over GF(2) is 2-CM over Q.  Deleting two or
+more vertices (m >= 3) still sweeps the links of the deletion.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import and_, or_
 
 from . import linalg
@@ -224,13 +235,13 @@ def _betti_values(levels, characteristic: int, cycles: list | None = None) -> tu
     return tuple(values)
 
 
-def _betti_memo(cx: SimplicialComplex, field: FieldSpec) -> dict:
+def _betti_memo(cx: SimplicialComplex, p: int) -> dict:
     """Betti values of lk(sigma) minus W, keyed by the masks (sigma, W).
 
     W is always cut down to the vertices of lk(sigma), so equal links share
     one entry; (0, 0) is the whole complex.
     """
-    return cx._memoized(("betti", field.characteristic), dict)
+    return cx._memoized(("betti", p), dict)
 
 
 def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> BettiTable:
@@ -241,12 +252,42 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
     """
     if cx.is_void:
         raise InputError("the void complex has no homology")
-    memo = _betti_memo(cx, field)
-    values = memo.get((0, 0))
+    levels = [cx._faces_masks(k) for k in range(-1, cx.dimension + 1)]
+    return BettiTable(_link_values(cx, field.characteristic, 0, 0, levels, False), field)
+
+
+def _closed_form(levels, p: int, cycles: list | None = None) -> tuple[int, ...]:
+    """``_betti_values`` of {} or n points, with no rank; the top cycles of
+    n points are e_j - e_0 for j >= 1 (p - 1 is -1 mod p, and -1 over Q)."""
+    if len(levels) == 1:
+        return (1,)
+    n = len(levels[1])
+    if cycles is not None:
+        cycles.extend(1 | 1 << j if p == 2 else {0: p - 1, j: 1} for j in range(1, n))
+    return (0, n - 1)
+
+
+def _link_values(cx, p: int, sigma: int, w: int, levels, keep: bool = True) -> tuple[int, ...]:
+    """Memoized Betti values over characteristic p of lk(sigma) - w, from the
+    face levels of lk(sigma), by the cheapest method of the module docstring;
+    with w = 0 and ``keep``, the top cycles of the reduction are kept too."""
+    memo = _betti_memo(cx, p)
+    values = memo.get((sigma, w))
+    if values is None and p == 0:
+        values = _link_values(cx, 2, sigma, w, levels, keep)
+        if _low_defect(values) is not None:
+            values = None
     if values is None:
-        levels = [cx._faces_masks(k) for k in range(-1, cx.dimension + 1)]
-        values = memo[(0, 0)] = _betti_values(levels, field.characteristic)
-    return BettiTable(values=values, field=field)
+        cycles = [] if keep and not w else None
+        if w:
+            levels = [[t for t in level if not t & w] for level in levels]
+            while not levels[-1]:
+                levels.pop()
+        values = (_closed_form if len(levels) < 3 else _betti_values)(levels, p, cycles)
+        if cycles is not None:
+            cx._memoized(("cycles", p), dict)[sigma] = tuple(cycles)
+    memo[(sigma, w)] = values
+    return values
 
 
 def _link_index(cx: SimplicialComplex) -> dict[int, tuple[int, list[list[int]]]]:
@@ -287,8 +328,8 @@ def _link_sweep(
     These are the faces of the deletion, and lk_{cx - W}(sigma) =
     lk_cx(sigma) - W, so no complex is built.
     """
-    memo = _betti_memo(cx, field)
-    kept = cx._memoized(("cycles", field.characteristic), dict)
+    p = field.characteristic
+    memo = _betti_memo(cx, p)
     faces = iter(_link_index(cx).items())
     if skip_empty:
         next(faces)
@@ -296,17 +337,7 @@ def _link_sweep(
         if sigma & deleted:
             continue
         w = deleted & verts
-        values = memo.get((sigma, w))
-        if values is None:
-            cycles = None if w else []
-            if w:
-                levels = [[t for t in level if not t & w] for level in levels]
-                while not levels[-1]:
-                    levels.pop()
-            values = memo[(sigma, w)] = _betti_values(levels, field.characteristic, cycles)
-            if not w:
-                kept[sigma] = tuple(cycles)
-        yield sigma, values
+        yield sigma, memo.get((sigma, w)) or _link_values(cx, p, sigma, w, levels)
 
 
 def _low_defect(values):
@@ -335,6 +366,26 @@ def _sphere_links(
                 },
                 reason=reason,
             )
+    sphere = -(-1) ** (cx.dimension + 1)  # the reduced Euler characteristic of a sphere
+    return _checked_pass(cx, cx.reduced_euler_characteristic() if skip_empty else sphere)
+
+
+def _checked_pass(cx: SimplicialComplex, chi: int | None = None) -> Verdict:
+    """Verdict(True) once the h-vector of a pure complex, read off the face
+    index, obeys what the pass implies, else raise InternalInvariantError:
+    h_i >= 0 for Cohen-Macaulay (chi None; Stanley 1996, ch. II), and Klee's
+    h_{d-i} - h_i = (-1)^i C(d, i) (chi - (-1)^(d-1)) for a homology manifold
+    of reduced Euler characteristic chi (Klee 1964), h_i = h_{d-i} for a sphere."""
+    if cx.is_pure:
+        h = cx.h_vector().counts
+        d = len(h) - 1
+        for i, x in enumerate(h):
+            if chi is None:
+                broken = x < 0
+            else:
+                broken = h[d - i] - x != (-1) ** i * comb(d, i) * (chi + (-1) ** d)
+            if broken:
+                raise InternalInvariantError(f"h-vector {list(h)} contradicts a pass at h_{i}")
     return Verdict(True)
 
 
@@ -385,12 +436,14 @@ def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
     """Vertex bit w -> (sigma, degree, betti) of the first Reisner defect of
     cx - w, for every w whose deletion has one, by the Mayer-Vietoris rule
     of the module docstring.  cx must have passed the W = {} sweep, which
-    leaves the Betti numbers and top cycles of every link (CM, so pure) in
-    the memos.  A vertex w in every facet of lk(sigma) makes it a cone, with
-    no top cycle, and lk(sigma) - w = lk(sigma + w) has no defect.
+    memoizes every link's Betti numbers (CM, so pure) and the top cycles of
+    the links it reduced.  A vertex w in every facet of lk(sigma) makes it
+    a cone, with no top cycle, and lk(sigma) - w = lk(sigma + w) has no defect.
     """
     p = field.characteristic
-    memo = _betti_memo(cx, field)
+    if p == 0 and _cm_defect(cx, GF2) is None and not _vertex_deletion_defects(cx, GF2):
+        return {}  # 2-CM over GF(2), hence over Q
+    memo = _betti_memo(cx, p)
     kept = cx._memoized(("cycles", p), dict)
     first: dict[int, tuple[int, int, int]] = {}
     failed = 0
@@ -400,7 +453,7 @@ def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
             continue
         top = levels[-1]
         cycles = kept.get(sigma)
-        if cycles is None:  # only sigma = {}, when reduced_betti_numbers ranked it
+        if cycles is None:  # Q values from GF(2), or sigma = {} ranked by reduced_betti_numbers
             cycles = kept[sigma] = []
             _chain_ranks(levels[-2:], p, cycles)
         if not cycles:
@@ -450,7 +503,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
         return Verdict(
             False, witness=witness, reason="a link has homology below its top degree"
         )
-    return Verdict(True)
+    return _checked_pass(cx)
 
 
 def is_m_cohen_macaulay(
@@ -506,4 +559,4 @@ def is_m_cohen_macaulay(
                     witness={"deleted": cx._labels_of(deleted), "defect": inner},
                     reason="a deletion is not Cohen-Macaulay",
                 )
-    return Verdict(True)
+    return _checked_pass(cx)

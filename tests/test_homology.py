@@ -8,6 +8,7 @@ from simplicial import (
     GF3,
     RATIONALS,
     FieldSpec,
+    HVector,
     InputError,
     SimplicialComplex,
     Verdict,
@@ -187,12 +188,85 @@ def test_homology_manifold_verdicts(corpus):
     assert not is_homology_sphere(corpus["torus7"], RATIONALS)
     two_circles = build_complex([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
     assert is_homology_manifold(two_circles, GF2)  # disjoint circles
+    # not pure, so Klee's relation, which it breaks, is not checked
+    assert is_homology_manifold(build_complex([(1, 2), (1, 3), (2, 3), (4,)]), GF2)
     assert not is_homology_sphere(two_circles, GF2)
     assert not is_homology_manifold(corpus["two_triangles"], GF2)  # solid, has boundary
     v = is_homology_manifold(corpus["books"], GF2)
     assert not v
     v = is_homology_manifold(corpus["path"], GF2)
     assert not v
+
+
+def test_closed_forms_match_the_reduction(corpus):
+    """Facet links ({} alone) and ridge links (points) take values and top
+    cycles in closed form; they must be what the reduction gives."""
+    for name, cx in corpus.items():
+        for sigma, (_, levels) in homology._link_index(cx).items():
+            if len(levels) > 2:
+                continue
+            for p in (2, 3, 0):
+                closed, reduced = [], []
+                assert homology._closed_form(levels, p, closed) == homology._betti_values(
+                    levels, p, reduced), (name, sigma, p)
+                assert closed == reduced, (name, sigma, p)
+
+
+def test_rational_deciders_reduce_over_q_only_past_gf2_low_homology(monkeypatch, corpus):
+    """Over Q a link is reduced with rationals only when its GF(2) Betti
+    numbers show homology below the top degree, and 2-CM runs the Q rule
+    only when GF(2) finds a defect: none on the spheres, some on RP^2, its
+    cone and its suspension.  The suspension is CM over Q but not over
+    GF(2), so its 2-CM verdict comes from the Q rule."""
+    q_reductions = []
+    real = linalg._pivot_rows_sparse
+
+    def counting(columns, p):
+        q_reductions.append(p == 0)
+        return real(columns, p)
+
+    monkeypatch.setattr(linalg, "_pivot_rows_sparse", counting)
+    rp2 = corpus["rp2"]
+    susp_rp2 = join(rp2, build_complex([(7,), (8,)]))
+    assert not is_cohen_macaulay(susp_rp2, GF2) and is_cohen_macaulay(susp_rp2, RATIONALS)
+    cases = (
+        ("cross4", corpus["cross4"], False),
+        ("icosahedron", corpus["icosahedron"], False),
+        ("bary_octa", corpus["bary_octa"], False),
+        ("rp2", rp2, True),
+        ("cone_rp2", join(rp2, build_complex([(7,)])), True),
+        ("susp_rp2", susp_rp2, True),
+    )
+    for name, cx, over_q in cases:
+        cx, facets = build_complex(cx.facets), cx.facets  # a fresh memo
+        q_reductions.clear()
+        verdicts = [
+            (is_cohen_macaulay(cx, RATIONALS), O.is_cohen_macaulay(facets, 0)),
+            (is_homology_sphere(cx, RATIONALS), O.is_homology_sphere(facets, 0)),
+            (is_homology_manifold(cx, RATIONALS), O.is_homology_manifold(facets, 0)),
+        ]
+        assert tuple(reduced_betti_numbers(cx, RATIONALS)) == O.betti_numbers(facets, 0), name
+        # the deletions of the 2-sphere bary_octa are planar, so torsion-free:
+        # its GF(2) oracle is exact over Q too, and ten times faster than the Q one
+        p = 2 if name == "bary_octa" else 0
+        two_cm = is_m_cohen_macaulay(cx, 2, RATIONALS)
+        assert any(q_reductions) == over_q, name
+        verdicts += [(two_cm, O.is_m_cohen_macaulay(facets, 2, p)),
+                     (is_m_cohen_macaulay(cx, 3, RATIONALS), O.is_m_cohen_macaulay(facets, 3, p))]
+        for verdict, witness in verdicts:
+            assert (verdict.ok, verdict.witness) == (witness is None, witness), name
+
+
+@pytest.mark.parametrize(("decide", "h"), [
+    (is_homology_sphere, (1, 3, 4, 1)),  # not palindromic
+    (is_homology_manifold, (1, 3, 4, 1)),  # breaks Klee's relation
+    (is_cohen_macaulay, (1, 3, 4, -1)),  # negative
+    (lambda cx: is_m_cohen_macaulay(cx, 2, GF2), (1, 3, 4, -1)),
+])
+def test_pass_relations_catch_a_skewed_h_vector(monkeypatch, octa, decide, h):
+    monkeypatch.setattr(SimplicialComplex, "h_vector", lambda self: HVector(h))
+    with pytest.raises(InternalInvariantError, match="contradicts a pass"):
+        decide(build_complex(octa.facets))
 
 
 def test_cohen_macaulay_verdicts(corpus):
