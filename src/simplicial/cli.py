@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 theorem violation or failed self-verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -236,6 +237,7 @@ def _cmd_gen(args) -> tuple[str, int]:
     return facet_file_text(cx), 0
 
 
+@functools.cache  # built on the first call, not at import, and shared by later calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplicial",

@@ -11,8 +11,8 @@ tuple) and every reported witness is the first one in that order.
 
 A complex never changes after construction, so everything derived from it
 is computed once, on first use, and kept in one memo dict per complex:
-face levels, links and deletions, verdicts, and the indexes of the
-homology and graph modules.  The memo takes no lock: the package starts no
+face levels, links and deletions, verdicts, link Betti values, and the
+graphs module's dual graph.  The memo takes no lock: the package starts no
 threads, and two threads racing on one entry would only build it twice.
 
 Face-facet incidence lives in one memo entry, the face index, which maps

@@ -13,16 +13,17 @@ zero, so it is never built.  Each Betti table is checked against the
 bounds the ranks must obey.
 
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
-manifold deciders build no complex.  Each complex keeps, once, a link
-index from every face mask sigma to the face levels of lk(sigma), read off
-the cofaces tau of sigma as tau ^ sigma.  Deleting a vertex set W commutes
-with taking links, lk_{cx - W}(sigma) = lk_cx(sigma) - W, so the links of a
-deletion are the indexed levels with every face meeting W dropped.  Betti
-values are memoized on the complex under (sigma, W restricted to the
-vertices of lk(sigma), field), so the four deciders share one sweep and a
-link that W does not touch is ranked once for every W.  All deciders
-report the first failing face in (dimension, label) order, and the first
-failing W in ``combinations(vertices, size)`` order.
+manifold deciders build no complex and store no link.  They visit the
+faces sigma in (dimension, label) order and read lk(sigma) off the face
+index: its facets are F ^ sigma for the facets F over sigma.  Its face
+levels are generated on a memo miss and dropped once ranked.  Deleting
+a vertex set W commutes with taking links, lk_{cx - W}(sigma) =
+lk_cx(sigma) - W, so the links of a deletion drop every face meeting W.
+Betti values are memoized on the complex under (sigma, W restricted to
+the vertices of lk(sigma), field), so the four deciders share one sweep
+and a link that W does not touch is ranked once for every W.  All
+deciders report the first failing face in (dimension, label) order, and
+the first failing W in ``combinations(vertices, size)`` order.
 
 Each link takes the cheapest exact method.  {}, the link of a facet, and
 n points, as the link of a ridge, take closed forms: (1,) and (0, n - 1).
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import and_, or_
 
@@ -252,8 +253,7 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
     """
     if cx.is_void:
         raise InputError("the void complex has no homology")
-    levels = [cx._faces_masks(k) for k in range(-1, cx.dimension + 1)]
-    return BettiTable(_link_values(cx, field.characteristic, 0, 0, levels, False), field)
+    return BettiTable(_link_values(cx, field.characteristic, 0, 0, False), field)
 
 
 def _closed_form(levels, p: int, cycles: list | None = None) -> tuple[int, ...]:
@@ -267,18 +267,19 @@ def _closed_form(levels, p: int, cycles: list | None = None) -> tuple[int, ...]:
     return (0, n - 1)
 
 
-def _link_values(cx, p: int, sigma: int, w: int, levels, keep: bool = True) -> tuple[int, ...]:
+def _link_values(cx, p: int, sigma: int, w: int, keep: bool = True) -> tuple[int, ...]:
     """Memoized Betti values over characteristic p of lk(sigma) - w, from the
-    face levels of lk(sigma), by the cheapest method of the module docstring;
-    with w = 0 and ``keep``, the top cycles of the reduction are kept too."""
+    face levels of lk(sigma) on a miss, by the cheapest method of the module
+    docstring; with w = 0 and ``keep``, the top cycles are kept too."""
     memo = _betti_memo(cx, p)
     values = memo.get((sigma, w))
     if values is None and p == 0:
-        values = _link_values(cx, 2, sigma, w, levels, keep)
+        values = _link_values(cx, 2, sigma, w, keep)
         if _low_defect(values) is not None:
             values = None
     if values is None:
         cycles = [] if keep and not w else None
+        levels = _link_levels(cx, sigma)
         if w:
             levels = [[t for t in level if not t & w] for level in levels]
             while not levels[-1]:
@@ -290,32 +291,28 @@ def _link_values(cx, p: int, sigma: int, w: int, levels, keep: bool = True) -> t
     return values
 
 
-def _link_index(cx: SimplicialComplex) -> dict[int, tuple[int, list[list[int]]]]:
-    """Face mask sigma -> (vertex mask of lk(sigma), face levels of lk(sigma)).
-
-    Level i holds tau ^ sigma for every face tau containing sigma with
-    |sigma| + i vertices.  Built once per complex from its face levels:
-    each face is entered into the link of each of its subsets.  The keys
-    run in (dimension, label) order.
+def _link_levels(cx: SimplicialComplex, sigma: int):
+    """Face levels of lk(sigma), from the empty face up, read off the facets
+    over sigma in the face index.  The top level is F ^ sigma for each
+    largest facet F over sigma, in facet order, so bit j of a kept top cycle
+    names the same face wherever it is read; the lower levels hold the
+    subsets of every F ^ sigma, in no fixed order.
     """
-
-    def build():
-        links: dict[int, list[list[int]]] = {}
-        for size in range(cx.dimension + 2):
-            for tau in cx._faces_masks(size - 1):
-                links[tau] = [[0]]
-                sub = tau
-                while sub:
-                    sub = (sub - 1) & tau
-                    levels = links[sub]
-                    i = size - sub.bit_count()
-                    if len(levels) == i:
-                        levels.append([])
-                    levels[i].append(tau ^ sub)
-        # level 1 holds the link's vertices, one bit each, so their sum is their union
-        return {s: (sum(lv[1]) if len(lv) > 1 else 0, lv) for s, lv in links.items()}
-
-    return cx._memoized("link_index", build)
+    if not sigma:
+        return [cx._faces_masks(k) for k in range(-1, cx.dimension + 1)]
+    over = [fm ^ sigma for fm in cx._face_index()[sigma]]
+    size = max(map(int.bit_count, over))
+    faces = {0}
+    for t in over:
+        sub = t
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & t
+    levels = [[] for _ in range(size + 1)]
+    for t in faces:
+        levels[t.bit_count()].append(t)
+    levels[size] = [t for t in over if t.bit_count() == size]
+    return levels
 
 
 def _link_sweep(
@@ -330,14 +327,15 @@ def _link_sweep(
     """
     p = field.characteristic
     memo = _betti_memo(cx, p)
-    faces = iter(_link_index(cx).items())
+    faces = chain.from_iterable(_link_levels(cx, 0))  # the faces of cx, the empty face first
     if skip_empty:
         next(faces)
-    for sigma, (verts, levels) in faces:
+    for sigma in faces:
         if sigma & deleted:
             continue
-        w = deleted & verts
-        yield sigma, memo.get((sigma, w)) or _link_values(cx, p, sigma, w, levels)
+        # the vertices of lk(sigma) are those of the facets over it, minus sigma
+        w = deleted and deleted & reduce(or_, cx._face_index()[sigma])
+        yield sigma, memo.get((sigma, w)) or _link_values(cx, p, sigma, w)
 
 
 def _low_defect(values):
@@ -447,15 +445,15 @@ def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
     kept = cx._memoized(("cycles", p), dict)
     first: dict[int, tuple[int, int, int]] = {}
     failed = 0
-    for sigma, (verts, levels) in _link_index(cx).items():
-        rest = verts & ~failed
+    for sigma in chain.from_iterable(_link_levels(cx, 0)):
+        top = [fm ^ sigma for fm in cx._face_index()[sigma]]  # pure, so all are top
+        rest = reduce(or_, top) & ~failed
         if not rest:
             continue
-        top = levels[-1]
         cycles = kept.get(sigma)
         if cycles is None:  # Q values from GF(2), or sigma = {} ranked by reduced_betti_numbers
             cycles = kept[sigma] = []
-            _chain_ranks(levels[-2:], p, cycles)
+            _chain_ranks(_link_levels(cx, sigma)[-2:], p, cycles)
         if not cycles:
             rest &= ~reduce(and_, top)
         cover = _cycle_cover(cycles, top)
@@ -468,7 +466,7 @@ def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
                 rank = _restricted_rank(cycles, top, w, p)
             betti = memo[(sigma | w, 0)][-1] - rank
             if betti:
-                first[w] = (sigma, len(levels) - 3, betti)
+                first[w] = (sigma, top[0].bit_count() - 2, betti)
                 failed |= w
     return first
 

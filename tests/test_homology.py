@@ -202,7 +202,8 @@ def test_closed_forms_match_the_reduction(corpus):
     """Facet links ({} alone) and ridge links (points) take values and top
     cycles in closed form; they must be what the reduction gives."""
     for name, cx in corpus.items():
-        for sigma, (_, levels) in homology._link_index(cx).items():
+        for sigma in cx._face_index():
+            levels = homology._link_levels(cx, sigma)
             if len(levels) > 2:
                 continue
             for p in (2, 3, 0):
@@ -210,6 +211,28 @@ def test_closed_forms_match_the_reduction(corpus):
                 assert homology._closed_form(levels, p, closed) == homology._betti_values(
                     levels, p, reduced), (name, sigma, p)
                 assert closed == reduced, (name, sigma, p)
+
+
+def test_link_levels_are_the_levels_of_the_link(corpus):
+    """The face levels of lk(sigma), generated from the facets over sigma,
+    are those of the link complex, for every face of the corpus and of
+    non-pure complexes, whose links can mix facet sizes; on a pure link the
+    top level is F ^ sigma for the facets F over sigma, in facet order."""
+    non_pure = {
+        "triangle_bd_and_point": build_complex([(1, 2), (1, 3), (2, 3), (4,)]),
+        "triangle_edge_tetrahedron": build_complex([(1, 2, 3), (3, 4), (4, 5, 6, 7)]),
+    }
+    for name, cx in {**corpus, **non_pure}.items():
+        index = cx._face_index()
+        for sigma, over in index.items():
+            levels = homology._link_levels(cx, sigma)
+            link = cx.link(cx._labels_of(sigma))
+            assert len(levels) == link.dimension + 2, (name, sigma)
+            for k, level in enumerate(levels, -1):
+                labelled = sorted(cx._labels_of(t) for t in level)
+                assert labelled == list(link.faces(k)), (name, sigma, k)
+            if len({fm.bit_count() for fm in over}) == 1:
+                assert list(levels[-1]) == [fm ^ sigma for fm in over], (name, sigma)
 
 
 def test_rational_deciders_reduce_over_q_only_past_gf2_low_homology(monkeypatch, corpus):
