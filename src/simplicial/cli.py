@@ -26,7 +26,7 @@ from .errors import (
     InternalInvariantError,
     ResourceLimitError,
 )
-from .formats import facet_file_text, read_complex_file
+from .formats import facet_file_text, parse_label, read_complex_file
 from .generators import (
     barycentric_subdivision,
     cross_polytope_boundary,
@@ -90,10 +90,8 @@ def _emit(report: dict, out_path):
 
 
 def _parse_labels(text: str) -> list[int]:
-    if not text:
-        return []
     try:
-        return [int(t) for t in text.replace(",", " ").split()]
+        return [parse_label(t) for t in text.replace(",", " ").split()]
     except ValueError:
         raise InputError(f"expected integer labels, got {text!r}")
 
@@ -172,7 +170,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_walk(args) -> tuple[dict, int]:
     cx = read_complex_file(args.path)
-    avoid = _parse_labels(args.avoid) if args.avoid else []
+    avoid = _parse_labels(args.avoid)
     if args.mode == "face":
         cert = strong_walk_avoiding(cx, args.src, args.dst, avoid)
     else:
@@ -237,6 +235,13 @@ def _cmd_gen(args) -> tuple[str, int]:
     return facet_file_text(cx), 0
 
 
+def _whole(text: str) -> int:
+    """--cap, --from and --to: ASCII digits, so never negative."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected 0 or more in ASCII digits, got {text!r}")
+    return int(text)
+
+
 @functools.cache  # built on the first call, not at import, and shared by later calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -247,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_field=False):
-        p.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
+        p.add_argument("--cap", type=_whole, default=DEFAULT_CANDIDATE_CAP,
                        help="enumeration cap before failing with exit 3")
         p.add_argument("--out", default=None, help="write the report to a file")
         if with_field:
@@ -272,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="construct and verify an avoiding walk")
     p.add_argument("path")
-    p.add_argument("--from", dest="src", type=int, required=True)
-    p.add_argument("--to", dest="dst", type=int, required=True)
+    p.add_argument("--from", dest="src", type=_whole, required=True)
+    p.add_argument("--to", dest="dst", type=_whole, required=True)
     p.add_argument("--avoid", default="",
                    help="labels to avoid, space or comma separated")
     p.add_argument("--mode", choices=("face", "flag"), default="flag",

@@ -12,16 +12,17 @@ tuple) and every reported witness is the first one in that order.
 A complex never changes after construction, so everything derived from it
 is computed once, on first use, and kept in one memo dict per complex:
 face levels, links and deletions, verdicts, link Betti values, and the
-graphs module's dual graph.  The memo takes no lock: the package starts no
-threads, and two threads racing on one entry would only build it twice.
+facet positions.  The memo takes no lock: the package starts no threads,
+and two threads racing on one entry would only build it twice.
 
 Face-facet incidence lives in one memo entry, the face index, which maps
 every face mask, the empty face included, to the facets over it.  The face
 levels are its keys by size, a set is a face exactly when it is a key
 (``has_face``, the flag test), a link is read off the facets over its face,
-and the facets over a face r with one vertex more than r, its ridge group,
-drive strong components, the pseudomanifold test, the dual graph behind
-strong walks and the facet flips of t2.
+and the pseudomanifold test and t2's facet flips read the facets over a
+ridge.  Strong components, the face-avoiding walk and the flag walk's link
+components come from one facet search over it, from facet to facet across
+shared ridges.
 
 Vertex adjacency lives in a second memo entry, the graph index, which maps
 each vertex to the bitmask of its neighbours in the 1-skeleton.  The flag
@@ -456,47 +457,50 @@ class SimplicialComplex:
 
         return self._memoized("neighbours", build)
 
-    # -- ridge groups: strong components and pseudomanifolds ------------------
+    # -- the facet search: strong components and pseudomanifolds --------------
 
-    def _ridge_groups(self) -> Iterator[list[int]]:
-        """For each face r, the facets over r with |r| + 1 vertices.
+    def _strong_search(self, sources, keep: int = 0, avoid: int = 0) -> Iterator[tuple]:
+        """Breadth-first search over facets joined through shared ridges.
 
-        These are the facets that share r as a ridge; empty groups are
-        skipped.
+        One step goes from a facet f to the other facets of f's size over
+        f ^ b, for each vertex bit b of f outside keep, in facet order, and
+        never enters a facet that meets avoid.  Yields (facet, the facet it
+        was entered from or None) in visit order; a caller may stop early.
         """
-        sizes = {fm.bit_count() for fm in self._facet_masks}
-        for r, over in self._face_index().items():
-            size = r.bit_count() + 1
-            if size in sizes:
-                group = [fm for fm in over if fm.bit_count() == size]
-                if group:
-                    yield group
+        index = self._face_index()
+        pos = self._memoized("facet_pos", lambda: {f: i for i, f in enumerate(self._facet_masks)})
+        parent: dict[int, int | None] = dict.fromkeys(fm for fm in sources if not fm & avoid)
+        queue = list(parent)
+        yield from parent.items()
+        for f in queue:
+            size, new, rest = f.bit_count(), [], f & ~keep
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                for g in index[f ^ b]:
+                    if g not in parent and not g & avoid and g.bit_count() == size:
+                        new.append(g)
+            if len(new) > 1:
+                new.sort(key=pos.__getitem__)
+            for g in new:
+                parent[g] = f
+                yield g, f
+            queue.extend(new)
 
     def strong_components(self) -> StrongComponents:
         """Group facets by chains of codimension-one (in both) overlaps."""
         return self._memoized("strong", self._compute_strong)
 
     def _compute_strong(self) -> StrongComponents:
-        parent = {fm: fm for fm in self._facet_masks}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for first, *rest in self._ridge_groups():
-            root = find(first)
-            for fm in rest:
-                parent[find(fm)] = root
-        groups: dict[int, list[Face]] = {}
+        # a component's facets share one size: sort each by label, all by (size, first)
+        comps, seen = [], set()
         for fm in self._facet_masks:
-            groups.setdefault(find(fm), []).append(self._labels_of(fm))
-        comps = tuple(
-            tuple(sorted(g, key=lambda f: (len(f), f)))
-            for g in sorted(groups.values(), key=lambda g: (len(min(g)), min(g)))
-        )
-        return StrongComponents(components=comps, pure=self.is_pure)
+            if fm not in seen:
+                comp = [g for g, _ in self._strong_search([fm])]
+                seen.update(comp)
+                comps.append(tuple(sorted(map(self._labels_of, comp))))
+        comps.sort(key=lambda c: (len(c[0]), c[0]))
+        return StrongComponents(components=tuple(comps), pure=self.is_pure)
 
     def is_pseudomanifold(self) -> Verdict:
         """Strongly connected and every ridge (codimension one in each
@@ -519,7 +523,7 @@ class SimplicialComplex:
                 reason="not strongly connected",
             )
         # strongly connected, hence pure: every face one vertex short of the
-        # facets is a ridge, and all the facets over it share its group
+        # facets is a ridge, and every facet over it shares it
         index = self._face_index()
         for rm in self._faces_masks(self.dimension - 1):
             if len(index[rm]) != 2:

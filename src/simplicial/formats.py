@@ -1,7 +1,7 @@
 """Facet files, the text format of complexes.
 
-UTF-8 text, one facet per line as base-10 nonnegative labels separated
-by spaces.  Blank lines and lines starting with # are ignored.
+UTF-8 text, one facet per line as nonnegative labels in ASCII decimal
+digits, separated by spaces.  Blank lines and lines starting with # are ignored.
 An empty file is the void complex; a file whose only facet line is *
 is the empty complex (the one whose sole face is the empty set).
 """
@@ -12,6 +12,14 @@ import io
 
 from .core import SimplicialComplex, build_complex
 from .errors import InputError
+
+
+def parse_label(token: str) -> int:
+    """A label token in ASCII digits, after an optional minus sign so that a
+    negative label can be named as one; ValueError for ``2_0``, ``+2``, ..."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"{token!r} is not a base-10 label")
+    return int(token)
 
 
 def parse_facet_lines(lines) -> list[tuple[int, ...]]:
@@ -28,7 +36,7 @@ def parse_facet_lines(lines) -> list[tuple[int, ...]]:
         labels = []
         for token in text.split():
             try:
-                value = int(token)
+                value = parse_label(token)
             except ValueError:
                 raise InputError(f"line {lineno}: {token!r} is not an integer label")
             if value < 0:

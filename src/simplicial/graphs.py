@@ -305,50 +305,6 @@ class WalkCertificate:
     witness_facets: tuple[Face, ...]
 
 
-def _dual_adjacency(cx: SimplicialComplex) -> dict[Face, tuple[Face, ...]]:
-    """Facet adjacency through shared ridges, read off the ridge groups."""
-
-    def build():
-        label = dict(zip(cx._facet_masks, cx.facets))
-        adj: dict[Face, list[Face]] = {f: [] for f in cx.facets}
-        for group in cx._ridge_groups():
-            for fm in group:
-                adj[label[fm]].extend(label[g] for g in group if g != fm)
-        # neighbours share the facet's size, so label order is (size, label) order
-        return {f: tuple(sorted(ns)) for f, ns in adj.items()}
-
-    return cx._memoized("dual_adjacency", build)
-
-
-def _dual_path(cx: SimplicialComplex, sources, accept, avoid=None):
-    """BFS in the facet-adjacency graph from sorted sources to acceptance.
-
-    Facets containing the vertex avoid are never entered.  In a
-    pseudomanifold they are exactly the facets that the deletion of avoid
-    loses, and the deletion keeps every other facet and its adjacency.
-    """
-    adj = _dual_adjacency(cx)
-    parent: dict[Face, Face | None] = {}
-    queue = deque()
-    for f in sorted(sources, key=lambda x: (len(x), x)):
-        if avoid not in f:
-            parent[f] = None
-            queue.append(f)
-    while queue:
-        f = queue.popleft()
-        if accept(f):
-            chain = [f]
-            while parent[chain[-1]] is not None:
-                chain.append(parent[chain[-1]])
-            chain.reverse()
-            return chain
-        for w in adj[f]:
-            if w not in parent and avoid not in w:
-                parent[w] = f
-                queue.append(w)
-    return None
-
-
 def strong_walk_avoiding(
     cx: SimplicialComplex, a: int, b: int, avoid
 ) -> WalkCertificate:
@@ -381,38 +337,38 @@ def strong_walk_avoiding(
         if x in avoid:
             raise InputError(f"endpoint {x} lies in the avoided set")
 
-    sources = [cx._labels_of(fm) for fm in cx._face_index()[cx._mask_of((a,))]]
-    chain = _dual_path(cx, sources, lambda f: b in f, avoid=min(avoid, default=None))
-    if chain is None:
+    # in a pseudomanifold the facets through the least avoided vertex are
+    # exactly those its deletion loses, and the deletion keeps every other
+    # facet and its ridges; the chain ends at the first facet through b
+    least = cx._mask_of((min(avoid),)) if avoid else 0
+    am, bm, parent = cx._mask_of((a,)), cx._mask_of((b,)), {}
+    for f, p in cx._strong_search(cx._face_index()[am], avoid=least):
+        parent[f] = p
+        if f & bm:
+            break
+    else:
         raise InternalInvariantError("facet chain between endpoint stars not found")
+    chain = [f]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
 
-    picks = []
-    prev = a
-    for i in range(1, len(chain)):
-        shared = set(chain[i - 1]) & set(chain[i])
-        allowed = shared - avoid
+    # from each facet's overlap with the next (b after the last) keep the
+    # node before if allowed, else step to the least allowed label
+    nodes, wits, free = [am], [], ~cx._mask_of(avoid)
+    for f, g in zip(chain, chain[1:] + [bm]):
+        allowed = f & g & free
         if not allowed:
             raise InternalInvariantError(
                 "consecutive facets overlap entirely inside the avoided set"
             )
-        picks.append(prev if prev in allowed else min(allowed))
-        prev = picks[-1]
-
-    nodes = [a] + picks + [b]
-    wits = list(chain)
-    # drop repeats together with one of the two equal edges
-    i = 1
-    while i < len(nodes):
-        if nodes[i - 1] == nodes[i]:
-            del nodes[i]
-            del wits[i - 1]
-        else:
-            i += 1
-    return WalkCertificate(walk=Walk(tuple(nodes)), witness_facets=tuple(wits))
-
-
-def _star_facets(cx: SimplicialComplex, v) -> list[Face]:
-    return [f for f in cx.facets if v in f]
+        if not nodes[-1] & allowed:
+            nodes.append(allowed & -allowed)
+            wits.append(cx._labels_of(f))
+    return WalkCertificate(
+        walk=Walk(tuple(cx._labels[m.bit_length() - 1] for m in nodes)),
+        witness_facets=tuple(wits),
+    )
 
 
 def _facets_strongly_joined(facets: list[Face], f1: Face, f2: Face) -> bool:
@@ -491,7 +447,7 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
                 reason="witness facet does not contain its edge",
             )
     for i in range(1, len(nodes) - 1):
-        star = _star_facets(cx, nodes[i])
+        star = [f for f in cx.facets if nodes[i] in f]
         if not _facets_strongly_joined(star, wits[i - 1], wits[i]):
             return Verdict(
                 False,

@@ -397,20 +397,12 @@ def check_cross_polytope_subdivision(
 def _link_component(cx: SimplicialComplex, face: Face, anchor: Face):
     """The facets of the strong component of lk(face) holding anchor, or None.
 
-    A search over the facets through face, from a facet f to the facets over
-    f less one vertex outside face; cx is pure, so they are all of f's size."""
-    index = cx._face_index()
+    The facet search from face + anchor keeps face, so it crosses only the
+    ridges of the star of face."""
     fm, start = cx._mask_of(face), cx._mask_of(face + anchor)
-    if index.get(start) != [start]:
+    if cx._face_index().get(start) != [start]:
         return None
-    seen, todo = {start}, [start]
-    for f in todo:
-        for b in cx._bits(f & ~fm):
-            for g in index[f ^ b]:
-                if g not in seen:
-                    seen.add(g)
-                    todo.append(g)
-    return {cx._labels_of(g & ~fm) for g in seen}
+    return {cx._labels_of(g & ~fm) for g, _ in cx._strong_search([start], keep=fm)}
 
 
 def _same_star_component(cx: SimplicialComplex, v: int, f1: Face, f2: Face) -> bool:

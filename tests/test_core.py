@@ -175,6 +175,29 @@ def test_strong_components_match_oracle(corpus):
         assert got == O.strong_components(cx.facets), name
 
 
+def test_strong_search_is_a_breadth_first_ridge_search(corpus):
+    """From one facet, avoiding one vertex: the search visits the oracle's
+    strong component among the facets that miss that vertex, each entered
+    from an earlier facet across a shared ridge, in breadth-first order."""
+    for name, cx in corpus.items():
+        for v in cx.vertices[-2:]:
+            kept = [f for f in cx.facets if v not in f]
+            if not kept:
+                continue
+            source = cx._mask_of(kept[0])
+            got = list(cx._strong_search([source], avoid=cx._mask_of((v,))))
+            order = {f: i for i, (f, _) in enumerate(got)}
+            assert got[0] == (source, None), name
+            depth = {source: 0}
+            for f, p in got[1:]:
+                assert order[p] < order[f], name
+                assert f.bit_count() == p.bit_count() == (f & p).bit_count() + 1, name
+                depth[f] = depth[p] + 1
+            assert [depth[f] for f, _ in got] == sorted(depth.values()), name
+            want = next(c for c in O.strong_components(kept) if kept[0] in c)
+            assert sorted(cx._labels_of(f) for f, _ in got) == want, name
+
+
 def test_strong_component_counts(octa, books, two_triangles):
     assert octa.strong_components().count == 1
     assert books.strong_components().count == 1

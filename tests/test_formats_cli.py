@@ -30,7 +30,10 @@ def test_facet_file_special_forms():
 
 
 def test_facet_parse_errors_carry_line_numbers():
-    for text, lineno in [("1 2 x", 1), ("1 2\n3 -1", 2), ("1 2\n\n4 4", 3)]:
+    # labels are ASCII digits only: int() alone would read 2_0 as 20 and the
+    # Arabic-Indic digit three as 3
+    for text, lineno in [("1 2 x", 1), ("1 2\n3 -1", 2), ("1 2\n\n4 4", 3),
+                         ("1 2\n1 2_0", 2), ("1 2\n\u0663 4", 2), ("+1 2", 1)]:
         with pytest.raises(InputError) as e:
             parse_facet_lines(text.splitlines())
         assert f"line {lineno}" in str(e.value)
@@ -171,6 +174,21 @@ def test_cli_walk_flag_mode_worked_example(octa_file, capsys):
     assert not {1, 3, 6} & set(res["certificate"]["nodes"])
 
 
+@pytest.mark.parametrize("avoid", ["1,4_0", "1,\u0663", "1,+4"])
+def test_cli_walk_rejects_non_ascii_digit_labels(octa_file, capsys, avoid):
+    code, out, err = _run(capsys, ["walk", octa_file, "--from", "2", "--to", "5",
+                                   "--avoid", avoid, "--mode", "face"])
+    assert (code, out) == (2, "")
+    assert "expected integer labels" in err
+
+
+@pytest.mark.parametrize("src, dst", [("\u0662", "5"), ("2", "5_0")])
+def test_cli_walk_endpoints_are_ascii_digits(octa_file, capsys, src, dst):
+    code, out, err = _run(capsys, ["walk", octa_file, "--from", src, "--to", dst])
+    assert (code, out) == (2, "")
+    assert "ASCII digits" in err
+
+
 def test_cli_walk_zero_length(octa_file, capsys):
     code, out, _ = _run(capsys, ["walk", octa_file, "--from", "3", "--to", "3"])
     assert code == 0
@@ -240,6 +258,14 @@ def test_cli_gen_misuse(capsys):
     assert _run(capsys, ["gen", "nope"])[0] == 2
     code, out, _ = _run(capsys, ["gen", "cycle", "5", "--cap", "1"])
     assert (code, out) == (2, "")
+
+
+def test_cli_negative_cap_is_a_usage_error(octa_file, capsys):
+    code, out, err = _run(capsys, ["analyze", octa_file, "--cap", "-1"])
+    assert (code, out) == (2, "")
+    assert "--cap" in err and "0 or more" in err
+    # zero parses, and trips at the first candidate nonface
+    assert _run(capsys, ["analyze", octa_file, "--cap", "0"])[0] == 3
 
 
 def test_cli_usage_errors(octa_file, capsys):

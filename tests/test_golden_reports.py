@@ -1,7 +1,8 @@
 """Golden digests of CLI reports: seven commands on the corpus
 pseudomanifolds, the connectivity checks on two larger instances, t2 and
-four flag walks on a pinched torus, and the homology analyses and t3 on every
-corpus complex and two complexes that are Cohen-Macaulay but not doubly so.
+four flag walks on a pinched torus, the homology analyses and t3 on every
+corpus complex and two complexes that are Cohen-Macaulay but not doubly so,
+and seeded face and flag walks on relabelled bary(cross4) and bary(torus7).
 
 Reports are part of the contract: a change that means to keep behaviour
 must keep every report byte-identical.  Each entry below is the exit code
@@ -16,6 +17,7 @@ failing assertion into the table and says so in CHANGES.md.
 import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -27,6 +29,7 @@ from simplicial import (
     cross_polytope_boundary,
     facet_file_text,
     join,
+    torus_7,
 )
 
 PSEUDOMANIFOLDS = (
@@ -399,3 +402,99 @@ def test_homology_reports_match_golden_digests(name, corpus, tmp_path):
     cx = _homology_instance(name, corpus)
     got = _digests(cx, str(tmp_path / f"{name}.txt"), _homology_commands)
     assert got == GOLDEN_HOMOLOGY[name]
+
+
+def _relabelled(cx, k, p):
+    """cx with vertex v renamed k * v mod p (p a prime above every label)."""
+    return build_complex([[k * v % p for v in f] for f in cx.facets])
+
+
+# larger relabelled instances, where the facet order differs from the label
+# order of the generator and breadth-first ties between facets are common
+WALK_INSTANCES = {
+    "bary_cross4_relabelled": lambda: _relabelled(
+        barycentric_subdivision(cross_polytope_boundary(4)), 37, 83),
+    "bary_torus7_relabelled": lambda: _relabelled(
+        barycentric_subdivision(torus_7()), 11, 43),
+}
+
+
+def _seeded_walk_commands(seed, runs=6):
+    """runs face- and runs flag-mode walks with endpoints and avoided sets
+    drawn from random.Random(seed).  A face walk avoids either a face of a
+    facet that misses both endpoints or fewer labels than a facet has; a
+    flag walk avoids 2d - 3 labels, every other time all of them neighbours
+    of its first endpoint."""
+
+    def commands(cx, path):
+        rng = random.Random(seed)
+        vs = cx.vertices
+        d = cx.dimension + 1
+        edges = set(cx.faces(1))
+        out = {}
+        for i in range(runs):
+            a, b = rng.sample(vs, 2)
+            if i % 2:
+                avoid = rng.sample([v for v in vs if v not in (a, b)], d - 1)
+            else:
+                f = rng.choice([f for f in cx.facets if a not in f and b not in f])
+                avoid = rng.sample(f, rng.randint(1, d))
+            out[f"walk-face-{i}"] = [
+                "walk", path, "--from", str(a), "--to", str(b),
+                "--avoid", ",".join(map(str, avoid)), "--mode", "face",
+            ]
+        for i in range(runs):
+            a, b = rng.sample(vs, 2)
+            # odd runs avoid neighbours of a, so the walk must reroute
+            pool = [v for v in vs if v not in (a, b)]
+            if i % 2:
+                pool = [v for v in pool if (a, v) in edges or (v, a) in edges]
+            avoid = rng.sample(pool, min(len(pool), 2 * d - 3))
+            out[f"walk-flag-{i}"] = [
+                "walk", path, "--from", str(a), "--to", str(b),
+                "--avoid", ",".join(map(str, avoid)), "--mode", "flag",
+            ]
+        return out
+
+    return commands
+
+
+# recorded before strong components, the face walk and link components
+# shared one facet search
+GOLDEN_WALKS = {
+    'bary_cross4_relabelled': {
+        'walk-face-0': (0, '734ed0790d157b295845923e05101dadefbe6e1d53aa252ef9aaebdd72b63a46'),
+        'walk-face-1': (0, 'a3118eed629ce3c185660032c4ad482f4d9f3d3856701a72cb64602ecbb39fd5'),
+        'walk-face-2': (0, '7fa502e87be4edfe5049396143eab65793bb7aff4488a61cef696aa15c6ffc48'),
+        'walk-face-3': (0, '3050bbe6a82c675beb697cc715fce775278f402f1cfe33cca76e5320aed17d2b'),
+        'walk-face-4': (0, 'c13e992ee5600c077868722efe08feb8a7cae9951d5aa90fe2be20cba3dcab1d'),
+        'walk-face-5': (0, '6714112f1d7130e44d22cb19a25afc03addbdd30ade441a3e5c0b570a7409feb'),
+        'walk-flag-0': (0, '4d73564cc9d485656282a8d72e068b4b005257d6e04a0113b34dd1c9b7a078fd'),
+        'walk-flag-1': (0, '70dfb62c93d81ed53f0b0278b4c64cb79b4912dc0b7915ef632c1cc25b9b61f5'),
+        'walk-flag-2': (0, 'f7b1ab948c8d3678c2045408a1461ce5db75e3dd71be5e34e0a8b3fa8908ed0e'),
+        'walk-flag-3': (0, '16ef700fbf4883beb2aad44596a743bda75f2315a09d4bb6e5dd0bc2620bd5bf'),
+        'walk-flag-4': (0, 'ce1706b33b8c0418552cb0bc10b5190ddeac0cf5116a86c836f688681538a7f7'),
+        'walk-flag-5': (0, 'e93d338d33d3121c5306ebc43567499f6b2238c249c69d3097254b81f4219b68'),
+    },
+    'bary_torus7_relabelled': {
+        'walk-face-0': (0, '5199690e646cb91a62004120c69e42af89b674dd5fbe07f6bf2fc4895c78c7f4'),
+        'walk-face-1': (0, 'db26368d052a9dc176fc9c1189632627b695143a844570ddcd3a137191fd6559'),
+        'walk-face-2': (0, '9056a399c30fe971b669bcf881b167214350998ad29a2e193af71b6aa3a3c6c4'),
+        'walk-face-3': (0, '4271cc26408da6c585839b6619d8522fa84645834308e17fd68e34cce5c64ec2'),
+        'walk-face-4': (0, 'e68876098b097db28d0667114420e57bb7ee53af39917769604365968ec4920b'),
+        'walk-face-5': (0, '3368e1db37c66c7e009c3cc40e6138bebc963c84721d6a2b25ea83dccd24f631'),
+        'walk-flag-0': (0, 'f83af662eb535347c3ee8b14a994b2d81f69079a6296a2c207a8fcdc2a5a6685'),
+        'walk-flag-1': (0, '872ea2363682a1e139a3b2db2f58d16426b7f983b899c0657108d79fd2b6617e'),
+        'walk-flag-2': (0, '31d72a8e9c1a0fc3cc7eef0a5d7915d9e2769230dc9d0dda656162351a96616a'),
+        'walk-flag-3': (0, 'c90aa8fb729c2ba2310b0bd45df21d0ea877ee8bc1cba392e4c3b6f258d98f5f'),
+        'walk-flag-4': (0, '6b27555897055ece339185f2370ca60ea8336849544de50a32a3c76486eb53b1'),
+        'walk-flag-5': (0, '188ccdc639837c31de3701553f95c1328915ab0b62897bc977769546c2cca5b1'),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_INSTANCES))
+def test_seeded_walk_reports_match_golden_digests(name, tmp_path):
+    cx = WALK_INSTANCES[name]()
+    got = _digests(cx, str(tmp_path / f"{name}.txt"), _seeded_walk_commands(14))
+    assert got == GOLDEN_WALKS[name]
