@@ -236,7 +236,7 @@ def _cmd_gen(args) -> tuple[str, int]:
 
 
 def _whole(text: str) -> int:
-    """--cap, --from and --to: ASCII digits, so never negative."""
+    """--cap, --from, --to, --k and gen's size: ASCII digits, so never negative."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected 0 or more in ASCII digits, got {text!r}")
     return int(text)
@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem check and report pass/fail")
     p.add_argument("theorem", choices=("t1", "t2", "t3", "gk", "lb"))
     p.add_argument("path")
-    p.add_argument("--k", type=int, default=1, help="face dimension for gk")
+    p.add_argument("--k", type=_whole, default=1, help="face dimension for gk")
     p.add_argument("--facet", default=None,
                    help="root facet for t2, as space-separated labels")
     p.add_argument("--all-facets", action="store_true",
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated complex as a facet file")
     p.add_argument("name", choices=sorted({**_GEN_FIXED, **_GEN_SIZED, **_GEN_DERIVED}))
-    p.add_argument("size", nargs="?", type=int, default=None)
+    p.add_argument("size", nargs="?", type=_whole, default=None)
     p.add_argument("--of", default=None, help="input complex for derived generators")
     p.add_argument("--out", default=None, help="write the facet file to a file")
     return parser

@@ -13,17 +13,14 @@ zero, so it is never built.  Each Betti table is checked against the
 bounds the ranks must obey.
 
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
-manifold deciders build no complex and store no link.  They visit the
-faces sigma in (dimension, label) order and read lk(sigma) off the face
-index: its facets are F ^ sigma for the facets F over sigma.  Its face
-levels are generated on a memo miss and dropped once ranked.  Deleting
-a vertex set W commutes with taking links, lk_{cx - W}(sigma) =
-lk_cx(sigma) - W, so the links of a deletion drop every face meeting W.
-Betti values are memoized on the complex under (sigma, W restricted to
-the vertices of lk(sigma), field), so the four deciders share one sweep
-and a link that W does not touch is ranked once for every W.  All
-deciders report the first failing face in (dimension, label) order, and
-the first failing W in ``combinations(vertices, size)`` order.
+manifold deciders store no link.  They visit the faces sigma in
+(dimension, label) order and read lk(sigma) off the face index: its
+facets are F ^ sigma for the facets F over sigma.  Its face levels are
+generated on a memo miss and dropped once ranked.  Betti values are
+memoized on the complex under (sigma, field), so the four deciders share
+one sweep.  All deciders report the first failing face in (dimension,
+label) order, and the first failing W in ``combinations(vertices, size)``
+order.
 
 Each link takes the cheapest exact method.  {}, the link of a facet, and
 n points, as the link of a ridge, take closed forms: (1,) and (0, n - 1).
@@ -33,7 +30,7 @@ does not depend on the field (Hatcher, Algebraic Topology, 3.A), so GF(2)
 values with no homology below the top degree are the Q values.  Only the
 other links are reduced over Q.
 
-Deleting one vertex w from a Cohen-Macaulay complex sweeps no link of the
+Deleting a vertex w from a Cohen-Macaulay complex sweeps no link of the
 deletion.  Let L = lk(sigma) have dimension s and some facet missing w.
 The Mayer-Vietoris sequence of L = (L - w) u star_L(w), whose parts meet
 in lk(sigma + w), and the vanishing of CM links below their top degree
@@ -46,17 +43,17 @@ J. Combin. 1982; Walker 1981).  With one top cycle, as in the link of a
 nonempty face of a homology manifold, that rank is 1 exactly at the
 vertices of the faces the cycle is nonzero on, one vertex mask for all w;
 in a homology sphere those are all the facets: "Gorenstein* implies
-2-CM".  Each such witness is recomputed densely on the link of sigma in
-the deletion, built from label tuples, before it is returned.  Over Q the
-rule runs only when GF(2) finds a defect, in the W = {} sweep or in the
-rule, since a complex 2-CM over GF(2) is 2-CM over Q.  Deleting two or
-more vertices (m >= 3) still sweeps the links of the deletion.
+2-CM".  A larger W is W' plus its last vertex w, decided by the rule on
+cx - W', which passed at the previous size.  Over Q the rule runs only
+when GF(2) finds a defect, in the W = {} sweep or in the rule, since a
+complex 2-CM over GF(2) is 2-CM over Q.  Every Reisner witness is
+recomputed densely on its link, built from label tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, combinations
 from math import comb
 from operator import and_, or_
@@ -237,11 +234,7 @@ def _betti_values(levels, characteristic: int, cycles: list | None = None) -> tu
 
 
 def _betti_memo(cx: SimplicialComplex, p: int) -> dict:
-    """Betti values of lk(sigma) minus W, keyed by the masks (sigma, W).
-
-    W is always cut down to the vertices of lk(sigma), so equal links share
-    one entry; (0, 0) is the whole complex.
-    """
+    """Betti values of lk(sigma), keyed by the mask sigma; 0 is the whole complex."""
     return cx._memoized(("betti", p), dict)
 
 
@@ -253,7 +246,7 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
     """
     if cx.is_void:
         raise InputError("the void complex has no homology")
-    return BettiTable(_link_values(cx, field.characteristic, 0, 0, False), field)
+    return BettiTable(_link_values(cx, field.characteristic, 0, False), field)
 
 
 def _closed_form(levels, p: int, cycles: list | None = None) -> tuple[int, ...]:
@@ -267,27 +260,23 @@ def _closed_form(levels, p: int, cycles: list | None = None) -> tuple[int, ...]:
     return (0, n - 1)
 
 
-def _link_values(cx, p: int, sigma: int, w: int, keep: bool = True) -> tuple[int, ...]:
-    """Memoized Betti values over characteristic p of lk(sigma) - w, from the
-    face levels of lk(sigma) on a miss, by the cheapest method of the module
-    docstring; with w = 0 and ``keep``, the top cycles are kept too."""
+def _link_values(cx, p: int, sigma: int, keep: bool = True) -> tuple[int, ...]:
+    """Memoized Betti values over characteristic p of lk(sigma), from its
+    face levels on a miss, by the cheapest method of the module docstring;
+    with ``keep``, the top cycles are kept too."""
     memo = _betti_memo(cx, p)
-    values = memo.get((sigma, w))
+    values = memo.get(sigma)
     if values is None and p == 0:
-        values = _link_values(cx, 2, sigma, w, keep)
+        values = _link_values(cx, 2, sigma, keep)
         if _low_defect(values) is not None:
             values = None
     if values is None:
-        cycles = [] if keep and not w else None
+        cycles = [] if keep else None
         levels = _link_levels(cx, sigma)
-        if w:
-            levels = [[t for t in level if not t & w] for level in levels]
-            while not levels[-1]:
-                levels.pop()
         values = (_closed_form if len(levels) < 3 else _betti_values)(levels, p, cycles)
         if cycles is not None:
             cx._memoized(("cycles", p), dict)[sigma] = tuple(cycles)
-    memo[(sigma, w)] = values
+    memo[sigma] = values
     return values
 
 
@@ -315,27 +304,16 @@ def _link_levels(cx: SimplicialComplex, sigma: int):
     return levels
 
 
-def _link_sweep(
-    cx: SimplicialComplex, field: FieldSpec, deleted: int = 0, skip_empty: bool = False
-):
-    """Yield (sigma, Betti values of lk(sigma) minus the deleted vertices).
-
-    sigma runs over the faces that miss the deleted vertex mask, in
-    (dimension, label) order, from the empty face unless it is skipped.
-    These are the faces of the deletion, and lk_{cx - W}(sigma) =
-    lk_cx(sigma) - W, so no complex is built.
-    """
+def _link_sweep(cx: SimplicialComplex, field: FieldSpec, skip_empty: bool = False):
+    """Yield (sigma, Betti values of lk(sigma)) for the faces sigma in
+    (dimension, label) order, from the empty face unless it is skipped."""
     p = field.characteristic
     memo = _betti_memo(cx, p)
     faces = chain.from_iterable(_link_levels(cx, 0))  # the faces of cx, the empty face first
     if skip_empty:
         next(faces)
     for sigma in faces:
-        if sigma & deleted:
-            continue
-        # the vertices of lk(sigma) are those of the facets over it, minus sigma
-        w = deleted and deleted & reduce(or_, cx._face_index()[sigma])
-        yield sigma, memo.get((sigma, w)) or _link_values(cx, p, sigma, w)
+        yield sigma, memo.get(sigma) or _link_values(cx, p, sigma)
 
 
 def _low_defect(values):
@@ -352,7 +330,7 @@ def _sphere_links(
     """First face whose link is not a homology sphere of its own dimension."""
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
-    for sigma, values in _link_sweep(cx, field, skip_empty=skip_empty):
+    for sigma, values in _link_sweep(cx, field, skip_empty):
         defect = _low_defect(values)
         if defect is None and values[-1] != 1:
             defect = (len(values) - 2, values[-1])
@@ -401,12 +379,14 @@ def is_homology_manifold(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdi
     return _sphere_links(cx, field, True, "a vertex or higher face has a non-sphere link")
 
 
-def _cm_defect(cx: SimplicialComplex, field: FieldSpec, deleted: int = 0):
-    """Reisner witness for the deletion of a vertex mask, or None when it is CM."""
-    for sigma, values in _link_sweep(cx, field, deleted):
+def _cm_defect(cx: SimplicialComplex, field: FieldSpec):
+    """Reisner witness of cx, re-checked densely, or None when it is CM."""
+    for sigma, values in _link_sweep(cx, field):
         defect = _low_defect(values)
-        if defect is not None:
-            return {"face": cx._labels_of(sigma), "degree": defect[0], "betti": defect[1]}
+        if defect is not None:  # checked once per complex and field
+            face = cx._labels_of(sigma)
+            check = partial(_checked_deletion_witness, cx, field, (), face, *defect)
+            return cx._memoized(("reisner", field.characteristic), check)
     return None
 
 
@@ -431,19 +411,20 @@ def _restricted_rank(cycles, top, w: int, characteristic: int) -> int:
 
 
 def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
-    """Vertex bit w -> (sigma, degree, betti) of the first Reisner defect of
-    cx - w, for every w whose deletion has one, by the Mayer-Vietoris rule
-    of the module docstring.  cx must have passed the W = {} sweep, which
-    memoizes every link's Betti numbers (CM, so pure) and the top cycles of
-    the links it reduced.  A vertex w in every facet of lk(sigma) makes it
-    a cone, with no top cycle, and lk(sigma) - w = lk(sigma + w) has no defect.
+    """Vertex w, as a label tuple -> (face labels, degree, betti) of the first
+    Reisner defect of cx - w, for every w whose deletion has one, by the
+    Mayer-Vietoris rule of the module docstring.  cx must have passed the
+    W = {} sweep, which memoizes every link's Betti numbers (CM, so pure)
+    and the top cycles of the links it reduced.  A vertex w in every facet
+    of lk(sigma) makes it a cone, with no top cycle, and lk(sigma) - w =
+    lk(sigma + w) has no defect.
     """
     p = field.characteristic
     if p == 0 and _cm_defect(cx, GF2) is None and not _vertex_deletion_defects(cx, GF2):
         return {}  # 2-CM over GF(2), hence over Q
     memo = _betti_memo(cx, p)
     kept = cx._memoized(("cycles", p), dict)
-    first: dict[int, tuple[int, int, int]] = {}
+    first: dict[tuple, tuple] = {}
     failed = 0
     for sigma in chain.from_iterable(_link_levels(cx, 0)):
         top = [fm ^ sigma for fm in cx._face_index()[sigma]]  # pure, so all are top
@@ -464,32 +445,42 @@ def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
                 rank = 1 if w & cover else 0
             else:
                 rank = _restricted_rank(cycles, top, w, p)
-            betti = memo[(sigma | w, 0)][-1] - rank
+            betti = memo[sigma | w][-1] - rank
             if betti:
-                first[w] = (sigma, top[0].bit_count() - 2, betti)
+                first[cx._labels_of(w)] = (cx._labels_of(sigma), top[0].bit_count() - 2, betti)
                 failed |= w
     return first
 
 
-def _checked_deletion_witness(cx, field, w, sigma, degree, betti) -> dict:
-    """The witness of a Mayer-Vietoris defect, once the Betti number has
-    been recomputed on the link of sigma in cx - w, built from label tuples
-    and ranked densely.  A mismatch raises InternalInvariantError."""
-    face = cx._labels_of(sigma)
-    link = cx.delete(cx._labels_of(w)).link(face)
+def _checked_deletion_witness(cx, field, deleted, face, degree, betti) -> dict:
+    """The Reisner witness of cx minus the ``deleted`` labels, once its Betti
+    number has been recomputed on the link of the face in that deletion,
+    built from label tuples and ranked densely, else InternalInvariantError."""
+    link = cx.delete(deleted).link(face)
     p = field.characteristic
     dense = None
-    if link.dimension == degree + 1:
+    if link.dimension > degree:
         mat = boundary_matrix(link, degree + 1, field)
         dense = len(mat) - linalg.rank(mat, p)
         if degree >= 0:
             dense -= linalg.rank(boundary_matrix(link, degree, field), p)
     if dense != betti:
         raise InternalInvariantError(
-            f"deleting {list(cx._labels_of(w))}: the link of {list(face)} has "
+            f"deleting {list(deleted)}: the link of {list(face)} has "
             f"Betti number {dense} in degree {degree}, not {betti}"
         )
     return {"face": face, "degree": degree, "betti": betti}
+
+
+def _deletion_defects(cx: SimplicialComplex, field: FieldSpec, rest) -> dict:
+    """``_vertex_deletion_defects`` of cx minus the ``rest`` labels, which
+    have passed already: a defect in their sweep raises InternalInvariantError."""
+    base = cx
+    if rest:
+        base = SimplicialComplex(set(f).difference(rest) for f in cx.facets)
+        if _cm_defect(base, field) is not None:
+            raise InternalInvariantError(f"deleting {list(rest)} passed the rule, not the sweep")
+    return _vertex_deletion_defects(base, field)
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
@@ -516,9 +507,9 @@ def is_m_cohen_macaulay(
     m = 1 is the plain Reisner test; m = 2 is the "doubly" variant.  The
     deleted sets W are tried in ``combinations(vertices, size)`` order, and
     ``cap`` bounds their number; the dimension drops exactly when W meets
-    every top-dimensional facet.  Single vertices are decided by the
-    Mayer-Vietoris rule of ``_vertex_deletion_defects``, larger sets by a
-    link sweep of the deletion.
+    every top-dimensional facet.  W = W' + w, w its last vertex, is decided
+    by the Mayer-Vietoris rule of ``_vertex_deletion_defects`` on cx - W',
+    which passed at the previous size; one cx - W' is held at a time.
     """
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
@@ -526,35 +517,33 @@ def is_m_cohen_macaulay(
         raise InputError(f"m must be a positive integer, got {m}")
     d = cx.dimension
     top = [fm for fm in cx._facet_masks if fm.bit_count() == d + 1]
-    bits = [1 << i for i in range(cx.num_vertices)]
     examined = 0
-    first = None  # vertex bit -> its deletion's first defect, once W = {} passed
+    held = (None, {})  # W' and the first defect of each vertex deletion from cx - W'
     for size in range(m):
-        for chosen in combinations(bits, size):
+        for chosen in combinations(cx.vertices, size):
             examined += 1
             if examined > cap:
                 raise ResourceLimitError(
                     f"vertex-subset sweep exceeded {cap} candidates"
                 )
-            deleted = sum(chosen)
+            deleted = cx._mask_of(chosen)
             if all(fm & deleted for fm in top):
                 return Verdict(
                     False,
-                    witness={"deleted": cx._labels_of(deleted), "defect": "dimension-drop"},
+                    witness={"deleted": chosen, "defect": "dimension-drop"},
                     reason="deletion lowers the dimension",
                 )
-            if size == 1:
-                if first is None:
-                    first = _vertex_deletion_defects(cx, field)
-                inner = first.get(deleted)
-                if inner is not None:
-                    inner = _checked_deletion_witness(cx, field, deleted, *inner)
+            if not size:
+                inner = _cm_defect(cx, field)
             else:
-                inner = _cm_defect(cx, field, deleted)
+                if held[0] != chosen[:-1]:
+                    held = (chosen[:-1], _deletion_defects(cx, field, chosen[:-1]))
+                inner = held[1].get(chosen[-1:])
+                inner = inner and _checked_deletion_witness(cx, field, chosen, *inner)
             if inner is not None:
                 return Verdict(
                     False,
-                    witness={"deleted": cx._labels_of(deleted), "defect": inner},
+                    witness={"deleted": chosen, "defect": inner},
                     reason="a deletion is not Cohen-Macaulay",
                 )
     return _checked_pass(cx)

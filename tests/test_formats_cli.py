@@ -268,6 +268,19 @@ def test_cli_negative_cap_is_a_usage_error(octa_file, capsys):
     assert _run(capsys, ["analyze", octa_file, "--cap", "0"])[0] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "cycle", "\u0665"],  # Arabic-Indic five
+    ["gen", "cycle", "1_0"],
+    ["verify", "gk", None, "--k", "\u0661"],  # Arabic-Indic one
+    ["verify", "gk", None, "--k", "1_0"],
+])
+def test_cli_gen_size_and_k_are_ascii_digits(octa_file, capsys, argv):
+    argv = [octa_file if a is None else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "ASCII digits" in err
+
+
 def test_cli_usage_errors(octa_file, capsys):
     assert _run(capsys, ["verify", "zz", octa_file])[0] == 2
     assert _run(capsys, ["analyze", "/does/not/exist"])[0] == 2

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -369,6 +370,60 @@ def test_frozen_decider_verdicts(corpus):
         assert decide(complexes[name]) == want, name
 
 
+# (deleted, defect) of every corpus complex at m = 3 and at m = 4, over GF(2),
+# GF(3) and Q alike except where RP^2 over GF(2) fails on W = {} already.
+M_CM_CORPUS = {
+    "octahedron": ((1, 4), "dimension-drop"),
+    "cross4": ((1, 5), "dimension-drop"),
+    "cross5": ((1, 6), "dimension-drop"),
+    "icosahedron": ((1, 7), {"face": (), "degree": 1, "betti": 1}),
+    "torus7": ((), {"face": (), "degree": 1, "betti": 2}),
+    "simplex_bd3": ((1, 2), "dimension-drop"),
+    "bary_tetra": ((1, 2), {"face": (), "degree": 1, "betti": 1}),
+    "bary_octa": ((1, 2), {"face": (), "degree": 1, "betti": 1}),
+    "hexagon": ((1, 3), {"face": (), "degree": 0, "betti": 1}),
+    "books": ((1,), "dimension-drop"),
+    "path": ((2,), {"face": (), "degree": 0, "betti": 1}),
+    "two_triangles": ((), {"face": (), "degree": 0, "betti": 1}),
+    "rp2": ((1,), {"face": (), "degree": 1, "betti": 1}),
+}
+
+
+def _deletion_verdict(deleted, defect) -> Verdict:
+    if defect == "dimension-drop":
+        return Verdict(False, {"deleted": deleted, "defect": defect},
+                       "deletion lowers the dimension")
+    return Verdict(False, {"deleted": deleted, "defect": defect},
+                   "a deletion is not Cohen-Macaulay")
+
+
+def test_frozen_m_cm_verdicts_past_two(corpus):
+    """Deletions of two or more vertices, at m = 3 and 4 over every field,
+    give these exact verdicts.  Deleting (1, 2) from the 3-sphere
+    bary(cross4) removes two disjoint open stars, leaving the homology of a
+    2-sphere; cross6
+    loses its dimension only at the antipodal pair (1, 7); every triangle
+    on 10 or 12 vertices spans a 2-skeleton of a simplex, which is
+    (n - 2)-CM."""
+    for name, (deleted, defect) in M_CM_CORPUS.items():
+        for m in (3, 4):
+            for field in FIELDS:
+                want = _deletion_verdict(deleted, defect)
+                if name == "rp2" and field == GF2:
+                    want = _deletion_verdict((), {"face": (), "degree": 1, "betti": 1})
+                cx = build_complex(corpus[name].facets)  # a fresh memo
+                assert is_m_cohen_macaulay(cx, m, field) == want, (name, m, field.name)
+    bary4 = barycentric_subdivision(cross_polytope_boundary(4))
+    assert is_m_cohen_macaulay(bary4, 3, GF2) == _deletion_verdict(
+        (1, 2), {"face": (), "degree": 2, "betti": 1})
+    assert is_m_cohen_macaulay(cross_polytope_boundary(6), 3, GF2) == _deletion_verdict(
+        (1, 7), "dimension-drop")
+    for n, m, fields in ((10, 3, (GF2, RATIONALS)), (12, 4, (GF2,))):
+        skeleton = build_complex(combinations(range(1, n + 1), 3))
+        for field in fields:
+            assert is_m_cohen_macaulay(skeleton, m, field) == Verdict(True), (n, m, field.name)
+
+
 def test_m_cm_sweep_builds_no_complex(monkeypatch):
     cx = barycentric_subdivision(cross_polytope_boundary(3))
     built = []
@@ -422,6 +477,48 @@ def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
             file.write_text(facet_file_text(cx))
             assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
             assert capsys.readouterr().out == ""
+
+
+def test_reisner_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys, torus):
+    """A Betti value skewed by one in the sweep's first defect gives a
+    witness the dense re-check refutes, from the library and the CLI."""
+    real = homology._low_defect
+
+    def skewed(values):
+        defect = real(values)
+        return defect and (defect[0], defect[1] + 1)
+
+    monkeypatch.setattr(homology, "_low_defect", skewed)
+    with pytest.raises(InternalInvariantError, match=r"deleting \[\]: the link of \[\]"):
+        is_cohen_macaulay(build_complex(torus.facets), GF2)
+    file = tmp_path / "torus7.txt"
+    file.write_text(facet_file_text(torus))
+    assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_deletions_past_one_vertex_are_rechecked(monkeypatch, corpus):
+    """Deleting W = W' + w is decided by the rule on cx - W', which passed
+    at the previous size.  Should the rule pass a deletion the sweep of the
+    next size refutes, or report a wrong Betti number, InternalInvariantError
+    names the deleted set: the path 1-2-3-4-5 minus 2 is disconnected, and
+    the icosahedron minus (1, 7) is an annulus, with one 1-cycle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "_vertex_deletion_defects", lambda cx, field: {})
+        path = build_complex([(1, 2), (2, 3), (3, 4), (4, 5)])
+        with pytest.raises(InternalInvariantError, match=r"deleting \[2\] passed"):
+            is_m_cohen_macaulay(path, 3, GF2)
+    real = homology._vertex_deletion_defects
+
+    def overreported(cx, field):
+        return {w: (face, degree, betti + 1)
+                for w, (face, degree, betti) in real(cx, field).items()}
+
+    monkeypatch.setattr(homology, "_vertex_deletion_defects", overreported)
+    icosa = build_complex(corpus["icosahedron"].facets)
+    annulus = r"deleting \[1, 7\]: the link of \[\] has Betti number 1 in degree 1, not 2"
+    with pytest.raises(InternalInvariantError, match=annulus):
+        is_m_cohen_macaulay(icosa, 3, GF2)
 
 
 def test_void_complex_is_rejected():
