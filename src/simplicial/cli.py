@@ -128,7 +128,7 @@ def _analyze_results(cx: SimplicialComplex, field: FieldSpec | None, cap: int) -
                 "note": "the void complex has no chain complex",
             }
         else:
-            cm = is_cohen_macaulay(cx, field)  # ranks sigma = {} once, keeping its top cycles
+            cm = is_cohen_macaulay(cx, field)  # memoizes a shelling or the sweep's sigma = {}
             betti = reduced_betti_numbers(cx, field)
             results["homology"] = {
                 "field": field.name,

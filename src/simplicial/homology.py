@@ -12,6 +12,14 @@ column of the (k+1)-th boundary is a k-face whose column would reduce to
 zero, so it is never built.  Each Betti table is checked against the
 bounds the ranks must obey.
 
+A shelling decides most passes with no rank.  A greedy search on the
+face index looks for a shelling order once per complex, for every field; a
+checker that reads only the facet list, as label tuples, confirms it and
+counts off it the h-vector, which must be the f-vector's.  A checked order
+decides the CM pass, and on a pseudomanifold, then a PL sphere, the passes
+of m-CM for m <= 2 ("Gorenstein* implies 2-CM"), sphere and manifold too.
+Failures, m >= 3 and complexes it does not shell go through the sweep below.
+
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
 manifold deciders store no link.  They visit the faces sigma in
 (dimension, label) order and read lk(sigma) off the face index: its
@@ -41,17 +49,18 @@ kept from the W = {} sweep's one reduction of it, answers every w at once
 (Baclawski, "Cohen-Macaulay connectivity and geometric lattices", Europ.
 J. Combin. 1982; Walker 1981).  With one top cycle, as in the link of a
 nonempty face of a homology manifold, that rank is 1 exactly at the
-vertices of the faces the cycle is nonzero on, one vertex mask for all w;
-in a homology sphere those are all the facets: "Gorenstein* implies
-2-CM".  A larger W is W' plus its last vertex w, decided by the rule on
-cx - W', which passed at the previous size.  Over Q the rule runs only
-when GF(2) finds a defect, in the W = {} sweep or in the rule, since a
-complex 2-CM over GF(2) is 2-CM over Q.  Every Reisner witness is
-recomputed densely on its link, built from label tuples.
+vertices of the faces the cycle is nonzero on, one vertex mask for all w.
+A larger W is W' plus its last vertex w, decided by the rule on cx - W',
+which passed at the previous size.  Over Q the rule runs only when GF(2)
+finds a defect, in the W = {} sweep or in the rule, since a complex 2-CM
+over GF(2) is 2-CM over Q.  Every Reisner, sphere and manifold witness is
+recomputed on its link, rebuilt from label tuples and ranked by sparse
+rows, once per face, degree and field.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, combinations
@@ -242,11 +251,16 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
     """Reduced Betti table from dimension -1 through the top dimension.
 
     Raises InternalInvariantError when the ranks break the bounds that
-    ``_betti_values`` checks.
+    ``_betti_values`` checks, or differ from the (0, ..., 0, h_d) of a
+    shelling memoized on cx; this never searches for one.
     """
     if cx.is_void:
         raise InputError("the void complex has no homology")
-    return BettiTable(_link_values(cx, field.characteristic, 0, False), field)
+    values = _link_values(cx, field.characteristic, 0, False)
+    h = cx._memo.get("shelling")
+    if h and values != (0,) * (len(h) - 1) + h[-1:]:
+        raise InternalInvariantError(f"Betti numbers {list(values)} contradict a shelling")
+    return BettiTable(values, field)
 
 
 def _closed_form(levels, p: int, cycles: list | None = None) -> tuple[int, ...]:
@@ -324,24 +338,80 @@ def _low_defect(values):
     return None
 
 
+def _shelling_h(cx: SimplicialComplex) -> tuple[int, ...]:
+    """h-vector counted off a checked shelling of cx, for every field, or ()
+    when the greedy search finds none."""
+    return cx._memoized("shelling", lambda: _checked_shelling(cx, _shelling_order(cx)))
+
+
+def _shelling_order(cx: SimplicialComplex) -> list[int] | None:
+    """The facet masks of a pure cx in a shelling order, or None.  Facets
+    sharing a ridge with shelled ones queue in the order met, and one whose
+    restriction R(F), the v with F - v in a shelled facet, lies in no
+    shelled facet is shelled.  One that fails is queued again only once a
+    neighbour is shelled: R(F) grows only then, and other shelled facets can
+    only contain it.  So a facet is tried at most once per neighbour."""
+    if not cx.is_pure:
+        return None
+    index = cx._face_index()
+    queue = deque(cx._facet_masks[:1])
+    queued, shelled = set(queue), {}  # shelled: a dict, whose keys keep the order
+    while queue:
+        f = queue.popleft()
+        queued.discard(f)
+        bits = cx._bits(f)
+        rest = sum(b for b in bits if any(g in shelled for g in index[f ^ b]))
+        if shelled and any(g in shelled for g in index[rest]):
+            continue
+        shelled[f] = None
+        for b in bits:
+            new = [g for g in index[f ^ b] if g not in queued and g not in shelled]
+            queued.update(new)
+            queue.extend(new)
+    return list(shelled) if len(shelled) == len(cx._facet_masks) else None
+
+
+def _checked_shelling(cx: SimplicialComplex, order) -> tuple[int, ...]:
+    """The h-vector of a shelling order, or () for None, checked on label
+    tuples alone: the order holds each facet of a pure cx once, and each
+    R(F_j) lies in no earlier facet.  h_i counts the j with |R(F_j)| = i
+    (Stanley, Combinatorics and Commutative Algebra, ch. III) and must be
+    ``cx.h_vector()``.  A failure raises InternalInvariantError."""
+    if order is None:
+        return ()
+    facets = [cx._labels_of(fm) for fm in order]
+    if sorted(facets) != list(cx.facets) or len(set(map(len, facets))) != 1:
+        raise InternalInvariantError("a shelling order is not the pure facet list")
+    first: dict[tuple, int] = {}  # face -> position of the first facet over it
+    for j, f in enumerate(facets):
+        for face in chain.from_iterable(combinations(f, k) for k in range(len(f) + 1)):
+            first.setdefault(face, j)
+    h = [0] * (len(facets[0]) + 1)
+    for j, f in enumerate(facets):
+        rest = tuple(v for i, v in enumerate(f) if first[f[:i] + f[i + 1:]] < j)
+        if first[rest] != j:
+            raise InternalInvariantError(f"{list(f)} at {j} breaks the shelling at {list(rest)}")
+        h[len(rest)] += 1
+    if h != list(cx.h_vector()):
+        raise InternalInvariantError(f"h-vector {list(cx.h_vector())} contradicts a pass: {h}")
+    return tuple(h)
+
+
 def _sphere_links(
     cx: SimplicialComplex, field: FieldSpec, skip_empty: bool, reason: str
 ) -> Verdict:
     """First face whose link is not a homology sphere of its own dimension."""
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
+    if _shelling_h(cx) and cx.is_pseudomanifold():
+        return Verdict(True)
     for sigma, values in _link_sweep(cx, field, skip_empty):
         defect = _low_defect(values)
         if defect is None and values[-1] != 1:
             defect = (len(values) - 2, values[-1])
         if defect is not None:
-            return Verdict(
-                False,
-                witness={
-                    "face": cx._labels_of(sigma), "degree": defect[0], "betti": defect[1]
-                },
-                reason=reason,
-            )
+            witness = _checked_deletion_witness(cx, field, (), cx._labels_of(sigma), *defect)
+            return Verdict(False, witness=witness, reason=reason)
     sphere = -(-1) ** (cx.dimension + 1)  # the reduced Euler characteristic of a sphere
     return _checked_pass(cx, cx.reduced_euler_characteristic() if skip_empty else sphere)
 
@@ -380,13 +450,11 @@ def is_homology_manifold(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdi
 
 
 def _cm_defect(cx: SimplicialComplex, field: FieldSpec):
-    """Reisner witness of cx, re-checked densely, or None when it is CM."""
+    """Reisner witness of cx, re-checked, or None when it is CM."""
     for sigma, values in _link_sweep(cx, field):
         defect = _low_defect(values)
-        if defect is not None:  # checked once per complex and field
-            face = cx._labels_of(sigma)
-            check = partial(_checked_deletion_witness, cx, field, (), face, *defect)
-            return cx._memoized(("reisner", field.characteristic), check)
+        if defect is not None:
+            return _checked_deletion_witness(cx, field, (), cx._labels_of(sigma), *defect)
     return None
 
 
@@ -395,8 +463,6 @@ def _cycle_cover(cycles, top) -> int:
     support = 0
     for c in cycles:
         support |= sum(1 << j for j in c) if isinstance(c, dict) else c
-    if support == (1 << len(top)) - 1:  # all of them, as in every link of a sphere
-        return reduce(or_, top)
     return reduce(or_, (tau for j, tau in enumerate(top) if support >> j & 1), 0)
 
 
@@ -453,23 +519,34 @@ def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
 
 
 def _checked_deletion_witness(cx, field, deleted, face, degree, betti) -> dict:
-    """The Reisner witness of cx minus the ``deleted`` labels, once its Betti
-    number has been recomputed on the link of the face in that deletion,
-    built from label tuples and ranked densely, else InternalInvariantError."""
-    link = cx.delete(deleted).link(face)
+    """The witness of cx minus the ``deleted`` labels, once its Betti number
+    has been recounted on the link of the face in that deletion, else
+    InternalInvariantError.  The recount is memoized: a Reisner and a sphere
+    witness may be the same."""
     p = field.characteristic
-    dense = None
-    if link.dimension > degree:
-        mat = boundary_matrix(link, degree + 1, field)
-        dense = len(mat) - linalg.rank(mat, p)
-        if degree >= 0:
-            dense -= linalg.rank(boundary_matrix(link, degree, field), p)
-    if dense != betti:
+    check = partial(_recount, cx.delete(deleted), face, degree, p)
+    recount = cx._memoized(("witness", deleted, face, degree, p), check)
+    if recount != betti:
         raise InternalInvariantError(
             f"deleting {list(deleted)}: the link of {list(face)} has "
-            f"Betti number {dense} in degree {degree}, not {betti}"
+            f"Betti number {recount} in degree {degree}, not {betti}"
         )
     return {"face": face, "degree": degree, "betti": betti}
+
+
+def _recount(cx: SimplicialComplex, face, k: int, p: int) -> int:
+    """Betti number in degree k of lk(face), rebuilt from label tuples, its
+    boundary maps ranked by rows built sparse from those tuples."""
+    link, betti = cx.link(face), 0
+    for faces in (link.faces(k), link.faces(k + 1)):
+        rows: dict[tuple, dict] = {}
+        for j, tau in enumerate(faces):
+            for i in range(len(tau)):
+                rows.setdefault(tau[:i] + tau[i + 1:], {})[j] = (-1) ** i
+        if p == 2:
+            rows = {r: sum(1 << j for j in row) for r, row in rows.items()}
+        betti -= len(linalg.pivot_rows(rows.values(), p))
+    return betti + link.num_faces(k)
 
 
 def _deletion_defects(cx: SimplicialComplex, field: FieldSpec, rest) -> dict:
@@ -487,7 +564,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
     """Reisner test: links have vanishing reduced homology below top degree."""
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
-    witness = _cm_defect(cx, field)
+    witness = None if _shelling_h(cx) else _cm_defect(cx, field)
     if witness is not None:
         return Verdict(
             False, witness=witness, reason="a link has homology below its top degree"
@@ -517,6 +594,7 @@ def is_m_cohen_macaulay(
         raise InputError(f"m must be a positive integer, got {m}")
     d = cx.dimension
     top = [fm for fm in cx._facet_masks if fm.bit_count() == d + 1]
+    certified = m <= 2 and _shelling_h(cx) and (m == 1 or cx.is_pseudomanifold())
     examined = 0
     held = (None, {})  # W' and the first defect of each vertex deletion from cx - W'
     for size in range(m):
@@ -533,6 +611,8 @@ def is_m_cohen_macaulay(
                     witness={"deleted": chosen, "defect": "dimension-drop"},
                     reason="deletion lowers the dimension",
                 )
+            if certified:
+                continue
             if not size:
                 inner = _cm_defect(cx, field)
             else:

@@ -136,9 +136,15 @@ def test_betti_self_check_catches_overreported_rank(monkeypatch, extra, message)
         reduced_betti_numbers(octahedron, GF2)
 
 
+def _no_shelling(patch):
+    """Make the shelling search find nothing, so the sweep decides."""
+    patch.setattr(homology, "_shelling_order", lambda cx: None)
+
+
 @OVERREPORTED
 def test_link_sweep_runs_the_betti_self_check(monkeypatch, extra, message):
     octahedron = _overreport_first_rank(monkeypatch, extra)
+    _no_shelling(monkeypatch)  # the octahedron shells, and a shelling ranks nothing
     with pytest.raises(InternalInvariantError, match=message):
         is_cohen_macaulay(octahedron, GF2)
 
@@ -458,10 +464,10 @@ def test_two_cm_cap_counts_deleted_sets(corpus):
 
 
 def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
-    """A skewed restricted rank gives a witness the dense re-check refutes,
-    in both branches: a link with one top cycle (the hexagon, ranked by the
+    """A skewed restricted rank gives a witness the re-check refutes, in
+    both branches: a link with one top cycle (the hexagon, ranked by the
     cover of its cycle) and a link with two (the theta graph, ranked by
-    ``_restricted_rank``)."""
+    ``_restricted_rank``).  The hexagon shells, so the search is off."""
     real = homology._restricted_rank
     skews = (
         ("_cycle_cover", lambda cycles, top: 0, cycle(6)),
@@ -471,6 +477,7 @@ def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
     for name, skewed, cx in skews:
         with monkeypatch.context() as patch:
             patch.setattr(homology, name, skewed)
+            _no_shelling(patch)
             with pytest.raises(InternalInvariantError, match="deleting"):
                 is_m_cohen_macaulay(cx, 2, GF2)
             file = tmp_path / f"{name}.txt"
@@ -481,7 +488,7 @@ def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
 
 def test_reisner_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys, torus):
     """A Betti value skewed by one in the sweep's first defect gives a
-    witness the dense re-check refutes, from the library and the CLI."""
+    witness the re-check refutes, from the library and the CLI."""
     real = homology._low_defect
 
     def skewed(values):
@@ -495,6 +502,90 @@ def test_reisner_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys, tor
     file.write_text(facet_file_text(torus))
     assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_sphere_witness_is_rechecked(monkeypatch, tmp_path, capsys, torus):
+    """A sphere or manifold witness is recounted like a Reisner witness, in
+    its top degree too: every top Betti value skewed by two gives the torus
+    minus a facet, where vertex 1 has a path for its link, a manifold
+    witness the re-check refutes, from the library and the CLI.  A Reisner
+    and a sphere witness on one face in one degree are recounted once."""
+    recounts = []
+    real_recount, real_values = homology._recount, homology._betti_values
+
+    def counted(cx, face, degree, p):
+        recounts.append((face, degree, p))
+        return real_recount(cx, face, degree, p)
+
+    def skewed(*args):
+        values = real_values(*args)
+        return values[:-1] + (values[-1] + 2,)
+
+    monkeypatch.setattr(homology, "_recount", counted)
+    bary_torus = barycentric_subdivision(torus)
+    assert not is_cohen_macaulay(bary_torus, GF2) and not is_homology_sphere(bary_torus, GF2)
+    assert is_homology_manifold(bary_torus, GF2) and recounts == [((), 1, 2)]
+    monkeypatch.setattr(homology, "_betti_values", skewed)
+    punctured = build_complex(torus.facets[1:])
+    top = r"deleting \[\]: the link of \[1\] has Betti number 0 in degree 1, not 2"
+    with pytest.raises(InternalInvariantError, match=top):
+        is_homology_manifold(punctured, GF2)
+    file = tmp_path / "punctured_torus7.txt"
+    file.write_text(facet_file_text(punctured))
+    assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_shelling_search_shells_spheres_and_not_tori(corpus, torus):
+    """The greedy search shells cross3 to cross7, the icosahedron, bary3,
+    bary4 and relabelled, shuffled copies of bary4, and finds nothing on
+    the torus, its subdivision and RP^2, which shell in no order."""
+    bary4 = barycentric_subdivision(cross_polytope_boundary(4))
+    shellable = [cross_polytope_boundary(d) for d in range(3, 8)]
+    shellable += [corpus["icosahedron"], corpus["bary_octa"], bary4]
+    rng = random.Random(1974)
+    for _ in range(10):
+        labels = dict(zip(bary4.vertices, rng.sample(range(1, 1000), bary4.num_vertices)))
+        facets = [[labels[v] for v in f] for f in bary4.facets]
+        rng.shuffle(facets)
+        shellable.append(build_complex(facets))
+    for cx in shellable:
+        cx = build_complex(cx.facets)  # a fresh memo
+        assert homology._shelling_h(cx) == tuple(cx.h_vector()), cx
+    for cx in (torus, barycentric_subdivision(torus), corpus["rp2"]):
+        assert homology._shelling_h(build_complex(cx.facets)) == (), cx
+
+
+def test_shelling_checker_refutes_broken_orders(bary_octa):
+    """The checker reads the order as label tuples: it refutes an order
+    with two ridge-adjacent facets swapped (the facet then at position 1
+    shares no ridge with the one before it), an order missing a facet and
+    the facets of a complex that is not pure."""
+    order = homology._shelling_order(bary_octa)
+    assert homology._checked_shelling(bary_octa, order) == (1, 23, 23, 1)
+    swapped = [order[2], order[1], order[0], *order[3:]]
+    assert (order[0] & order[2]).bit_count() == 2
+    with pytest.raises(InternalInvariantError, match="at 1 breaks the shelling at"):
+        homology._checked_shelling(bary_octa, swapped)
+    with pytest.raises(InternalInvariantError, match="not the pure facet list"):
+        homology._checked_shelling(bary_octa, order[:-1])
+    mixed = build_complex([(1, 2, 3), (3, 4)])
+    assert homology._shelling_order(mixed) is None
+    with pytest.raises(InternalInvariantError, match="not the pure facet list"):
+        homology._checked_shelling(mixed, list(mixed._facet_masks))
+
+
+def test_betti_numbers_are_checked_against_a_memoized_shelling(monkeypatch, octa):
+    """reduced_betti_numbers never searches for a shelling, but once one is
+    memoized its values must be (0, ..., 0, h_d)."""
+    cx = build_complex(octa.facets)
+    assert tuple(reduced_betti_numbers(cx, GF3)) == (0, 0, 0, 1)
+    assert "shelling" not in cx._memo
+    assert is_cohen_macaulay(cx, GF2) and cx._memo["shelling"] == (1, 3, 3, 1)
+    real = homology._betti_values
+    monkeypatch.setattr(homology, "_betti_values", lambda *args: (1, *real(*args)[1:]))
+    with pytest.raises(InternalInvariantError, match="contradict a shelling"):
+        reduced_betti_numbers(cx, GF2)
 
 
 def test_deletions_past_one_vertex_are_rechecked(monkeypatch, corpus):

@@ -32,7 +32,7 @@ from simplicial import (
     simplex_boundary,
     vertex_connectivity,
 )
-from simplicial import graphs, linalg
+from simplicial import graphs, homology, linalg
 from simplicial.errors import InputError
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -254,6 +254,37 @@ def sphere_constructions(draw):
 @given(sphere_constructions(), FIELDS, st.integers(2, 3))
 def test_deciders_on_cones_balls_suspensions_and_joins_match_oracle(facets, field, m):
     _assert_deciders_match_oracle(facets, field, m)
+
+
+def _assert_certified_verdicts_match_the_sweep(facets):
+    """CM, m-CM for m = 1 and 2, sphere and manifold verdicts, witnesses
+    included, are the same with the shelling search on and with it finding
+    nothing, so that the sweep decides alone; each run on a fresh memo."""
+
+    def verdicts():
+        cx = build_complex(facets)
+        return [
+            (is_cohen_macaulay(cx, field), is_m_cohen_macaulay(cx, 1, field),
+             is_m_cohen_macaulay(cx, 2, field), is_homology_sphere(cx, field),
+             is_homology_manifold(cx, field))
+            for field in (GF2, GF3, RATIONALS)
+        ]
+
+    certified = verdicts()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_shelling_order", lambda cx: None)
+        assert verdicts() == certified
+
+
+def test_certified_verdicts_match_the_sweep_on_the_corpus(corpus):
+    for name, cx in corpus.items():
+        _assert_certified_verdicts_match_the_sweep(cx.facets)
+
+
+@settings(PROPERTY, max_examples=240)
+@given(st.one_of(random_facets, clique_complex_facets(), sphere_constructions()))
+def test_certified_verdicts_match_the_sweep(facets):
+    _assert_certified_verdicts_match_the_sweep(facets)
 
 
 @PROPERTY
