@@ -16,40 +16,44 @@ facet positions.  The memo takes no lock: the package starts no threads,
 and two threads racing on one entry would only build it twice.
 
 Face-facet incidence lives in one memo entry, the face index, which maps
-every face mask, the empty face included, to the facets over it.  The face
-levels are its keys by size, a set is a face exactly when it is a key
-(``has_face``, the flag test), a link is read off the facets over its face,
-and the pseudomanifold test and t2's facet flips read the facets over a
-ridge.  Strong components, the face-avoiding walk and the flag walk's link
-components come from one facet search over it, from facet to facet across
-shared ridges.
+every face mask, the empty face included, to the facets over it.  A set is
+a face exactly when it is a key (``has_face``, the clique walk), a link is
+read off the facets over its face, and the pseudomanifold test and t2's
+facet flips read the facets over a ridge.  Strong components, the
+face-avoiding walk and the flag walk's link components come from one facet
+search over it, from facet to facet across shared ridges.
 
 Vertex adjacency lives in a second memo entry, the graph index, which maps
-each vertex to the bitmask of its neighbours in the 1-skeleton.  The flag
-test grows candidate nonfaces only by common neighbours (an AND of masks)
-and looks each one up in the face index; the isomorphism search reads
-adjacency off it too.  In a flag complex the link of a face is the clique
-complex of the graph induced on the common neighbours of its vertices, so
-t2 walks link circles on these masks and the flag walk takes link
-components from the face index: neither builds a link complex.
+each vertex to the bitmask of its neighbours in the 1-skeleton.  One walk
+over the cliques that extend faces builds the face levels and decides
+flagness: each face carries the common neighbours of its vertices above
+its top label (an AND of masks), each of them gives a candidate one vertex
+larger, and a candidate is a face when the face index holds it and a
+minimal nonface when it does not but its one-smaller subsets are faces.
+Each level comes out in label-tuple order with no sort, and the flag test
+stops at its first level with a minimal nonface.  The isomorphism search
+reads adjacency off the graph index too.  In a flag complex the link of a
+face is the clique complex of the graph induced on the common neighbours
+of its vertices, so t2 walks link circles on these masks and the flag walk
+takes link components from the face index: neither builds a link complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
-from math import comb
+from math import comb, inf
+from operator import or_
 from typing import Iterable, Iterator
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalInvariantError, ResourceLimitError
 
 Face = tuple[int, ...]
 
 # Cap on the candidates an enumeration examines: candidate nonfaces in the
 # flag test, deleted vertex sets in the m-Cohen-Macaulay test.
 DEFAULT_CANDIDATE_CAP = 1 << 22
-
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -263,16 +267,11 @@ class SimplicialComplex:
         return self._memoized("face_index", build)
 
     def _faces_masks(self, k: int) -> tuple[int, ...]:
-        """The faces of dimension k, ordered by label tuple: positions follow
-        labels, so that is descending order of the bit-reversed mask."""
+        """The faces of dimension k, ordered by label tuple, as the clique
+        walk builds them; a flag test that passed has kept them already."""
 
         def build():
-            nb = (self.num_vertices + 7) // 8
-            levels: list[list[int]] = [[] for _ in range(self.dimension + 2)]
-            for m in sorted(self._face_index(), reverse=True, key=lambda f: int.from_bytes(
-                    f.to_bytes(nb, "little").translate(_REVERSED_BYTE), "big")):
-                levels[m.bit_count()].append(m)
-            return tuple(tuple(lv) for lv in levels)
+            return tuple(level for level, _ in self._clique_walk(inf, self.dimension + 1))
 
         levels = self._memoized("face_levels", build)
         return levels[k + 1] if 0 <= k + 1 < len(levels) else ()
@@ -354,57 +353,60 @@ class SimplicialComplex:
 
         return self._memoized(("delete", m), build)
 
-    # -- minimal nonfaces and flagness ---------------------------------------
+    # -- the clique walk: face levels, minimal nonfaces and flagness -----------
 
-    def _iter_minimal_nonfaces(self, cap: int) -> Iterator[list[int]]:
-        """Yield the masks of the minimal nonfaces level by level, from two
-        vertices up, each level in label-tuple order.
+    def _clique_walk(self, cap: float, top: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """Yield, for c = 0 up to top, the faces on c vertices and the minimal
+        nonfaces on c >= 3 vertices, each in label-tuple order.
 
-        A candidate at level c is a c-set whose proper subsets are all
-        faces; it is generated by extending a (c-1)-face past its largest
-        label, so each candidate appears exactly once, and it is a nonface
-        when the face index does not hold it.  The (c-1)-faces are taken in
-        label order and each is extended by increasing labels, which is
-        label order at level c.  Past two vertices such a set is a clique
-        of the graph, so a face is extended only by the common neighbours
-        of its vertices.  The cap still counts each label past a face's
-        largest one as a candidate, and trips only where one is counted.
-        Levels beyond dimension + 2 cannot carry minimal nonfaces and are
-        not visited.
+        Level c grows from level c - 1.  Each face carries the common
+        neighbours of its vertices above its top bit, and each bit of that
+        mask, in increasing order, gives a candidate; positions follow
+        labels, so the level comes out in label-tuple order.  A candidate in
+        the face index is a face and carries the rest of the mask ANDed with
+        the new vertex's neighbours.  One outside it is a minimal nonface when
+        every subset one vertex smaller is a face.  Past two vertices every
+        face and every minimal nonface is a clique, so none is missed; the
+        non-edges are not listed.  Before level c >= 2 is built, each face on
+        c - 1 vertices is charged n - top_bit candidates against cap, as if it
+        were extended by every higher label.
         """
-        examined = 0
         n = len(self._labels)
         nbrs = self._neighbour_masks()
         index = self._face_index()
-        for c in range(2, self.dimension + 3):
-            lower = self._faces_masks(c - 2)
-            if not lower:
-                return
-            level: list[int] = []
-            for tm in lower:
-                top_bit = tm.bit_length()  # positions strictly above the max label
-                examined += n - top_bit
-                if examined > cap and top_bit < n:
+        level = (0,) if self._facet_masks else ()
+        exts = [(1 << n) - 1] * len(level)
+        nonfaces: list[int] = []
+        examined = 0
+        yield level, nonfaces
+        for c in range(1, top + 1):
+            if c > 1:  # the vertices are not charged
+                charge = sum(n - f.bit_length() for f in level)
+                examined += charge
+                if charge and examined > cap:
                     raise ResourceLimitError(
                         f"minimal nonface search exceeded {cap} candidate sets"
                     )
-                tm_bits = self._bits(tm)
-                extend = (1 << n) - (1 << top_bit)
-                if c > 2:
-                    for b in tm_bits:
-                        extend &= nbrs[b.bit_length() - 1]
-                while extend:
-                    new = extend & -extend
-                    extend ^= new
-                    sm = tm | new
+            faces, face_exts, nonfaces = [], [], []
+            for f, ext in zip(level, exts):
+                while ext:
+                    new = ext & -ext
+                    ext ^= new
+                    sm = f | new
                     if sm in index:
+                        faces.append(sm)
+                        face_exts.append(ext & nbrs[new.bit_length() - 1])
                         continue
-                    for b in tm_bits:
-                        if (sm & ~b) not in index:
+                    rest = f
+                    while rest:
+                        b = rest & -rest
+                        rest ^= b
+                        if sm ^ b not in index:
                             break
                     else:
-                        level.append(sm)
-            yield level
+                        nonfaces.append(sm)
+            level, exts = tuple(faces), face_exts
+            yield level, nonfaces
 
     @staticmethod
     def _bits(mask: int) -> list[int]:
@@ -415,12 +417,21 @@ class SimplicialComplex:
             mask ^= low
         return out
 
+    def _facets_over(self, m: int) -> int:
+        """How many facets hold m, counted on the plain facet list."""
+        return sum(m & fm == m for fm in self._facet_masks)
+
     def minimal_nonfaces(self, cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Face, ...]:
         """All minimal nonfaces, ordered by (cardinality, label tuple)."""
 
         def build():
-            levels = self._iter_minimal_nonfaces(cap)
-            return tuple(self._labels_of(m) for level in levels for m in level)
+            walk = self._clique_walk(cap, self.dimension + 2)
+            higher = [m for _, level in walk for m in level]
+            n = len(self._labels)
+            pairs = []  # the non-edges, read off the neighbour masks
+            for i, nbr in enumerate(self._neighbour_masks()):
+                pairs += (1 << i | b for b in self._bits(~nbr & (1 << n) - (2 << i)))
+            return tuple(self._labels_of(m) for m in pairs + higher)
 
         return self._memoized("nonfaces", build)
 
@@ -429,16 +440,25 @@ class SimplicialComplex:
 
         Equivalently the complex is the clique complex of its own graph.
         The witness on failure is the first minimal nonface with three or
-        more vertices.
+        more vertices, re-checked against the facet list.  A complex that
+        passes has had every face level walked, and keeps them.
         """
 
         def build():
-            for level in self._iter_minimal_nonfaces(cap):
-                if level and level[0].bit_count() >= 3:
-                    nf = self._labels_of(level[0])
+            levels = []
+            for level, nonfaces in self._clique_walk(cap, self.dimension + 2):
+                if nonfaces:
+                    m = nonfaces[0]
+                    nf = self._labels_of(m)
+                    smaller = (m ^ b for b in self._bits(m))
+                    if self._facets_over(m) or not all(map(self._facets_over, smaller)):
+                        raise InternalInvariantError(f"{list(nf)} is no minimal nonface")
                     return Verdict(
                         False, witness=nf, reason="minimal nonface with 3 or more vertices"
                     )
+                levels.append(level)
+            # the last level walked, on dimension + 2 vertices, holds no face
+            self._memo.setdefault("face_levels", tuple(levels[:-1]))
             return Verdict(True)
 
         return self._memoized("flag", build)
@@ -449,11 +469,8 @@ class SimplicialComplex:
         """Vertex position -> bitmask of the other vertices of its facets."""
 
         def build():
-            nbrs = [0] * len(self._labels)
-            for fm in self._facet_masks:
-                for b in self._bits(fm):
-                    nbrs[b.bit_length() - 1] |= fm & ~b
-            return tuple(nbrs)
+            index = self._face_index()
+            return tuple(reduce(or_, index[1 << i]) ^ 1 << i for i in range(len(self._labels)))
 
         return self._memoized("neighbours", build)
 
@@ -527,6 +544,8 @@ class SimplicialComplex:
         index = self._face_index()
         for rm in self._faces_masks(self.dimension - 1):
             if len(index[rm]) != 2:
+                if self._facets_over(rm) == 2:  # recounted on the facet list
+                    raise InternalInvariantError(f"{list(self._labels_of(rm))} lies in 2 facets")
                 return Verdict(
                     False,
                     witness={"ridge": self._labels_of(rm), "facet_count": len(index[rm])},

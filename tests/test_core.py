@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -7,11 +9,15 @@ from simplicial import (
     InputError,
     ResourceLimitError,
     SimplicialComplex,
+    barycentric_subdivision,
     build_complex,
     check_face_lower_bounds_report,
     cross_polytope_boundary,
+    facet_file_text,
     join,
 )
+from simplicial import cli
+from simplicial.errors import InternalInvariantError
 
 
 def test_void_and_empty_are_distinct():
@@ -167,6 +173,70 @@ def test_nonface_cap_counts_every_label_past_a_face(corpus):
             getattr(build_complex(cx.facets), method)(cap=count)
             with pytest.raises(ResourceLimitError):
                 getattr(build_complex(cx.facets), method)(cap=count - 1)
+
+
+def test_nonface_cap_counts_cliques_that_are_not_faces(torus):
+    # every 4-set of a simplex's 2-skeleton is a clique and a minimal
+    # nonface, torus7's graph is complete, and bary(torus7) is flag
+    inputs = (
+        list(combinations(range(1, 7), 3)),
+        list(combinations(range(1, 9), 3)),
+        torus.facets,
+        barycentric_subdivision(torus).facets,
+    )
+    for facets in inputs:
+        for method, flag_only in (("is_flag", True), ("minimal_nonfaces", False)):
+            count = O.nonface_candidate_count(facets, flag_only)
+            getattr(build_complex(facets), method)(cap=count)
+            with pytest.raises(ResourceLimitError):
+                getattr(build_complex(facets), method)(cap=count - 1)
+
+
+def test_cap_is_charged_before_a_level_is_built(tmp_path, capsys):
+    """The 2-skeleton of the 40-simplex has 9880 triangles and 91 390
+    four-vertex minimal nonfaces.  A cap of 1000 trips when the edges are
+    charged, before the triangles are extended; a walk that built the
+    four-vertex level first would peak near 8 MiB."""
+    path = tmp_path / "skeleton40.txt"
+    path.write_text(facet_file_text(build_complex(combinations(range(1, 41), 3))))
+    tracemalloc.start()
+    try:
+        code = cli.main(["analyze", str(path), "--cap", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "cap" in capsys.readouterr().err
+    assert peak < 4 << 20
+
+
+def test_structural_witnesses_are_rechecked(monkeypatch, tmp_path, capsys, torus, octa):
+    """A flag witness missing a vertex and a ridge whose facet count is
+    skewed are refuted by recounts on the facet list, from the library and
+    the CLI."""
+    real_walk, real_index = SimplicialComplex._clique_walk, SimplicialComplex._face_index
+
+    def dropped(self, cap, top):
+        for level, nonfaces in real_walk(self, cap, top):
+            yield level, [m & (m - 1) for m in nonfaces]
+
+    def skewed(self):
+        index = real_index(self)
+        ridge = next(m for m in index if m.bit_count() == self.dimension)
+        if len(index[ridge]) == 2:
+            index[ridge].append(index[ridge][0])
+        return index
+
+    for name, patch, cx, check, match in (
+            ("_clique_walk", dropped, torus, "is_flag", "no minimal nonface"),
+            ("_face_index", skewed, octa, "is_pseudomanifold", "lies in 2 facets")):
+        with monkeypatch.context() as m:
+            m.setattr(SimplicialComplex, name, patch)
+            with pytest.raises(InternalInvariantError, match=match):
+                getattr(build_complex(cx.facets), check)()
+            file = tmp_path / f"{name}.txt"
+            file.write_text(facet_file_text(cx))
+            assert cli.main(["analyze", str(file)]) == 1
+            assert capsys.readouterr().out == ""
 
 
 def test_strong_components_match_oracle(corpus):
