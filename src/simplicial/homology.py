@@ -17,8 +17,8 @@ face index looks for a shelling order once per complex, for every field; a
 checker that reads only the facet list, as label tuples, confirms it and
 counts off it the h-vector, which must be the f-vector's.  A checked order
 decides the CM pass, and on a pseudomanifold, then a PL sphere, the passes
-of m-CM for m <= 2 ("Gorenstein* implies 2-CM"), sphere and manifold too.
-Failures, m >= 3 and complexes it does not shell go through the sweep below.
+of sphere and manifold too.  Failures and complexes it does not shell go
+through the sweep below.
 
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
 manifold deciders store no link.  They visit the faces sigma in
@@ -38,34 +38,24 @@ does not depend on the field (Hatcher, Algebraic Topology, 3.A), so GF(2)
 values with no homology below the top degree are the Q values.  Only the
 other links are reduced over Q.
 
-Deleting a vertex w from a Cohen-Macaulay complex sweeps no link of the
-deletion.  Let L = lk(sigma) have dimension s and some facet missing w.
-The Mayer-Vietoris sequence of L = (L - w) u star_L(w), whose parts meet
-in lk(sigma + w), and the vanishing of CM links below their top degree
-leave L - w with homology below its top only in degree s - 1, of dimension
-betti_{s-1}(lk(sigma + w)) minus the rank of the top cycles of L restricted
-to the top faces through w.  So one basis of the top cycles of each link,
-kept from the W = {} sweep's one reduction of it, answers every w at once
-(Baclawski, "Cohen-Macaulay connectivity and geometric lattices", Europ.
-J. Combin. 1982; Walker 1981).  With one top cycle, as in the link of a
-nonempty face of a homology manifold, that rank is 1 exactly at the
-vertices of the faces the cycle is nonzero on, one vertex mask for all w.
-A larger W is W' plus its last vertex w, decided by the rule on cx - W',
-which passed at the previous size.  Over Q the rule runs only when GF(2)
-finds a defect, in the W = {} sweep or in the rule, since a complex 2-CM
-over GF(2) is 2-CM over Q.  Every Reisner, sphere and manifold witness is
-recomputed on its link, rebuilt from label tuples and ranked by sparse
-rows, once per face, degree and field.
+A deleted vertex set W is decided like the complex itself: cx - W is
+built from label tuples, one at a time, and passes with a checked shelling,
+else fails with its sweep's first Reisner defect.  A shelling of cx decides
+the sizes it covers with no deletion built: W = {}, and on a pseudomanifold
+|W| = 1 too, since a PL sphere is 2-CM ("Gorenstein* implies 2-CM";
+Baclawski, "Cohen-Macaulay connectivity and geometric lattices", Europ. J.
+Combin. 1982).  Every Reisner, sphere and manifold witness is recomputed
+on its link, rebuilt from label tuples and ranked by sparse rows, once per
+face, degree and field.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, combinations
 from math import comb
-from operator import and_, or_
 
 from . import linalg
 from .core import DEFAULT_CANDIDATE_CAP, SimplicialComplex, Verdict
@@ -185,43 +175,31 @@ def _boundary_bits(mask: int, row_index: dict[int, int]) -> int:
     return bits
 
 
-def _chain_ranks(levels, characteristic: int, cycles: list | None = None) -> list[int]:
+def _chain_ranks(levels, characteristic: int) -> list[int]:
     """Ranks of the boundary maps of a chain complex given by face levels.
 
     ``levels[i]`` holds the faces with i vertices as masks, from the empty
     face up; entry k of the result is the rank of the map from level k+1
-    to level k.  With a ``cycles`` list, top face j also gets row j below the
-    boundary rows, and the reduced columns with their pivot there, a basis
-    of the top cycles, are appended to the list.
+    to level k.
     """
     top = len(levels) - 1
     ranks = [0] * top
-    cleared: dict | set = {}
+    cleared: dict = {}
     cols = levels[top]
-    below = len(cols) if cycles is not None else 0
     column = _boundary_bits if characteristic == 2 else _boundary_column
     for k in range(top - 1, -1, -1):
         rows = levels[k]
-        row_index = {m: below + i for i, m in enumerate(rows)}
-        if not below:
-            columns = (column(m, row_index) for j, m in enumerate(cols) if j not in cleared)
-        elif characteristic == 2:  # the top map: nothing is cleared, and column j also gets row j
-            columns = (_boundary_bits(m, row_index) | 1 << j for j, m in enumerate(cols))
-        else:
-            columns = ({**_boundary_column(m, row_index), j: 1} for j, m in enumerate(cols))
+        row_index = {m: i for i, m in enumerate(rows)}
+        columns = (column(m, row_index) for j, m in enumerate(cols) if j not in cleared)
         cleared = linalg.pivot_rows(columns, characteristic)
-        if below:
-            cycles.extend(c for low, c in cleared.items() if low < below)
-            cleared = {low - below for low in cleared if low >= below}
-            below = 0
         ranks[k] = len(cleared)
         cols = rows
     return ranks
 
 
-def _betti_values(levels, characteristic: int, cycles: list | None = None) -> tuple[int, ...]:
-    """Reduced Betti numbers from dimension -1 up, for face levels and an
-    optional ``cycles`` list as in ``_chain_ranks``.
+def _betti_values(levels, characteristic: int) -> tuple[int, ...]:
+    """Reduced Betti numbers from dimension -1 up, for face levels as in
+    ``_chain_ranks``.
 
     Raises InternalInvariantError when a boundary rank exceeds the size of
     its domain or codomain, or a Betti number comes out negative; the
@@ -229,7 +207,7 @@ def _betti_values(levels, characteristic: int, cycles: list | None = None) -> tu
     compose to zero.
     """
     f = [len(level) for level in levels]
-    r = _chain_ranks(levels, characteristic, cycles) + [0]
+    r = _chain_ranks(levels, characteristic) + [0]
     for k in range(len(f) - 1):
         if r[k] > min(f[k], f[k + 1]):
             raise InternalInvariantError(
@@ -256,40 +234,30 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
     """
     if cx.is_void:
         raise InputError("the void complex has no homology")
-    values = _link_values(cx, field.characteristic, 0, False)
+    values = _link_values(cx, field.characteristic, 0)
     h = cx._memo.get("shelling")
     if h and values != (0,) * (len(h) - 1) + h[-1:]:
         raise InternalInvariantError(f"Betti numbers {list(values)} contradict a shelling")
     return BettiTable(values, field)
 
 
-def _closed_form(levels, p: int, cycles: list | None = None) -> tuple[int, ...]:
-    """``_betti_values`` of {} or n points, with no rank; the top cycles of
-    n points are e_j - e_0 for j >= 1 (p - 1 is -1 mod p, and -1 over Q)."""
-    if len(levels) == 1:
-        return (1,)
-    n = len(levels[1])
-    if cycles is not None:
-        cycles.extend(1 | 1 << j if p == 2 else {0: p - 1, j: 1} for j in range(1, n))
-    return (0, n - 1)
+def _closed_form(levels) -> tuple[int, ...]:
+    """``_betti_values`` of {} or n points, with no rank."""
+    return (1,) if len(levels) == 1 else (0, len(levels[1]) - 1)
 
 
-def _link_values(cx, p: int, sigma: int, keep: bool = True) -> tuple[int, ...]:
+def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
     """Memoized Betti values over characteristic p of lk(sigma), from its
-    face levels on a miss, by the cheapest method of the module docstring;
-    with ``keep``, the top cycles are kept too."""
+    face levels on a miss, by the cheapest method of the module docstring."""
     memo = _betti_memo(cx, p)
     values = memo.get(sigma)
     if values is None and p == 0:
-        values = _link_values(cx, 2, sigma, keep)
+        values = _link_values(cx, 2, sigma)
         if _low_defect(values) is not None:
             values = None
     if values is None:
-        cycles = [] if keep else None
         levels = _link_levels(cx, sigma)
-        values = (_closed_form if len(levels) < 3 else _betti_values)(levels, p, cycles)
-        if cycles is not None:
-            cx._memoized(("cycles", p), dict)[sigma] = tuple(cycles)
+        values = _closed_form(levels) if len(levels) < 3 else _betti_values(levels, p)
     memo[sigma] = values
     return values
 
@@ -297,8 +265,7 @@ def _link_values(cx, p: int, sigma: int, keep: bool = True) -> tuple[int, ...]:
 def _link_levels(cx: SimplicialComplex, sigma: int):
     """Face levels of lk(sigma), from the empty face up, read off the facets
     over sigma in the face index.  The top level is F ^ sigma for each
-    largest facet F over sigma, in facet order, so bit j of a kept top cycle
-    names the same face wherever it is read; the lower levels hold the
+    largest facet F over sigma, in facet order; the lower levels hold the
     subsets of every F ^ sigma, in no fixed order.
     """
     if not sigma:
@@ -321,13 +288,11 @@ def _link_levels(cx: SimplicialComplex, sigma: int):
 def _link_sweep(cx: SimplicialComplex, field: FieldSpec, skip_empty: bool = False):
     """Yield (sigma, Betti values of lk(sigma)) for the faces sigma in
     (dimension, label) order, from the empty face unless it is skipped."""
-    p = field.characteristic
-    memo = _betti_memo(cx, p)
     faces = chain.from_iterable(_link_levels(cx, 0))  # the faces of cx, the empty face first
     if skip_empty:
         next(faces)
     for sigma in faces:
-        yield sigma, memo.get(sigma) or _link_values(cx, p, sigma)
+        yield sigma, _link_values(cx, field.characteristic, sigma)
 
 
 def _low_defect(values):
@@ -410,7 +375,7 @@ def _sphere_links(
         if defect is None and values[-1] != 1:
             defect = (len(values) - 2, values[-1])
         if defect is not None:
-            witness = _checked_deletion_witness(cx, field, (), cx._labels_of(sigma), *defect)
+            witness = _checked_witness(cx, field, cx._labels_of(sigma), *defect)
             return Verdict(False, witness=witness, reason=reason)
     sphere = -(-1) ** (cx.dimension + 1)  # the reduced Euler characteristic of a sphere
     return _checked_pass(cx, cx.reduced_euler_characteristic() if skip_empty else sphere)
@@ -450,85 +415,28 @@ def is_homology_manifold(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdi
 
 
 def _cm_defect(cx: SimplicialComplex, field: FieldSpec):
-    """Reisner witness of cx, re-checked, or None when it is CM."""
+    """Reisner witness of cx, re-checked, or None when it is CM: a checked
+    shelling passes it, else the sweep's first defect is its witness."""
+    if _shelling_h(cx):
+        return None
     for sigma, values in _link_sweep(cx, field):
         defect = _low_defect(values)
         if defect is not None:
-            return _checked_deletion_witness(cx, field, (), cx._labels_of(sigma), *defect)
+            return _checked_witness(cx, field, cx._labels_of(sigma), *defect)
     return None
 
 
-def _cycle_cover(cycles, top) -> int:
-    """Vertex mask of the top faces some cycle is nonzero on."""
-    support = 0
-    for c in cycles:
-        support |= sum(1 << j for j in c) if isinstance(c, dict) else c
-    return reduce(or_, (tau for j, tau in enumerate(top) if support >> j & 1), 0)
-
-
-def _restricted_rank(cycles, top, w: int, characteristic: int) -> int:
-    """Rank of the cycles cut down to the top faces through the vertex bit w."""
-    faces = sum(1 << j for j, tau in enumerate(top) if tau & w)
-    if characteristic == 2:
-        cut = (c & faces for c in cycles)
-    else:
-        cut = ({j: x for j, x in c.items() if faces >> j & 1} for c in cycles)
-    return len(linalg.pivot_rows(cut, characteristic))
-
-
-def _vertex_deletion_defects(cx: SimplicialComplex, field: FieldSpec) -> dict:
-    """Vertex w, as a label tuple -> (face labels, degree, betti) of the first
-    Reisner defect of cx - w, for every w whose deletion has one, by the
-    Mayer-Vietoris rule of the module docstring.  cx must have passed the
-    W = {} sweep, which memoizes every link's Betti numbers (CM, so pure)
-    and the top cycles of the links it reduced.  A vertex w in every facet
-    of lk(sigma) makes it a cone, with no top cycle, and lk(sigma) - w =
-    lk(sigma + w) has no defect.
-    """
+def _checked_witness(cx, field, face, degree, betti) -> dict:
+    """The witness found in the sweep of cx, once its Betti number has been
+    recounted on the link of the face, else InternalInvariantError naming
+    the vertex set cx was cut from (the "deleted" memo entry).  The recount
+    is memoized: a Reisner and a sphere witness may be the same."""
     p = field.characteristic
-    if p == 0 and _cm_defect(cx, GF2) is None and not _vertex_deletion_defects(cx, GF2):
-        return {}  # 2-CM over GF(2), hence over Q
-    memo = _betti_memo(cx, p)
-    kept = cx._memoized(("cycles", p), dict)
-    first: dict[tuple, tuple] = {}
-    failed = 0
-    for sigma in chain.from_iterable(_link_levels(cx, 0)):
-        top = [fm ^ sigma for fm in cx._face_index()[sigma]]  # pure, so all are top
-        rest = reduce(or_, top) & ~failed
-        if not rest:
-            continue
-        cycles = kept.get(sigma)
-        if cycles is None:  # Q values from GF(2), or sigma = {} ranked by reduced_betti_numbers
-            cycles = kept[sigma] = []
-            _chain_ranks(_link_levels(cx, sigma)[-2:], p, cycles)
-        if not cycles:
-            rest &= ~reduce(and_, top)
-        cover = _cycle_cover(cycles, top)
-        while rest:
-            w = rest & -rest
-            rest ^= w
-            if len(cycles) < 2:  # the one-cycle rule of the module docstring
-                rank = 1 if w & cover else 0
-            else:
-                rank = _restricted_rank(cycles, top, w, p)
-            betti = memo[sigma | w][-1] - rank
-            if betti:
-                first[cx._labels_of(w)] = (cx._labels_of(sigma), top[0].bit_count() - 2, betti)
-                failed |= w
-    return first
-
-
-def _checked_deletion_witness(cx, field, deleted, face, degree, betti) -> dict:
-    """The witness of cx minus the ``deleted`` labels, once its Betti number
-    has been recounted on the link of the face in that deletion, else
-    InternalInvariantError.  The recount is memoized: a Reisner and a sphere
-    witness may be the same."""
-    p = field.characteristic
-    check = partial(_recount, cx.delete(deleted), face, degree, p)
-    recount = cx._memoized(("witness", deleted, face, degree, p), check)
+    check = partial(_recount, cx, face, degree, p)
+    recount = cx._memoized(("witness", face, degree, p), check)
     if recount != betti:
         raise InternalInvariantError(
-            f"deleting {list(deleted)}: the link of {list(face)} has "
+            f"deleting {list(cx._memo.get('deleted', ()))}: the link of {list(face)} has "
             f"Betti number {recount} in degree {degree}, not {betti}"
         )
     return {"face": face, "degree": degree, "betti": betti}
@@ -549,22 +457,11 @@ def _recount(cx: SimplicialComplex, face, k: int, p: int) -> int:
     return betti + link.num_faces(k)
 
 
-def _deletion_defects(cx: SimplicialComplex, field: FieldSpec, rest) -> dict:
-    """``_vertex_deletion_defects`` of cx minus the ``rest`` labels, which
-    have passed already: a defect in their sweep raises InternalInvariantError."""
-    base = cx
-    if rest:
-        base = SimplicialComplex(set(f).difference(rest) for f in cx.facets)
-        if _cm_defect(base, field) is not None:
-            raise InternalInvariantError(f"deleting {list(rest)} passed the rule, not the sweep")
-    return _vertex_deletion_defects(base, field)
-
-
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
     """Reisner test: links have vanishing reduced homology below top degree."""
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
-    witness = None if _shelling_h(cx) else _cm_defect(cx, field)
+    witness = _cm_defect(cx, field)
     if witness is not None:
         return Verdict(
             False, witness=witness, reason="a link has homology below its top degree"
@@ -584,9 +481,11 @@ def is_m_cohen_macaulay(
     m = 1 is the plain Reisner test; m = 2 is the "doubly" variant.  The
     deleted sets W are tried in ``combinations(vertices, size)`` order, and
     ``cap`` bounds their number; the dimension drops exactly when W meets
-    every top-dimensional facet.  W = W' + w, w its last vertex, is decided
-    by the Mayer-Vietoris rule of ``_vertex_deletion_defects`` on cx - W',
-    which passed at the previous size; one cx - W' is held at a time.
+    every top-dimensional facet, which is re-checked on the facet list.
+    cx - W, built from label tuples and held one at a time, is decided like
+    cx in ``is_cohen_macaulay``, except at the sizes a shelling of cx
+    decides: W = {}, and on a pseudomanifold |W| = 1 as well, since a PL
+    sphere is 2-CM.
     """
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
@@ -594,9 +493,8 @@ def is_m_cohen_macaulay(
         raise InputError(f"m must be a positive integer, got {m}")
     d = cx.dimension
     top = [fm for fm in cx._facet_masks if fm.bit_count() == d + 1]
-    certified = m <= 2 and _shelling_h(cx) and (m == 1 or cx.is_pseudomanifold())
+    certified = (2 if cx.is_pseudomanifold() else 1) if _shelling_h(cx) else 0
     examined = 0
-    held = (None, {})  # W' and the first defect of each vertex deletion from cx - W'
     for size in range(m):
         for chosen in combinations(cx.vertices, size):
             examined += 1
@@ -606,20 +504,20 @@ def is_m_cohen_macaulay(
                 )
             deleted = cx._mask_of(chosen)
             if all(fm & deleted for fm in top):
+                if any(len(f) == d + 1 and not set(f) & set(chosen) for f in cx.facets):
+                    raise InternalInvariantError(f"deleting {list(chosen)} keeps a top facet")
                 return Verdict(
                     False,
                     witness={"deleted": chosen, "defect": "dimension-drop"},
                     reason="deletion lowers the dimension",
                 )
-            if certified:
+            if size < certified:
                 continue
-            if not size:
-                inner = _cm_defect(cx, field)
-            else:
-                if held[0] != chosen[:-1]:
-                    held = (chosen[:-1], _deletion_defects(cx, field, chosen[:-1]))
-                inner = held[1].get(chosen[-1:])
-                inner = inner and _checked_deletion_witness(cx, field, chosen, *inner)
+            part = cx
+            if size:
+                part = SimplicialComplex(set(f).difference(chosen) for f in cx.facets)
+                part._memo["deleted"] = chosen  # named by a refuted witness
+            inner = _cm_defect(part, field)
             if inner is not None:
                 return Verdict(
                     False,

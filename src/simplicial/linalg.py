@@ -18,7 +18,7 @@ pivots, so they are linearly independent and their number is the rank.
 The reduced columns are returned, keyed by their pivot rows, not just
 their number, because a chain complex can use them: see
 ``homology._chain_ranks`` for the clearing step that skips the columns
-the pivot rows name, and for a basis of the top cycles read off them.
+the pivot rows name.
 """
 
 from __future__ import annotations

@@ -206,18 +206,16 @@ def test_homology_manifold_verdicts(corpus):
 
 
 def test_closed_forms_match_the_reduction(corpus):
-    """Facet links ({} alone) and ridge links (points) take values and top
-    cycles in closed form; they must be what the reduction gives."""
+    """Facet links ({} alone) and ridge links (points) take values in closed
+    form; they must be what the reduction gives."""
     for name, cx in corpus.items():
         for sigma in cx._face_index():
             levels = homology._link_levels(cx, sigma)
             if len(levels) > 2:
                 continue
             for p in (2, 3, 0):
-                closed, reduced = [], []
-                assert homology._closed_form(levels, p, closed) == homology._betti_values(
-                    levels, p, reduced), (name, sigma, p)
-                assert closed == reduced, (name, sigma, p)
+                assert homology._closed_form(levels) == homology._betti_values(
+                    levels, p), (name, sigma, p)
 
 
 def test_link_levels_are_the_levels_of_the_link(corpus):
@@ -431,17 +429,25 @@ def test_frozen_m_cm_verdicts_past_two(corpus):
 
 
 def test_m_cm_sweep_builds_no_complex(monkeypatch):
+    """A shelled pseudomanifold passes |W| <= 1 with no deletion built: bary3
+    at m = 2 builds no complex, and bary4 at m = 3 builds one, bary4 - (1, 2),
+    the first set of two, which fails."""
     cx = barycentric_subdivision(cross_polytope_boundary(3))
+    bary4 = barycentric_subdivision(cross_polytope_boundary(4))
+    minus_12 = build_complex(set(f) - {1, 2} for f in bary4.facets).facets
     built = []
     real_init = SimplicialComplex.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(args)
         real_init(self, *args, **kwargs)
+        built.append(self)
 
     monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
     assert is_m_cohen_macaulay(cx, 2, GF2)
     assert built == []
+    assert is_m_cohen_macaulay(bary4, 3, GF2) == _deletion_verdict(
+        (1, 2), {"face": (), "degree": 2, "betti": 1})
+    assert [part.facets for part in built] == [minus_12]
 
 
 def test_m_cm_cap():
@@ -464,23 +470,26 @@ def test_two_cm_cap_counts_deleted_sets(corpus):
 
 
 def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
-    """A skewed restricted rank gives a witness the re-check refutes, in
-    both branches: a link with one top cycle (the hexagon, ranked by the
-    cover of its cycle) and a link with two (the theta graph, ranked by
-    ``_restricted_rank``).  The hexagon shells, so the search is off."""
-    real = homology._restricted_rank
-    skews = (
-        ("_cycle_cover", lambda cycles, top: 0, cycle(6)),
-        ("_restricted_rank", lambda *args: real(*args) - 1,
-         build_complex([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])),
-    )
-    for name, skewed, cx in skews:
+    """A Betti value skewed by one in the sweep of a vertex deletion, its
+    connected graph given homology in degree 0, gives a witness the re-check
+    refutes, for the hexagon (a circle) and the theta graph.  Every deletion
+    of either shells, so the search is off."""
+    real = homology._betti_values
+    for cx in (cycle(6), build_complex([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])):
+
+        def skewed(levels, p, n=cx.num_vertices):
+            values = real(levels, p)
+            if len(levels[1]) == n - 1:  # the whole of cx - w
+                values = (values[0], values[1] + 1, *values[2:])
+            return values
+
         with monkeypatch.context() as patch:
-            patch.setattr(homology, name, skewed)
+            patch.setattr(homology, "_betti_values", skewed)
             _no_shelling(patch)
-            with pytest.raises(InternalInvariantError, match="deleting"):
-                is_m_cohen_macaulay(cx, 2, GF2)
-            file = tmp_path / f"{name}.txt"
+            deletion = r"deleting \[1\]: the link of \[\] has Betti number 0 in degree 0, not 1"
+            with pytest.raises(InternalInvariantError, match=deletion):
+                is_m_cohen_macaulay(build_complex(cx.facets), 2, GF2)
+            file = tmp_path / f"{cx.num_vertices}.txt"
             file.write_text(facet_file_text(cx))
             assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
             assert capsys.readouterr().out == ""
@@ -589,27 +598,38 @@ def test_betti_numbers_are_checked_against_a_memoized_shelling(monkeypatch, octa
 
 
 def test_deletions_past_one_vertex_are_rechecked(monkeypatch, corpus):
-    """Deleting W = W' + w is decided by the rule on cx - W', which passed
-    at the previous size.  Should the rule pass a deletion the sweep of the
-    next size refutes, or report a wrong Betti number, InternalInvariantError
-    names the deleted set: the path 1-2-3-4-5 minus 2 is disconnected, and
+    """A witness of a deleted set W is recounted on the cx - W it was found
+    in, and a wrong Betti number raises InternalInvariantError naming W:
     the icosahedron minus (1, 7) is an annulus, with one 1-cycle."""
-    with monkeypatch.context() as patch:
-        patch.setattr(homology, "_vertex_deletion_defects", lambda cx, field: {})
-        path = build_complex([(1, 2), (2, 3), (3, 4), (4, 5)])
-        with pytest.raises(InternalInvariantError, match=r"deleting \[2\] passed"):
-            is_m_cohen_macaulay(path, 3, GF2)
-    real = homology._vertex_deletion_defects
+    real = homology._low_defect
 
-    def overreported(cx, field):
-        return {w: (face, degree, betti + 1)
-                for w, (face, degree, betti) in real(cx, field).items()}
+    def overreported(values):
+        defect = real(values)
+        return defect and (defect[0], defect[1] + 1)
 
-    monkeypatch.setattr(homology, "_vertex_deletion_defects", overreported)
+    monkeypatch.setattr(homology, "_low_defect", overreported)
     icosa = build_complex(corpus["icosahedron"].facets)
     annulus = r"deleting \[1, 7\]: the link of \[\] has Betti number 1 in degree 1, not 2"
     with pytest.raises(InternalInvariantError, match=annulus):
         is_m_cohen_macaulay(icosa, 3, GF2)
+
+
+def test_dimension_drop_is_rechecked_on_the_facet_list(monkeypatch, tmp_path, capsys, octa):
+    """A deletion mask that wrongly meets every top facet gives a
+    dimension-drop witness the facet list refutes: vertex 1 alone, read as
+    the antipodal pair (1, 4), misses the facets through 4."""
+    real = SimplicialComplex._mask_of
+
+    def widened(self, face):
+        return real(self, (*face, 4) if tuple(face) == (1,) else face)
+
+    monkeypatch.setattr(SimplicialComplex, "_mask_of", widened)
+    with pytest.raises(InternalInvariantError, match=r"deleting \[1\] keeps a top facet"):
+        is_m_cohen_macaulay(build_complex(octa.facets), 2, GF2)
+    file = tmp_path / "octahedron.txt"
+    file.write_text(facet_file_text(octa))
+    assert cli.main(["analyze", str(file), "--homology", "gf2"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_void_complex_is_rejected():
