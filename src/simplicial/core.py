@@ -11,9 +11,9 @@ tuple) and every reported witness is the first one in that order.
 
 A complex never changes after construction, so everything derived from it
 is computed once, on first use, and kept in one memo dict per complex:
-face levels, links and deletions, verdicts, link Betti values, and the
-facet positions.  The memo takes no lock: the package starts no threads,
-and two threads racing on one entry would only build it twice.
+face levels, links, verdicts, link Betti values, and the facet positions.
+The memo takes no lock: the package starts no threads, and two threads
+racing on one entry would only build it twice.
 
 Face-facet incidence lives in one memo entry, the face index, which maps
 every face mask, the empty face included, to the facets over it.  A set is
@@ -31,11 +31,13 @@ its top label (an AND of masks), each of them gives a candidate one vertex
 larger, and a candidate is a face when the face index holds it and a
 minimal nonface when it does not but its one-smaller subsets are faces.
 Each level comes out in label-tuple order with no sort, and the flag test
-stops at its first level with a minimal nonface.  The isomorphism search
-reads adjacency off the graph index too.  In a flag complex the link of a
-face is the clique complex of the graph induced on the common neighbours
-of its vertices, so t2 walks link circles on these masks and the flag walk
-takes link components from the face index: neither builds a link complex.
+stops at its first level with a minimal nonface.  Started from a face
+sigma, the walk lists the faces of lk(sigma) alike, and charges no cap.
+The isomorphism search reads adjacency off the graph index too.  In a flag
+complex the link of a face is the clique complex of the graph induced on
+the common neighbours of its vertices, so t2 walks link circles on these
+masks and the flag walk takes link components from the face index:
+neither builds a link complex.
 """
 
 from __future__ import annotations
@@ -347,41 +349,42 @@ class SimplicialComplex:
                 m |= 1 << i
         if m == 0:
             return self
-
-        def build():
-            return SimplicialComplex([self._labels_of(fm & ~m) for fm in self._facet_masks])
-
-        return self._memoized(("delete", m), build)
+        return SimplicialComplex([self._labels_of(fm & ~m) for fm in self._facet_masks])
 
     # -- the clique walk: face levels, minimal nonfaces and flagness -----------
 
-    def _clique_walk(self, cap: float, top: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    def _clique_walk(self, cap: float, top: int, sigma: int = 0) -> Iterator[tuple]:
         """Yield, for c = 0 up to top, the faces on c vertices and the minimal
-        nonfaces on c >= 3 vertices, each in label-tuple order.
+        nonfaces on c >= 3 vertices of lk(sigma), each in label-tuple order;
+        sigma = 0, the empty face, gives the complex itself.
 
-        Level c grows from level c - 1.  Each face carries the common
-        neighbours of its vertices above its top bit, and each bit of that
-        mask, in increasing order, gives a candidate; positions follow
-        labels, so the level comes out in label-tuple order.  A candidate in
-        the face index is a face and carries the rest of the mask ANDed with
-        the new vertex's neighbours.  One outside it is a minimal nonface when
-        every subset one vertex smaller is a face.  Past two vertices every
-        face and every minimal nonface is a clique, so none is missed; the
-        non-edges are not listed.  Before level c >= 2 is built, each face on
-        c - 1 vertices is charged n - top_bit candidates against cap, as if it
-        were extended by every higher label.
+        Level c grows from level c - 1, and level 0, the empty face, carries
+        the vertices of lk(sigma): those of the facets over sigma, outside it.
+        Each face carries the common neighbours of its vertices above its top
+        bit, and each bit of that mask, in increasing order, gives a
+        candidate; positions follow labels, so the level comes out in
+        label-tuple order.  A candidate whose union with sigma is in the face
+        index is a face and carries the rest of the mask ANDed with the new
+        vertex's neighbours.  One outside it is a minimal nonface when every
+        subset one vertex smaller is a face.  Past two vertices every face and
+        every minimal nonface is a clique, so none is missed; the non-edges
+        are not listed.  Before level c >= 2 is built, each face on c - 1
+        vertices is charged n - top_bit candidates against cap, as if it were
+        extended by every higher label; cap = inf, as in link walks, charges
+        nothing.
         """
         n = len(self._labels)
         nbrs = self._neighbour_masks()
         index = self._face_index()
-        level = (0,) if self._facet_masks else ()
-        exts = [(1 << n) - 1] * len(level)
+        over = index.get(sigma, ())
+        level = (0,) if over else ()
+        exts = [reduce(or_, over, 0) & ~sigma] * len(level)
         nonfaces: list[int] = []
         examined = 0
         yield level, nonfaces
         for c in range(1, top + 1):
-            if c > 1:  # the vertices are not charged
-                charge = sum(n - f.bit_length() for f in level)
+            if c > 1 and cap < inf:  # the vertices are not charged, nor uncapped walks
+                charge = n * len(level) - sum(map(int.bit_length, level))
                 examined += charge
                 if charge and examined > cap:
                     raise ResourceLimitError(
@@ -393,7 +396,7 @@ class SimplicialComplex:
                     new = ext & -ext
                     ext ^= new
                     sm = f | new
-                    if sm in index:
+                    if sm | sigma in index:
                         faces.append(sm)
                         face_exts.append(ext & nbrs[new.bit_length() - 1])
                         continue
@@ -401,7 +404,7 @@ class SimplicialComplex:
                     while rest:
                         b = rest & -rest
                         rest ^= b
-                        if sm ^ b not in index:
+                        if sm ^ b | sigma not in index:
                             break
                     else:
                         nonfaces.append(sm)

@@ -22,24 +22,24 @@ through the sweep below.
 
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
 manifold deciders store no link.  They visit the faces sigma in
-(dimension, label) order and read lk(sigma) off the face index: its
-facets are F ^ sigma for the facets F over sigma.  Its face levels are
-generated on a memo miss and dropped once ranked.  Betti values are
-memoized on the complex under (sigma, field), so the four deciders share
-one sweep.  All deciders report the first failing face in (dimension,
-label) order, and the first failing W in ``combinations(vertices, size)``
-order.
+(dimension, label) order.  On a memo miss the clique walk of core,
+started from sigma, lists the face levels of lk(sigma) in label order,
+and they are dropped once ranked.  Betti values are memoized on the
+complex under (sigma, field), so the four deciders share one sweep.  All
+deciders report the first failing face in (dimension, label) order, and
+the first failing W in ``combinations(vertices, size)`` order.
 
-Each link takes the cheapest exact method.  {}, the link of a facet, and
-n points, as the link of a ridge, take closed forms: (1,) and (0, n - 1).
-Over Q a link is ranked over GF(2) first.  By universal coefficients
-betti_i(X; Q) <= betti_i(X; GF(2)), and the reduced Euler characteristic
-does not depend on the field (Hatcher, Algebraic Topology, 3.A), so GF(2)
-values with no homology below the top degree are the Q values.  Only the
-other links are reduced over Q.
+Each link takes the cheapest exact method.  One whose facets have at most
+one vertex beyond sigma is read off the face index with no face level:
+{}, the link of a facet, has values (1,), and the n points linking a
+ridge in n facets have (0, n - 1).  Over Q a link is ranked over GF(2)
+first.  By universal coefficients betti_i(X; Q) <= betti_i(X; GF(2)), and
+the reduced Euler characteristic does not depend on the field (Hatcher,
+Algebraic Topology, 3.A), so GF(2) values with no homology below the top
+degree are the Q values.  Only the other links are reduced over Q.
 
 A deleted vertex set W is decided like the complex itself: cx - W is
-built from label tuples, one at a time, and passes with a checked shelling,
+built by ``cx.delete``, one at a time, and passes with a checked shelling,
 else fails with its sweep's first Reisner defect.  A shelling of cx decides
 the sizes it covers with no deletion built: W = {}, and on a pseudomanifold
 |W| = 1 too, since a PL sphere is 2-CM ("Gorenstein* implies 2-CM";
@@ -55,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
-from math import comb
+from math import comb, inf
 
 from . import linalg
 from .core import DEFAULT_CANDIDATE_CAP, SimplicialComplex, Verdict
@@ -241,14 +241,9 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
     return BettiTable(values, field)
 
 
-def _closed_form(levels) -> tuple[int, ...]:
-    """``_betti_values`` of {} or n points, with no rank."""
-    return (1,) if len(levels) == 1 else (0, len(levels[1]) - 1)
-
-
 def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
-    """Memoized Betti values over characteristic p of lk(sigma), from its
-    face levels on a miss, by the cheapest method of the module docstring."""
+    """Memoized Betti values over characteristic p of lk(sigma), by the
+    cheapest method of the module docstring."""
     memo = _betti_memo(cx, p)
     values = memo.get(sigma)
     if values is None and p == 0:
@@ -256,39 +251,28 @@ def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
         if _low_defect(values) is not None:
             values = None
     if values is None:
-        levels = _link_levels(cx, sigma)
-        values = _closed_form(levels) if len(levels) < 3 else _betti_values(levels, p)
+        over = cx._face_index()[sigma]
+        beyond = max(map(int.bit_count, over)) - sigma.bit_count()
+        if beyond < 2:  # {} or len(over) points
+            values = (0, len(over) - 1) if beyond else (1,)
+        else:
+            values = _betti_values(_link_levels(cx, sigma, beyond), p)
     memo[sigma] = values
     return values
 
 
-def _link_levels(cx: SimplicialComplex, sigma: int):
-    """Face levels of lk(sigma), from the empty face up, read off the facets
-    over sigma in the face index.  The top level is F ^ sigma for each
-    largest facet F over sigma, in facet order; the lower levels hold the
-    subsets of every F ^ sigma, in no fixed order.
-    """
+def _link_levels(cx: SimplicialComplex, sigma: int, top: int):
+    """Face levels of lk(sigma) on 0 up to top vertices, each in label order:
+    the face levels of cx for sigma = 0, else the clique walk from sigma."""
     if not sigma:
-        return [cx._faces_masks(k) for k in range(-1, cx.dimension + 1)]
-    over = [fm ^ sigma for fm in cx._face_index()[sigma]]
-    size = max(map(int.bit_count, over))
-    faces = {0}
-    for t in over:
-        sub = t
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & t
-    levels = [[] for _ in range(size + 1)]
-    for t in faces:
-        levels[t.bit_count()].append(t)
-    levels[size] = [t for t in over if t.bit_count() == size]
-    return levels
+        return [cx._faces_masks(k) for k in range(-1, top)]
+    return [level for level, _ in cx._clique_walk(inf, top, sigma)]
 
 
 def _link_sweep(cx: SimplicialComplex, field: FieldSpec, skip_empty: bool = False):
     """Yield (sigma, Betti values of lk(sigma)) for the faces sigma in
     (dimension, label) order, from the empty face unless it is skipped."""
-    faces = chain.from_iterable(_link_levels(cx, 0))  # the faces of cx, the empty face first
+    faces = chain.from_iterable(_link_levels(cx, 0, cx.dimension + 1))  # the empty face first
     if skip_empty:
         next(faces)
     for sigma in faces:
@@ -375,7 +359,7 @@ def _sphere_links(
         if defect is None and values[-1] != 1:
             defect = (len(values) - 2, values[-1])
         if defect is not None:
-            witness = _checked_witness(cx, field, cx._labels_of(sigma), *defect)
+            witness = _checked_witness(cx, field, (), cx._labels_of(sigma), *defect)
             return Verdict(False, witness=witness, reason=reason)
     sphere = -(-1) ** (cx.dimension + 1)  # the reduced Euler characteristic of a sphere
     return _checked_pass(cx, cx.reduced_euler_characteristic() if skip_empty else sphere)
@@ -414,29 +398,30 @@ def is_homology_manifold(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdi
     return _sphere_links(cx, field, True, "a vertex or higher face has a non-sphere link")
 
 
-def _cm_defect(cx: SimplicialComplex, field: FieldSpec):
+def _cm_defect(cx: SimplicialComplex, field: FieldSpec, deleted):
     """Reisner witness of cx, re-checked, or None when it is CM: a checked
-    shelling passes it, else the sweep's first defect is its witness."""
+    shelling passes it, else the sweep's first defect is its witness.  cx
+    is a complex minus the vertex set ``deleted``, () for none."""
     if _shelling_h(cx):
         return None
     for sigma, values in _link_sweep(cx, field):
         defect = _low_defect(values)
         if defect is not None:
-            return _checked_witness(cx, field, cx._labels_of(sigma), *defect)
+            return _checked_witness(cx, field, deleted, cx._labels_of(sigma), *defect)
     return None
 
 
-def _checked_witness(cx, field, face, degree, betti) -> dict:
+def _checked_witness(cx, field, deleted, face, degree, betti) -> dict:
     """The witness found in the sweep of cx, once its Betti number has been
     recounted on the link of the face, else InternalInvariantError naming
-    the vertex set cx was cut from (the "deleted" memo entry).  The recount
-    is memoized: a Reisner and a sphere witness may be the same."""
+    the vertex set cx was cut from.  The recount is memoized: a Reisner and
+    a sphere witness may be the same."""
     p = field.characteristic
     check = partial(_recount, cx, face, degree, p)
     recount = cx._memoized(("witness", face, degree, p), check)
     if recount != betti:
         raise InternalInvariantError(
-            f"deleting {list(cx._memo.get('deleted', ()))}: the link of {list(face)} has "
+            f"deleting {list(deleted)}: the link of {list(face)} has "
             f"Betti number {recount} in degree {degree}, not {betti}"
         )
     return {"face": face, "degree": degree, "betti": betti}
@@ -461,7 +446,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
     """Reisner test: links have vanishing reduced homology below top degree."""
     if cx.is_void:
         raise InputError("the void complex cannot be classified")
-    witness = _cm_defect(cx, field)
+    witness = _cm_defect(cx, field, ())
     if witness is not None:
         return Verdict(
             False, witness=witness, reason="a link has homology below its top degree"
@@ -482,7 +467,7 @@ def is_m_cohen_macaulay(
     deleted sets W are tried in ``combinations(vertices, size)`` order, and
     ``cap`` bounds their number; the dimension drops exactly when W meets
     every top-dimensional facet, which is re-checked on the facet list.
-    cx - W, built from label tuples and held one at a time, is decided like
+    cx - W, built by ``cx.delete`` and held one at a time, is decided like
     cx in ``is_cohen_macaulay``, except at the sizes a shelling of cx
     decides: W = {}, and on a pseudomanifold |W| = 1 as well, since a PL
     sphere is 2-CM.
@@ -513,11 +498,7 @@ def is_m_cohen_macaulay(
                 )
             if size < certified:
                 continue
-            part = cx
-            if size:
-                part = SimplicialComplex(set(f).difference(chosen) for f in cx.facets)
-                part._memo["deleted"] = chosen  # named by a refuted witness
-            inner = _cm_defect(part, field)
+            inner = _cm_defect(cx.delete(chosen), field, chosen)
             if inner is not None:
                 return Verdict(
                     False,

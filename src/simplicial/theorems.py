@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import DEFAULT_CANDIDATE_CAP, Face, SimplicialComplex, build_complex
+from .core import DEFAULT_CANDIDATE_CAP, Face, SimplicialComplex, Verdict, build_complex
 from .errors import ClassificationError, InputError, InternalInvariantError
 from .generators import cross_polytope_boundary, is_isomorphic
 from .graphs import (
@@ -73,21 +73,16 @@ class TheoremReport:
         }
 
 
-def _flag_hypothesis(cx: SimplicialComplex, cap: int) -> HypothesisCheck:
-    v = cx.is_flag(cap)
-    return HypothesisCheck("flag", bool(v), v.witness)
-
-
-def _pm_hypothesis(cx: SimplicialComplex) -> HypothesisCheck:
-    v = cx.is_pseudomanifold()
-    return HypothesisCheck("pseudomanifold", bool(v), v.witness)
+def _hypothesis(name: str, verdict: Verdict) -> HypothesisCheck:
+    return HypothesisCheck(name, bool(verdict), verdict.witness)
 
 
 def check_graph_connectivity_bound(
     cx: SimplicialComplex, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> TheoremReport:
     """Flag pseudomanifolds with facets of size d have (2d-2)-connected graphs."""
-    hyps = (_flag_hypothesis(cx, cap), _pm_hypothesis(cx))
+    flag, pm = cx.is_flag(cap), cx.is_pseudomanifold()
+    hyps = (_hypothesis("flag", flag), _hypothesis("pseudomanifold", pm))
     if not all(h.ok for h in hyps):
         return TheoremReport("t1", hyps, None, {})
     d = cx.dimension + 1
@@ -123,9 +118,8 @@ def check_h_vector_bound(
     """
     hyps = [HypothesisCheck("nonvoid", not cx.is_void)]
     if hyps[0].ok:
-        hyps.append(_flag_hypothesis(cx, cap))
-        two_cm = is_m_cohen_macaulay(cx, 2, field, cap)
-        hyps.append(HypothesisCheck("doubly-cohen-macaulay", bool(two_cm), two_cm.witness))
+        hyps.append(_hypothesis("flag", cx.is_flag(cap)))
+        hyps.append(_hypothesis("doubly-cohen-macaulay", is_m_cohen_macaulay(cx, 2, field, cap)))
     hyps = tuple(hyps)
     if not all(h.ok for h in hyps):
         return TheoremReport("t3", hyps, None, {}, field=field.name)
@@ -171,8 +165,8 @@ def check_face_graph_connectivity_bound(
     if not 0 <= k <= cx.dimension - 1:
         raise InputError(f"k={k} outside 0..{cx.dimension - 1}")
     hyps = (
-        _flag_hypothesis(cx, cap),
-        _homology_manifold_hypothesis(cx, field),
+        _hypothesis("flag", cx.is_flag(cap)),
+        _hypothesis("homology-manifold", is_homology_manifold(cx, field)),
         HypothesisCheck("connected-graph", graph_of(cx).is_connected()),
     )
     if not all(h.ok for h in hyps):
@@ -184,16 +178,12 @@ def check_face_graph_connectivity_bound(
     return TheoremReport("gk", hyps, ok, details, field=field.name)
 
 
-def _homology_manifold_hypothesis(cx: SimplicialComplex, field: FieldSpec):
-    v = is_homology_manifold(cx, field)
-    return HypothesisCheck("homology-manifold", bool(v), v.witness)
-
-
 def check_face_lower_bounds_report(
     cx: SimplicialComplex, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> TheoremReport:
     """Face counts of flag pseudomanifolds dominate the cross-polytope's."""
-    hyps = (_flag_hypothesis(cx, cap), _pm_hypothesis(cx))
+    flag, pm = cx.is_flag(cap), cx.is_pseudomanifold()
+    hyps = (_hypothesis("flag", flag), _hypothesis("pseudomanifold", pm))
     if not all(h.ok for h in hyps):
         return TheoremReport("lb", hyps, None, {})
     d = cx.dimension + 1
@@ -339,7 +329,8 @@ def check_cross_polytope_subdivision(
     implementation defect, since it arises from the construction and not
     from the verifier.
     """
-    hyps = (_flag_hypothesis(cx, cap), _pm_hypothesis(cx))
+    flag, pm = cx.is_flag(cap), cx.is_pseudomanifold()
+    hyps = (_hypothesis("flag", flag), _hypothesis("pseudomanifold", pm))
     if not all(h.ok for h in hyps):
         return TheoremReport("t2", hyps, None, {})
     d = cx.dimension + 1

@@ -205,39 +205,40 @@ def test_homology_manifold_verdicts(corpus):
     assert not v
 
 
+NON_PURE = {
+    "triangle_bd_and_point": build_complex([(1, 2), (1, 3), (2, 3), (4,)]),
+    "triangle_edge_tetrahedron": build_complex([(1, 2, 3), (3, 4), (4, 5, 6, 7)]),
+}
+
+
 def test_closed_forms_match_the_reduction(corpus):
-    """Facet links ({} alone) and ridge links (points) take values in closed
-    form; they must be what the reduction gives."""
-    for name, cx in corpus.items():
-        for sigma in cx._face_index():
-            levels = homology._link_levels(cx, sigma)
-            if len(levels) > 2:
+    """Facet links ({} alone) and ridge links (points), whose facets have at
+    most one vertex beyond sigma, take values read off the face index; they
+    must be what the reduction of their face levels gives."""
+    for name, cx in {**corpus, **NON_PURE}.items():
+        for sigma, over in cx._face_index().items():
+            beyond = max(map(int.bit_count, over)) - sigma.bit_count()
+            if beyond > 1:
                 continue
+            levels = homology._link_levels(cx, sigma, beyond)
             for p in (2, 3, 0):
-                assert homology._closed_form(levels) == homology._betti_values(
-                    levels, p), (name, sigma, p)
+                want = homology._betti_values(levels, p)
+                assert homology._link_values(cx, p, sigma) == want, (name, sigma, p)
 
 
 def test_link_levels_are_the_levels_of_the_link(corpus):
-    """The face levels of lk(sigma), generated from the facets over sigma,
-    are those of the link complex, for every face of the corpus and of
-    non-pure complexes, whose links can mix facet sizes; on a pure link the
-    top level is F ^ sigma for the facets F over sigma, in facet order."""
-    non_pure = {
-        "triangle_bd_and_point": build_complex([(1, 2), (1, 3), (2, 3), (4,)]),
-        "triangle_edge_tetrahedron": build_complex([(1, 2, 3), (3, 4), (4, 5, 6, 7)]),
-    }
-    for name, cx in {**corpus, **non_pure}.items():
-        index = cx._face_index()
-        for sigma, over in index.items():
-            levels = homology._link_levels(cx, sigma)
+    """The face levels of lk(sigma), walked from sigma, are those of the link
+    complex in the same label order, for every face of the corpus and of
+    non-pure complexes, whose links can mix facet sizes."""
+    for name, cx in {**corpus, **NON_PURE}.items():
+        for sigma, over in cx._face_index().items():
+            top = max(map(int.bit_count, over)) - sigma.bit_count()
+            levels = homology._link_levels(cx, sigma, top)
             link = cx.link(cx._labels_of(sigma))
             assert len(levels) == link.dimension + 2, (name, sigma)
             for k, level in enumerate(levels, -1):
-                labelled = sorted(cx._labels_of(t) for t in level)
+                labelled = [cx._labels_of(t) for t in level]
                 assert labelled == list(link.faces(k)), (name, sigma, k)
-            if len({fm.bit_count() for fm in over}) == 1:
-                assert list(levels[-1]) == [fm ^ sigma for fm in over], (name, sigma)
 
 
 def test_rational_deciders_reduce_over_q_only_past_gf2_low_homology(monkeypatch, corpus):
@@ -467,6 +468,28 @@ def test_two_cm_cap_counts_deleted_sets(corpus):
     assert is_m_cohen_macaulay(corpus["octahedron"], 2, GF2, cap=7)
     with pytest.raises(ResourceLimitError):
         is_m_cohen_macaulay(corpus["octahedron"], 2, GF2, cap=6)
+
+
+def test_deleted_sets_are_built_by_delete(monkeypatch, octa):
+    """Each W past the sizes a shelling certifies is decided on cx.delete(W),
+    once: a shelled ball, no pseudomanifold, has W = () certified, and every
+    vertex up to the first failing one is deleted.  The octahedron minus a
+    facet first fails at its interior vertex 4, leaving an annulus."""
+    calls = []
+    real = SimplicialComplex.delete
+
+    def counted(self, points):
+        calls.append(tuple(points))
+        return real(self, points)
+
+    monkeypatch.setattr(SimplicialComplex, "delete", counted)
+    strip = build_complex([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6)])
+    ball = build_complex(octa.facets[1:])
+    for cx, last in ((strip, 2), (ball, 4)):
+        calls.clear()
+        v = is_m_cohen_macaulay(cx, 2, GF2)
+        assert v.witness["deleted"] == (last,)
+        assert calls == [(w,) for w in range(1, last + 1)]
 
 
 def test_two_cm_witness_is_rechecked_densely(monkeypatch, tmp_path, capsys):
