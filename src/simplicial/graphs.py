@@ -2,12 +2,14 @@
 
 Vertex connectivity is computed by Menger duality: the size of a
 minimum s-t vertex cut is the largest number of internally disjoint s-t
-paths.  The paths are grown by augmenting searches over neighbour
-bitmasks of the unsplit graph, and the last, failed search yields the
-cut.  Sweeping a deterministic set of pairs gives the global value.  The
-certificate is checked by code that shares nothing with the search:
-every pair's paths are real, internally disjoint and as many as its cut
-has nodes, and the reported cut separates its pair.
+paths.  The paths are grown in layered phases over neighbour bitmasks of
+the unsplit graph: each phase grows breadth-first layers from s only as
+far as t and augments a blocking set of shortest paths, and the last
+phase, which misses t, yields the cut.  Sweeping a deterministic set of
+pairs gives the global value.  The certificate is checked by code that
+shares nothing with the search: every pair's paths are real, internally
+disjoint and as many as its cut has nodes, and the reported cut
+separates its pair.
 
 Walks through a pseudomanifold carry a witness facet per edge; the walk
 is accepted when consecutive witnesses lie in one strong component of the
@@ -133,57 +135,78 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
     """Most internally disjoint s-t paths, and the minimum cut nearest s.
 
     s and t are non-adjacent indices into the neighbour masks.  The flow is
-    kept as pred/succ pointers of the nodes on it.  A search runs over
-    out-states; an in-state only leads on, a free node's to its own
-    out-state and a used node's back to its pred's.  Forward moves are
-    nbr[u] & ~seen_in; a used u may also step back to its in-state.  Each
-    search augments every tree path to t that has its own first step.  The
-    first search that misses t gives the cut: the nodes whose in-state it
-    reaches and whose out-state it does not, the same after any max flow.
+    kept as pred/succ pointers of the nodes on it, and `used` masks those
+    nodes.  It starts as one path s-u-t per common neighbour u; some
+    maximum flow has them all.  Each phase then grows out-state layers
+    from s, one OR of nbr[u] per node u of a layer.  An in-state has one
+    way on: a free node's to its own out-state, a used node's back to its
+    pred's; a used out-state may also step back to its in-state.  The
+    layers stop at the first one next to t.  A backward search from that
+    layer then augments a blocking set of shortest paths, each out-state
+    at most once, and the next phase grows fresh layers.  The phase that
+    runs out of layers without meeting t gives the cut: the nodes whose
+    in-state it reaches and whose out-state it does not, the same after
+    any max flow.
     """
     n = len(nbr)
     pred, succ = [-1] * n, [-1] * n
+    used = common = nbr[s] & nbr[t]
+    while common:
+        low = common & -common
+        common ^= low
+        u = low.bit_length() - 1
+        pred[u], succ[u] = s, t
     while True:
         seen_in = seen_out = 1 << s
-        par_in, par_out = {}, {}  # state -> the state it was entered from
-        ends = []  # reached out-states next to t
-        queue = [s]
-        for u in queue:
-            fresh = nbr[u] & ~seen_in
-            if pred[u] >= 0 and not seen_in >> u & 1:
-                fresh |= 1 << u
-            if fresh >> t & 1:
-                ends.append(u)
-                fresh ^= 1 << t
+        live = [1 << s]  # live[k]: out-states k layers from s
+        while live[-1] and not live[-1] & nbr[t]:
+            layer = live[-1]
+            fresh = layer & used  # step-backs
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                fresh |= nbr[low.bit_length() - 1]
+            fresh &= ~seen_in
             seen_in |= fresh
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                y = low.bit_length() - 1
-                par_in[y] = u
-                z = y if pred[y] < 0 else pred[y]
-                if not seen_out >> z & 1:
-                    seen_out |= 1 << z
-                    par_out[z] = y
-                    queue.append(z)
-        if not ends:
+            outs, back = fresh & ~used, fresh & used
+            while back:
+                low = back & -back
+                back ^= low
+                outs |= 1 << pred[low.bit_length() - 1]
+            live.append(outs & ~seen_out)
+            seen_out |= outs
+        if not live[-1]:
             break
-        # tree paths with distinct first steps share no state, so each one
-        # augments the flow the others leave
-        firsts = 0
-        for u in ends:
-            hops = [(u, t)]  # arcs (out-state u, in-state y), back from t
-            while u != s:
-                y = par_out[u]
-                u = par_in[y]
-                hops.append((u, y))
-            if firsts >> hops[-1][1] & 1:
+        ends, stuck = live[-1] & nbr[t], True
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            # out-states back from t, one per layer, each with the
+            # predecessors of its in-state still to try
+            stack, cands = [low.bit_length() - 1], []
+            while stack and len(stack) < len(live):
+                k = len(live) - len(stack)
+                if len(cands) < len(stack):
+                    z = stack[-1]
+                    y = succ[z] if used >> z & 1 else z
+                    cands.append((nbr[y] | used & 1 << y) & live[k - 1])
+                c = cands[-1]
+                if c:
+                    cands[-1] ^= c & -c
+                    stack.append((c & -c).bit_length() - 1)
+                else:
+                    live[k] ^= 1 << stack.pop()
+                    cands.pop()
+            if not stack:
                 continue
-            firsts |= 1 << hops[-1][1]
-            # in path order; a pointer is cleared only while it names the
-            # cancelled arc, because this path may already have reset it
+            stuck = False
+            path = stack[::-1]
+            hops = [(u, succ[z] if used >> z & 1 else z) for u, z in zip(path, path[1:])]
+            hops.append((path[-1], t))  # arcs (out-state u, in-state y) from s
+            # a pointer is cleared only while it names the cancelled arc,
+            # because this path may already have reset it
             w = -1
-            for u, y in reversed(hops):
+            for u, y in hops:
                 if w >= 0 and w != u:  # back along the flow u -> w
                     if succ[u] == w:
                         succ[u] = -1
@@ -195,6 +218,11 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
                     if y != t:
                         pred[y] = u
                 w = y
+            for k, u in enumerate(path[1:], 1):  # only these nodes change state
+                live[k] ^= 1 << u
+                used = used & ~(1 << u) | (pred[u] >= 0) << u
+        if stuck:
+            raise InternalInvariantError("a phase that meets t augments no path")
     paths = [[s, w] for w in range(n) if pred[w] == s]
     for path in paths:
         while path[-1] != t:

@@ -101,6 +101,37 @@ def test_complete_graph_marker():
         vertex_connectivity(Graph((1,), []))
 
 
+class _RecordingList(list):
+    """Neighbour masks that count the reads of each index."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.reads = [0] * len(masks)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+# s = 0 and t = 1 share the neighbours 2 and 3, which the seed turns into
+# paths, and the path 4, 5, ..., 33 hangs off s and leads nowhere.  The
+# second graph adds the path 0-34-35-1: one phase expands s, 34 and 4 and
+# stops at the layer of 35, next to t.  Past that, the tail is read only by
+# the search that misses t.
+@pytest.mark.parametrize("extra, paths, first_pinned", [
+    ([], [[0, 2, 1], [0, 3, 1]], 4),
+    ([(0, 34), (34, 35), (35, 1)], [[0, 2, 1], [0, 3, 1], [0, 34, 35, 1]], 5),
+])
+def test_tail_past_t_is_read_only_by_the_last_search(extra, paths, first_pinned):
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)] + [(v, v + 1) for v in range(4, 33)]
+    g = Graph(range(36), edges + extra)
+    nbr = _RecordingList(graphs._neighbour_masks(g))
+    got, cut = graphs._disjoint_paths(nbr, 0, 1)
+    assert sorted(got) == paths
+    assert cut == sum(1 << p[1] for p in paths)
+    assert nbr.reads[first_pinned:34] == [1] * (34 - first_pinned)
+
+
 def _connected_without(g, cut):
     """Whether G minus the cut is connected, by the oracle's search."""
     gone = set(cut)

@@ -19,9 +19,11 @@ from simplicial import (
     GF3,
     RATIONALS,
     Graph,
+    barycentric_subdivision,
     build_complex,
     cross_polytope_boundary,
     cycle,
+    face_adjacency_graph,
     graph_of,
     is_cohen_macaulay,
     is_homology_manifold,
@@ -338,14 +340,55 @@ def _assert_connectivity_matches_oracle(g):
     assert got.cut.separated_pair == pairs[first]
 
 
+def _assert_pairs_match_flow_oracle(g, pairs):
+    pos = {u: i for i, u in enumerate(g.nodes)}
+    nbr = graphs._neighbour_masks(g)
+    for s, t in pairs:
+        paths, cut_mask = graphs._disjoint_paths(nbr, pos[s], pos[t])
+        cut = tuple(u for u in g.nodes if cut_mask >> pos[u] & 1)
+        assert (len(paths), cut) == O.max_flow_vertex_cut(g.nodes, g.edges, s, t), (s, t)
+        graphs._check_menger(g, s, t, [[g.nodes[i] for i in p] for p in paths], cut)
+
+
+@st.composite
+def larger_graphs(draw):
+    """Graphs on 10 to 40 nodes in which every node picks k neighbours, k in 1..6."""
+    n, k = draw(st.integers(10, 40)), draw(st.integers(1, 6))
+    picks = st.lists(st.integers(1, n), min_size=k, max_size=k)
+    edges = [(v, w) for v in range(1, n + 1) for w in draw(picks) if w != v]
+    return Graph(range(1, n + 1), edges)
+
+
+@PROPERTY
+@given(larger_graphs())
+def test_flows_on_larger_random_graphs_match_flow_oracle(g):
+    pairs = [(1, t) for t in g.nodes if t != 1 and not g.has_edge(1, t)]
+    _assert_pairs_match_flow_oracle(g, pairs + _pair_list(g))
+
+
+@pytest.mark.parametrize("name", ["gk cross6", "gk bary3", "graph bary4"])
+def test_sweep_pairs_of_bench_graphs_match_flow_oracle(name):
+    g = {
+        "gk cross6": lambda: face_adjacency_graph(cross_polytope_boundary(6), 1),
+        "gk bary3": lambda: face_adjacency_graph(
+            barycentric_subdivision(cross_polytope_boundary(3)), 1),
+        "graph bary4": lambda: graph_of(barycentric_subdivision(cross_polytope_boundary(4))),
+    }[name]()
+    _assert_pairs_match_flow_oracle(g, _pair_list(g))
+
+
 # Graphs on which a search must back along the flow.  They catch a search
 # that never steps back from a used node's out-state to its in-state, and
-# pointer updates that clear a pointer the same path has already reset.
+# pointer updates that clear a pointer the same path has already reset.  On
+# the last, the first phase from 1 to 3 lays 1-5-7-4-3, which blocks
+# 1-5-9-6-3; the second phase cancels 5-7-4 by stepping back through 7.
 FLOW_BACKING_GRAPHS = (
     Graph(range(1, 7), [(1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (3, 6), (4, 5)]),
     Graph(range(1, 8), [(1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4), (3, 6), (4, 6),
                         (4, 7), (5, 7)]),
     Graph(range(1, 8), [(1, 2), (2, 5), (2, 7), (3, 6), (3, 7), (4, 5), (4, 6)]),
+    Graph(range(1, 10), [(1, 2), (1, 5), (2, 8), (3, 4), (3, 6), (4, 7), (4, 8), (5, 7),
+                         (5, 9), (6, 9)]),
 )
 
 
@@ -354,6 +397,7 @@ FLOW_BACKING_GRAPHS = (
 @example(FLOW_BACKING_GRAPHS[0])
 @example(FLOW_BACKING_GRAPHS[1])
 @example(FLOW_BACKING_GRAPHS[2])
+@example(FLOW_BACKING_GRAPHS[3])
 def test_connectivity_of_random_graphs_matches_oracle(g):
     _assert_connectivity_matches_oracle(g)
 
