@@ -16,28 +16,33 @@ The memo takes no lock: the package starts no threads, and two threads
 racing on one entry would only build it twice.
 
 Face-facet incidence lives in one memo entry, the face index, which maps
-every face mask, the empty face included, to the facets over it.  A set is
-a face exactly when it is a key (``has_face``, the clique walk), a link is
-read off the facets over its face, and the pseudomanifold test and t2's
-facet flips read the facets over a ridge.  Strong components, the
-face-avoiding walk and the flag walk's link components come from one facet
-search over it, from facet to facet across shared ridges.
+every face mask, the empty face included, to its facet bitset: bit i stands
+for the i-th facet, and is set when that facet holds the face.  A set is a
+face exactly when it is a key (``has_face``), a link is read off the facets
+over its face, the pseudomanifold test counts the facets over each ridge,
+and t2's facet flips read them.  Strong components, the face-avoiding walk
+and the flag walk's link components come from one facet search over it,
+from facet to facet across shared ridges, on facet bitsets.
 
-Vertex adjacency lives in a second memo entry, the graph index, which maps
-each vertex to the bitmask of its neighbours in the 1-skeleton.  One walk
-over the cliques that extend faces builds the face levels and decides
-flagness: each face carries the common neighbours of its vertices above
-its top label (an AND of masks), each of them gives a candidate one vertex
-larger, and a candidate is a face when the face index holds it and a
-minimal nonface when it does not but its one-smaller subsets are faces.
-Each level comes out in label-tuple order with no sort, and the flag test
-stops at its first level with a minimal nonface.  Started from a face
-sigma, the walk lists the faces of lk(sigma) alike, and charges no cap.
-The isomorphism search reads adjacency off the graph index too.  In a flag
-complex the link of a face is the clique complex of the graph induced on
-the common neighbours of its vertices, so t2 walks link circles on these
-masks and the flag walk takes link components from the face index:
-neither builds a link complex.
+Vertex adjacency and incidence are read straight off the facet list: each
+vertex has the mask of its neighbours in the 1-skeleton and the facet
+bitset of the facets through it.  One walk over the cliques that extend
+faces builds the face index and the face levels and decides flagness: each
+face carries the AND of its vertices' facet bitsets and the common
+neighbours of its vertices above its top label (an AND of masks); each of
+them gives a candidate one vertex larger, which is a face exactly when its
+face's facets meet the new vertex's, and a minimal nonface when it is not
+but its one-smaller subsets are in the previous level.  Each level comes
+out in label-tuple order with no sort, and the flag test stops at its
+first minimal nonface.  A walk that only lists faces cuts a face's
+candidates down to its star at its first miss, so on any input it tests
+little more than the faces it keeps.  Started from a face sigma, the walk
+lists the faces of lk(sigma) alike, and charges no cap.  The isomorphism
+search reads adjacency off the neighbour masks too.  In a flag complex the
+link of a face is the clique complex of the graph induced on the common
+neighbours of its vertices, so t2 walks link circles on these masks and
+the flag walk takes link components from the facet search: neither builds
+a link complex.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
-from math import comb, inf
+from math import comb
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -250,32 +255,33 @@ class SimplicialComplex:
 
     # -- the face index and the face levels -----------------------------------
 
-    def _face_index(self) -> dict[int, list[int]]:
-        """Face mask -> the facet masks over it, in facet order.
+    def _face_index(self) -> dict[int, int]:
+        """Face mask -> the facet bitset of the facets over it, bit i for the
+        i-th facet.  Every face is a key, the empty face included; the void
+        complex has no keys."""
+        return self._faces()[1]
 
-        Every face is a key, the empty face included; the void complex has
-        no keys.
-        """
+    def _faces(self) -> tuple:
+        """The face levels and the face index, from one clique walk that lists
+        faces only; a flag test that passed has kept them already."""
 
         def build():
-            index = {0: list(self._facet_masks)} if self._facet_masks else {}
-            for fm in self._facet_masks:
-                sub = fm
-                while sub:
-                    index.setdefault(sub, []).append(fm)
-                    sub = (sub - 1) & fm
-            return index
+            return self._kept(self._clique_walk(self.dimension + 1, star=True))
 
-        return self._memoized("face_index", build)
+        return self._memoized("faces", build)
+
+    @staticmethod
+    def _kept(levels) -> tuple:
+        """Face levels, each a tuple of masks in label-tuple order, and the
+        face index merged from the walk's level dicts."""
+        levels, index = tuple(levels), {}
+        for level in levels:
+            index.update(level)
+        return tuple(map(tuple, levels)), index
 
     def _faces_masks(self, k: int) -> tuple[int, ...]:
-        """The faces of dimension k, ordered by label tuple, as the clique
-        walk builds them; a flag test that passed has kept them already."""
-
-        def build():
-            return tuple(level for level, _ in self._clique_walk(inf, self.dimension + 1))
-
-        levels = self._memoized("face_levels", build)
+        """The faces of dimension k, ordered by label tuple."""
+        levels = self._faces()[0]
         return levels[k + 1] if 0 <= k + 1 < len(levels) else ()
 
     def faces(self, k: int) -> tuple[Face, ...]:
@@ -330,7 +336,8 @@ class SimplicialComplex:
         if m == 0:
             return self
         return self._memoized(
-            ("link", m), lambda: SimplicialComplex(self._labels_of(fm & ~m) for fm in over)
+            ("link", m),
+            lambda: SimplicialComplex(self._labels_of(fm & ~m) for fm in self._facets_of(over)),
         )
 
     def delete(self, points: Iterable[int]) -> "SimplicialComplex":
@@ -353,63 +360,68 @@ class SimplicialComplex:
 
     # -- the clique walk: face levels, minimal nonfaces and flagness -----------
 
-    def _clique_walk(self, cap: float, top: int, sigma: int = 0) -> Iterator[tuple]:
-        """Yield, for c = 0 up to top, the faces on c vertices and the minimal
-        nonfaces on c >= 3 vertices of lk(sigma), each in label-tuple order;
-        sigma = 0, the empty face, gives the complex itself.
+    def _clique_walk(self, top: int, sigma: int = 0, cap=None, star: bool = False) -> Iterator:
+        """Yield, for c = 0 up to top, the faces on c vertices of lk(sigma), a
+        dict from face mask to facet bitset in label-tuple order; sigma = 0,
+        the empty face, gives the complex itself.  Unless star is set, the
+        walk also yields each minimal nonface on c >= 3 vertices as a bare
+        mask, in label-tuple order, as soon as it is found, before the level
+        it was tested for.
 
-        Level c grows from level c - 1, and level 0, the empty face, carries
-        the vertices of lk(sigma): those of the facets over sigma, outside it.
-        Each face carries the common neighbours of its vertices above its top
-        bit, and each bit of that mask, in increasing order, gives a
-        candidate; positions follow labels, so the level comes out in
-        label-tuple order.  A candidate whose union with sigma is in the face
-        index is a face and carries the rest of the mask ANDed with the new
-        vertex's neighbours.  One outside it is a minimal nonface when every
-        subset one vertex smaller is a face.  Past two vertices every face and
-        every minimal nonface is a clique, so none is missed; the non-edges
-        are not listed.  Before level c >= 2 is built, each face on c - 1
-        vertices is charged n - top_bit candidates against cap, as if it were
-        extended by every higher label; cap = inf, as in link walks, charges
-        nothing.
+        Level c grows from level c - 1.  Level 0, the empty face, carries the
+        facets over sigma and the common neighbours of sigma's vertices.
+        Each face carries the facets over it and sigma, the AND of its
+        vertices' facet bitsets, and the common neighbours of its vertices
+        above its top bit; each bit of that mask, in increasing order, gives a
+        candidate, so the level comes out in label-tuple order.  A candidate
+        is a face exactly when the face's facets meet those through the new
+        vertex; it carries their AND and the rest of the mask ANDed with the
+        new vertex's neighbours.
+
+        A walk without star tests every candidate: one that is no face is a
+        minimal nonface when every subset one vertex smaller is in the
+        previous level.  Past two vertices every face and every minimal
+        nonface is a clique, so none is missed; the non-edges are not listed.
+        Before level c >= 2 is built, each face on c - 1 vertices is charged
+        n - top_bit candidates against cap, as if it were extended by every
+        higher label; cap None charges nothing.  A walk with star set lists
+        faces only: at a face's first candidate that is no face, it cuts the
+        rest down to the face's star, the OR of the facets over it, and every
+        candidate left is a face.  A flag complex never gets there.
         """
         n = len(self._labels)
-        nbrs = self._neighbour_masks()
-        index = self._face_index()
-        over = index.get(sigma, ())
-        level = (0,) if over else ()
-        exts = [reduce(or_, over, 0) & ~sigma] * len(level)
-        nonfaces: list[int] = []
+        inc, nbrs = self._incidence()
+        fac, ext = (1 << len(self._facet_masks)) - 1, (1 << n) - 1 & ~sigma
+        for b in self._bits(sigma):
+            fac &= inc[b.bit_length() - 1]
+            ext &= nbrs[b.bit_length() - 1]
+        level = {0: fac} if fac else {}
+        exts = [ext] * len(level)
         examined = 0
-        yield level, nonfaces
+        yield level
         for c in range(1, top + 1):
-            if c > 1 and cap < inf:  # the vertices are not charged, nor uncapped walks
+            if c > 1 and cap is not None:  # the vertices are not charged
                 charge = n * len(level) - sum(map(int.bit_length, level))
                 examined += charge
                 if charge and examined > cap:
                     raise ResourceLimitError(
                         f"minimal nonface search exceeded {cap} candidate sets"
                     )
-            faces, face_exts, nonfaces = [], [], []
-            for f, ext in zip(level, exts):
+            faces, face_exts = {}, []
+            for (f, fac), ext in zip(level.items(), exts):
                 while ext:
                     new = ext & -ext
                     ext ^= new
-                    sm = f | new
-                    if sm | sigma in index:
-                        faces.append(sm)
-                        face_exts.append(ext & nbrs[new.bit_length() - 1])
-                        continue
-                    rest = f
-                    while rest:
-                        b = rest & -rest
-                        rest ^= b
-                        if sm ^ b | sigma not in index:
-                            break
-                    else:
-                        nonfaces.append(sm)
-            level, exts = tuple(faces), face_exts
-            yield level, nonfaces
+                    i = new.bit_length() - 1
+                    if over := fac & inc[i]:
+                        faces[f | new] = over
+                        face_exts.append(ext & nbrs[i])
+                    elif star:
+                        ext &= reduce(or_, self._facets_of(fac))
+                    elif all(f ^ b | new in level for b in self._bits(f)):
+                        yield f | new
+            level, exts = faces, face_exts
+            yield level
 
     @staticmethod
     def _bits(mask: int) -> list[int]:
@@ -420,6 +432,10 @@ class SimplicialComplex:
             mask ^= low
         return out
 
+    def _facets_of(self, fac: int) -> list[int]:
+        """The facet masks of a facet bitset, in facet order."""
+        return [self._facet_masks[b.bit_length() - 1] for b in self._bits(fac)]
+
     def _facets_over(self, m: int) -> int:
         """How many facets hold m, counted on the plain facet list."""
         return sum(m & fm == m for fm in self._facet_masks)
@@ -428,8 +444,8 @@ class SimplicialComplex:
         """All minimal nonfaces, ordered by (cardinality, label tuple)."""
 
         def build():
-            walk = self._clique_walk(cap, self.dimension + 2)
-            higher = [m for _, level in walk for m in level]
+            walk = self._clique_walk(self.dimension + 2, cap=cap)
+            higher = [m for m in walk if isinstance(m, int)]
             n = len(self._labels)
             pairs = []  # the non-edges, read off the neighbour masks
             for i, nbr in enumerate(self._neighbour_masks()):
@@ -443,69 +459,79 @@ class SimplicialComplex:
 
         Equivalently the complex is the clique complex of its own graph.
         The witness on failure is the first minimal nonface with three or
-        more vertices, re-checked against the facet list.  A complex that
-        passes has had every face level walked, and keeps them.
+        more vertices, where the walk stops, re-checked against the facet
+        list.  A complex that passes has had every face level walked, and
+        keeps them with the face index.
         """
 
         def build():
             levels = []
-            for level, nonfaces in self._clique_walk(cap, self.dimension + 2):
-                if nonfaces:
-                    m = nonfaces[0]
-                    nf = self._labels_of(m)
-                    smaller = (m ^ b for b in self._bits(m))
-                    if self._facets_over(m) or not all(map(self._facets_over, smaller)):
-                        raise InternalInvariantError(f"{list(nf)} is no minimal nonface")
-                    return Verdict(
-                        False, witness=nf, reason="minimal nonface with 3 or more vertices"
-                    )
-                levels.append(level)
+            for item in self._clique_walk(self.dimension + 2, cap=cap):
+                if isinstance(item, dict):
+                    levels.append(item)
+                    continue
+                nf = self._labels_of(item)  # the first minimal nonface
+                smaller = (item ^ b for b in self._bits(item))
+                if self._facets_over(item) or not all(map(self._facets_over, smaller)):
+                    raise InternalInvariantError(f"{list(nf)} is no minimal nonface")
+                return Verdict(False, witness=nf, reason="minimal nonface with 3 or more vertices")
             # the last level walked, on dimension + 2 vertices, holds no face
-            self._memo.setdefault("face_levels", tuple(levels[:-1]))
+            self._memo.setdefault("faces", self._kept(levels[:-1]))
             return Verdict(True)
 
         return self._memoized("flag", build)
 
-    # -- the graph index -------------------------------------------------------
+    # -- incidence and adjacency, read off the facet list -----------------------
+
+    def _incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Vertex position -> the facet bitset of the facets through it, and
+        vertex position -> bitmask of the other vertices of those facets."""
+
+        def build():
+            n = len(self._labels)
+            inc, nbrs = [0] * n, [0] * n
+            for j, fm in enumerate(self._facet_masks):
+                for b in self._bits(fm):
+                    i = b.bit_length() - 1
+                    inc[i] |= 1 << j
+                    nbrs[i] |= fm
+            return tuple(inc), tuple(m ^ 1 << i for i, m in enumerate(nbrs))
+
+        return self._memoized("incidence", build)
 
     def _neighbour_masks(self) -> tuple[int, ...]:
         """Vertex position -> bitmask of the other vertices of its facets."""
-
-        def build():
-            index = self._face_index()
-            return tuple(reduce(or_, index[1 << i]) ^ 1 << i for i in range(len(self._labels)))
-
-        return self._memoized("neighbours", build)
+        return self._incidence()[1]
 
     # -- the facet search: strong components and pseudomanifolds --------------
 
-    def _strong_search(self, sources, keep: int = 0, avoid: int = 0) -> Iterator[tuple]:
-        """Breadth-first search over facets joined through shared ridges.
+    def _strong_search(self, sources: int, keep: int = 0, avoid: int = 0) -> Iterator[tuple]:
+        """Breadth-first search over facets joined through shared ridges,
+        from the facets of the bitset sources, all of one size.
 
         One step goes from a facet f to the other facets of f's size over
-        f ^ b, for each vertex bit b of f outside keep, in facet order, and
-        never enters a facet that meets avoid.  Yields (facet, the facet it
-        was entered from or None) in visit order; a caller may stop early.
+        f ^ b, for each vertex bit b of f outside keep, and never enters a
+        facet that meets avoid; the facets one step finds are entered in
+        facet order.  Yields (facet, the facet it was entered from or None)
+        in visit order; a caller may stop early.
         """
         index = self._face_index()
-        pos = self._memoized("facet_pos", lambda: {f: i for i, f in enumerate(self._facet_masks)})
-        parent: dict[int, int | None] = dict.fromkeys(fm for fm in sources if not fm & avoid)
-        queue = list(parent)
-        yield from parent.items()
+        seen = reduce(or_, (index[b] for b in self._bits(avoid)), 0)
+        queue = self._facets_of(sources & ~seen)
+        seen |= sources
+        size = queue[0].bit_count() if queue else 0
+        for f in queue[:]:
+            yield f, None
         for f in queue:
-            size, new, rest = f.bit_count(), [], f & ~keep
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                for g in index[f ^ b]:
-                    if g not in parent and not g & avoid and g.bit_count() == size:
-                        new.append(g)
-            if len(new) > 1:
-                new.sort(key=pos.__getitem__)
-            for g in new:
-                parent[g] = f
-                yield g, f
-            queue.extend(new)
+            found = 0
+            for b in self._bits(f & ~keep):
+                found |= index[f ^ b]
+            found &= ~seen
+            seen |= found
+            for g in self._facets_of(found):
+                if g.bit_count() == size:
+                    queue.append(g)
+                    yield g, f
 
     def strong_components(self) -> StrongComponents:
         """Group facets by chains of codimension-one (in both) overlaps."""
@@ -514,9 +540,9 @@ class SimplicialComplex:
     def _compute_strong(self) -> StrongComponents:
         # a component's facets share one size: sort each by label, all by (size, first)
         comps, seen = [], set()
-        for fm in self._facet_masks:
+        for j, fm in enumerate(self._facet_masks):
             if fm not in seen:
-                comp = [g for g, _ in self._strong_search([fm])]
+                comp = [g for g, _ in self._strong_search(1 << j)]
                 seen.update(comp)
                 comps.append(tuple(sorted(map(self._labels_of, comp))))
         comps.sort(key=lambda c: (len(c[0]), c[0]))
@@ -546,12 +572,13 @@ class SimplicialComplex:
         # facets is a ridge, and every facet over it shares it
         index = self._face_index()
         for rm in self._faces_masks(self.dimension - 1):
-            if len(index[rm]) != 2:
+            count = index[rm].bit_count()
+            if count != 2:
                 if self._facets_over(rm) == 2:  # recounted on the facet list
                     raise InternalInvariantError(f"{list(self._labels_of(rm))} lies in 2 facets")
                 return Verdict(
                     False,
-                    witness={"ridge": self._labels_of(rm), "facet_count": len(index[rm])},
+                    witness={"ridge": self._labels_of(rm), "facet_count": count},
                     reason="a codimension-two face is not in exactly two facets",
                 )
         return Verdict(True)

@@ -97,7 +97,7 @@ def _vertex_signature(cx: SimplicialComplex):
     """Vertex -> (degree, sorted sizes of the facets through it)."""
     adj, index = cx._neighbour_masks(), cx._face_index()
     return {
-        v: (adj[i].bit_count(), tuple(sorted(fm.bit_count() for fm in index[1 << i])))
+        v: (adj[i].bit_count(), tuple(sorted(map(int.bit_count, cx._facets_of(index[1 << i])))))
         for i, v in enumerate(cx.vertices)
     }
 

@@ -223,7 +223,8 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
                 used = used & ~(1 << u) | (pred[u] >= 0) << u
         if stuck:
             raise InternalInvariantError("a phase that meets t augments no path")
-    paths = [[s, w] for w in range(n) if pred[w] == s]
+    starts = (b.bit_length() - 1 for b in SimplicialComplex._bits(nbr[s] & used))
+    paths = [[s, w] for w in starts if pred[w] == s]
     for path in paths:
         while path[-1] != t:
             if succ[path[-1]] < 0 or len(path) > n:
@@ -290,7 +291,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     best_cut = best_pair = None
     for s, t in pairs:
         index_paths, cut_mask = _disjoint_paths(nbr, pos[s], pos[t])
-        cut = tuple(u for i, u in enumerate(nodes) if cut_mask >> i & 1)
+        cut = tuple(nodes[b.bit_length() - 1] for b in SimplicialComplex._bits(cut_mask))
         _check_menger(g, s, t, [[nodes[i] for i in p] for p in index_paths], cut)
         if best_cut is None or (len(cut), cut) < (len(best_cut), best_cut):
             best_cut = cut

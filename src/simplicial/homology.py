@@ -13,18 +13,19 @@ zero, so it is never built.  Each Betti table is checked against the
 bounds the ranks must obey.
 
 A shelling decides most passes with no rank.  A greedy search on the
-face index looks for a shelling order once per complex, for every field; a
-checker that reads only the facet list, as label tuples, confirms it and
-counts off it the h-vector, which must be the f-vector's.  A checked order
-decides the CM pass, and on a pseudomanifold, then a PL sphere, the passes
-of sphere and manifold too.  Failures and complexes it does not shell go
-through the sweep below.
+facet bitsets of the face index looks for a shelling order once per
+complex, for every field; a checker that reads only the facet list, as
+label tuples, confirms it and counts off it the h-vector, which must be
+the f-vector's.  A checked order decides the CM pass, and on a
+pseudomanifold, then a PL sphere, the passes of sphere and manifold too.
+Failures and complexes it does not shell go through the sweep below.
 
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
 manifold deciders store no link.  They visit the faces sigma in
 (dimension, label) order.  On a memo miss the clique walk of core,
 started from sigma, lists the face levels of lk(sigma) in label order,
-and they are dropped once ranked.  Betti values are memoized on the
+cutting each face's candidates down to its star at the first that is no
+face, and they are dropped once ranked.  Betti values are memoized on the
 complex under (sigma, field), so the four deciders share one sweep.  All
 deciders report the first failing face in (dimension, label) order, and
 the first failing W in ``combinations(vertices, size)`` order.
@@ -55,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
-from math import comb, inf
+from math import comb
 
 from . import linalg
 from .core import DEFAULT_CANDIDATE_CAP, SimplicialComplex, Verdict
@@ -251,7 +252,7 @@ def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
         if _low_defect(values) is not None:
             values = None
     if values is None:
-        over = cx._face_index()[sigma]
+        over = cx._facets_of(cx._face_index()[sigma])
         beyond = max(map(int.bit_count, over)) - sigma.bit_count()
         if beyond < 2:  # {} or len(over) points
             values = (0, len(over) - 1) if beyond else (1,)
@@ -262,11 +263,12 @@ def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
 
 
 def _link_levels(cx: SimplicialComplex, sigma: int, top: int):
-    """Face levels of lk(sigma) on 0 up to top vertices, each in label order:
-    the face levels of cx for sigma = 0, else the clique walk from sigma."""
+    """Face levels of lk(sigma) on 0 up to top vertices, each its face masks
+    in label order: the face levels of cx for sigma = 0, else the level
+    dicts of the clique walk from sigma, keyed by face mask."""
     if not sigma:
         return [cx._faces_masks(k) for k in range(-1, top)]
-    return [level for level, _ in cx._clique_walk(inf, top, sigma)]
+    return list(cx._clique_walk(top, sigma, star=True))
 
 
 def _link_sweep(cx: SimplicialComplex, field: FieldSpec, skip_empty: bool = False):
@@ -304,20 +306,21 @@ def _shelling_order(cx: SimplicialComplex) -> list[int] | None:
         return None
     index = cx._face_index()
     queue = deque(cx._facet_masks[:1])
-    queued, shelled = set(queue), {}  # shelled: a dict, whose keys keep the order
+    queued, shelled, order = 1, 0, []  # facet bitsets; a facet's own is index[f]
     while queue:
         f = queue.popleft()
-        queued.discard(f)
+        queued ^= index[f]
         bits = cx._bits(f)
-        rest = sum(b for b in bits if any(g in shelled for g in index[f ^ b]))
-        if shelled and any(g in shelled for g in index[rest]):
+        rest = sum(b for b in bits if index[f ^ b] & shelled)
+        if index[rest] & shelled:
             continue
-        shelled[f] = None
+        shelled |= index[f]
+        order.append(f)
         for b in bits:
-            new = [g for g in index[f ^ b] if g not in queued and g not in shelled]
-            queued.update(new)
-            queue.extend(new)
-    return list(shelled) if len(shelled) == len(cx._facet_masks) else None
+            new = index[f ^ b] & ~(queued | shelled)
+            queued |= new
+            queue.extend(cx._facets_of(new))
+    return order if len(order) == len(cx._facet_masks) else None
 
 
 def _checked_shelling(cx: SimplicialComplex, order) -> tuple[int, ...]:

@@ -218,7 +218,7 @@ def _facet_flip(cx: SimplicialComplex, facet: Face, drop: int) -> int:
     """The vertex replacing drop in the unique other facet over the ridge."""
     fm = cx._mask_of(facet)
     ridge = fm & ~cx._mask_of((drop,))
-    others = [g for g in cx._face_index()[ridge] if g != fm]
+    others = [g for g in cx._facets_of(cx._face_index()[ridge]) if g != fm]
     if len(others) > 1:
         raise InternalInvariantError("ridge lies in three facets")
     if not others:
@@ -274,7 +274,7 @@ def cross_polytope_subdivision(
     fm = cx._mask_of(facet)
     # a facet is the only facet over itself; a repeated label leaves the
     # mask smaller than the tuple
-    if cx._face_index().get(fm) != [fm] or fm.bit_count() != len(facet):
+    if cx._facets_of(cx._face_index().get(fm, 0)) != [fm] or fm.bit_count() != len(facet):
         raise InputError(f"{list(facet)} is not a facet")
     vs = facet
     d = len(vs)
@@ -391,9 +391,10 @@ def _link_component(cx: SimplicialComplex, face: Face, anchor: Face):
     The facet search from face + anchor keeps face, so it crosses only the
     ridges of the star of face."""
     fm, start = cx._mask_of(face), cx._mask_of(face + anchor)
-    if cx._face_index().get(start) != [start]:
+    over = cx._face_index().get(start, 0)
+    if cx._facets_of(over) != [start]:
         return None
-    return {cx._labels_of(g & ~fm) for g, _ in cx._strong_search([start], keep=fm)}
+    return {cx._labels_of(g & ~fm) for g, _ in cx._strong_search(over, keep=fm)}
 
 
 def _same_star_component(cx: SimplicialComplex, v: int, f1: Face, f2: Face) -> bool:

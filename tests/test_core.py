@@ -15,6 +15,7 @@ from simplicial import (
     cross_polytope_boundary,
     facet_file_text,
     join,
+    simplex_boundary,
 )
 from simplicial import cli
 from simplicial.errors import InternalInvariantError
@@ -209,21 +210,38 @@ def test_cap_is_charged_before_a_level_is_built(tmp_path, capsys):
     assert peak < 4 << 20
 
 
+def test_cap_is_charged_before_the_face_index_is_built(tmp_path, capsys):
+    """The boundary of the 21-simplex has 2^22 - 1 faces.  A cap of 1000
+    trips when its 231 edges are charged, before any face index exists; a
+    face index built first took seconds and more than 1 GiB."""
+    path = tmp_path / "simplex21.txt"
+    path.write_text(facet_file_text(simplex_boundary(21)))
+    tracemalloc.start()
+    try:
+        code = cli.main(["analyze", str(path), "--cap", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "cap" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
 def test_structural_witnesses_are_rechecked(monkeypatch, tmp_path, capsys, torus, octa):
     """A flag witness missing a vertex and a ridge whose facet count is
     skewed are refuted by recounts on the facet list, from the library and
     the CLI."""
     real_walk, real_index = SimplicialComplex._clique_walk, SimplicialComplex._face_index
 
-    def dropped(self, cap, top):
-        for level, nonfaces in real_walk(self, cap, top):
-            yield level, [m & (m - 1) for m in nonfaces]
+    def dropped(self, *args, **kwargs):
+        for item in real_walk(self, *args, **kwargs):
+            yield item if isinstance(item, dict) else item & (item - 1)
 
     def skewed(self):
         index = real_index(self)
         ridge = next(m for m in index if m.bit_count() == self.dimension)
-        if len(index[ridge]) == 2:
-            index[ridge].append(index[ridge][0])
+        third = next(1 << j for j in range(len(self._facet_masks)) if not index[ridge] >> j & 1)
+        if index[ridge].bit_count() == 2:
+            index[ridge] |= third
         return index
 
     for name, patch, cx, check, match in (
@@ -255,7 +273,7 @@ def test_strong_search_is_a_breadth_first_ridge_search(corpus):
             if not kept:
                 continue
             source = cx._mask_of(kept[0])
-            got = list(cx._strong_search([source], avoid=cx._mask_of((v,))))
+            got = list(cx._strong_search(cx._face_index()[source], avoid=cx._mask_of((v,))))
             order = {f: i for i, (f, _) in enumerate(got)}
             assert got[0] == (source, None), name
             depth = {source: 0}

@@ -217,7 +217,7 @@ def test_closed_forms_match_the_reduction(corpus):
     must be what the reduction of their face levels gives."""
     for name, cx in {**corpus, **NON_PURE}.items():
         for sigma, over in cx._face_index().items():
-            beyond = max(map(int.bit_count, over)) - sigma.bit_count()
+            beyond = max(map(int.bit_count, cx._facets_of(over))) - sigma.bit_count()
             if beyond > 1:
                 continue
             levels = homology._link_levels(cx, sigma, beyond)
@@ -232,13 +232,46 @@ def test_link_levels_are_the_levels_of_the_link(corpus):
     non-pure complexes, whose links can mix facet sizes."""
     for name, cx in {**corpus, **NON_PURE}.items():
         for sigma, over in cx._face_index().items():
-            top = max(map(int.bit_count, over)) - sigma.bit_count()
+            top = max(map(int.bit_count, cx._facets_of(over))) - sigma.bit_count()
             levels = homology._link_levels(cx, sigma, top)
             link = cx.link(cx._labels_of(sigma))
             assert len(levels) == link.dimension + 2, (name, sigma)
             for k, level in enumerate(levels, -1):
                 labelled = [cx._labels_of(t) for t in level]
                 assert labelled == list(link.faces(k)), (name, sigma, k)
+
+
+class _RecordingTuple(tuple):
+    """Facet bitsets of the vertices that count their reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return super().__getitem__(i)
+
+
+def test_link_walks_cut_to_stars_list_the_oracle_links(monkeypatch):
+    """The cone over the edges of K_30 plus one triangle: the apex's link
+    has 4060 triangles of its graph as cliques and one as a face.  The walk
+    from every face lists the oracle's link faces in label order, and tests
+    at most two candidates per face of the link: each face's first miss
+    cuts its candidates down to its star."""
+    cx = build_complex([(0, *e) for e in combinations(range(1, 31), 2)] + [(0, 1, 2, 3)])
+    links: dict = {}
+    for face in O.close_downward(cx.facets):
+        for r in range(len(face) + 1):
+            for sigma in combinations(sorted(face), r):
+                links.setdefault(sigma, []).append(tuple(sorted(face - set(sigma))))
+    inc, nbrs = cx._incidence()
+    cx._memo["incidence"] = (_RecordingTuple(inc), nbrs)
+    for sigma, faces in links.items():
+        monkeypatch.setattr(_RecordingTuple, "reads", 0)
+        walk = cx._clique_walk(cx.dimension + 1 - len(sigma), cx._mask_of(sigma), star=True)
+        got = [cx._labels_of(t) for level in walk for t in level]
+        assert got == sorted(faces, key=lambda t: (len(t), t)), sigma
+        assert _RecordingTuple.reads <= len(sigma) + 2 * len(faces), sigma
+    assert len(links[(0,)]) == 1 + 30 + 435 + 1
 
 
 def test_rational_deciders_reduce_over_q_only_past_gf2_low_homology(monkeypatch, corpus):

@@ -1,9 +1,10 @@
 """Property tests of the exact rank kernel, the homology deciders, the
 maximal faces kept on construction, equality and hashing, the answers read
-off the face index (face levels, ``has_face``, links, strong components,
-the pseudomanifold test), the graph index (neighbours, minimal nonfaces,
-the flag test), the isomorphism search and the vertex-connectivity sweep
-with its per-pair cuts against the brute-force oracles.
+off the face index (its keys and facet bitsets, face levels, ``has_face``,
+links, strong components, the pseudomanifold test), the neighbour masks
+(neighbours, minimal nonfaces, the flag test), the isomorphism search and
+the vertex-connectivity sweep with its per-pair cuts against the
+brute-force oracles.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 """
@@ -154,6 +155,51 @@ def test_incidence_answers_on_random_complexes_match_oracle(facets):
 @given(clique_complex_facets())
 def test_incidence_answers_on_clique_complexes_match_oracle(facets):
     _assert_incidence_matches_oracle(facets)
+
+
+pure_facets = st.lists(
+    st.frozensets(VERTICES, min_size=3, max_size=3), min_size=1, max_size=8
+)
+
+
+def _assert_face_index_matches_oracle(facets):
+    """The keys of the face index are the faces, and each value, listed in
+    facet order, is the facets over its face, whether the flag test's walk
+    kept the index or the uncapped walk built it."""
+    faces = sorted(tuple(sorted(f)) for f in O.close_downward(facets))
+    for flag_first in (False, True):
+        cx = build_complex(facets)
+        if flag_first:
+            cx.is_flag()
+        index = cx._face_index()
+        assert sorted(map(cx._labels_of, index)) == faces
+        for m, over in index.items():
+            face = set(cx._labels_of(m))
+            want = [f for f in cx.facets if face <= set(f)]
+            assert [cx._labels_of(fm) for fm in cx._facets_of(over)] == want, sorted(face)
+
+
+@PROPERTY
+@given(random_facets)
+def test_face_index_of_random_complexes_matches_oracle(facets):
+    _assert_face_index_matches_oracle(facets)
+
+
+@PROPERTY
+@given(pure_facets)
+def test_face_index_of_pure_complexes_matches_oracle(facets):
+    _assert_face_index_matches_oracle(facets)
+
+
+@PROPERTY
+@given(clique_complex_facets())
+def test_face_index_of_clique_complexes_matches_oracle(facets):
+    _assert_face_index_matches_oracle(facets)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 20])
+def test_face_index_of_a_complete_graph_with_one_triangle_matches_oracle(n):
+    _assert_face_index_matches_oracle([*combinations(range(1, n + 1), 2), (2, 3, n)])
 
 
 small_facets = st.lists(
