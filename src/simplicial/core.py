@@ -11,7 +11,8 @@ tuple) and every reported witness is the first one in that order.
 
 A complex never changes after construction, so everything derived from it
 is computed once, on first use, and kept in one memo dict per complex:
-face levels, links, verdicts, link Betti values, and the facet positions.
+face levels, links, verdicts and link Betti values.  The constructor sets
+three entries itself: the facets as label tuples, the dimension and purity.
 The memo takes no lock: the package starts no threads, and two threads
 racing on one entry would only build it twice.
 
@@ -134,13 +135,12 @@ class StrongComponents:
 
 
 def _validate_face(face: Iterable[int]) -> Face:
-    out = []
-    for v in face:
-        if isinstance(v, bool) or not isinstance(v, int):
+    out = tuple(face)
+    for v in out:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
             raise InputError(f"vertex label {v!r} is not an integer")
         if v < 0:
             raise InputError(f"vertex label {v} is negative")
-        out.append(v)
     if len(set(out)) != len(out):
         raise InputError(f"face {sorted(out)} repeats a vertex")
     return tuple(sorted(out))
@@ -157,20 +157,25 @@ class SimplicialComplex:
     __slots__ = ("_labels", "_pos", "_facet_masks", "_memo")
 
     def __init__(self, facets: Iterable[Iterable[int]] = ()):
-        faces = [_validate_face(f) for f in facets]
+        faces = set(map(_validate_face, facets))
         labels = sorted({v for f in faces for v in f})
         self._labels: tuple[int, ...] = tuple(labels)
         self._pos = {v: i for i, v in enumerate(labels)}
-        masks = sorted({self._mask_of(f) for f in faces}, key=int.bit_count)
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        by_mask = {sum(map(bit.__getitem__, f)): f for f in faces}  # distinct bits: sum is OR
         maximal: list[int] = []
         # scan from large to small; two distinct faces of one size never hold
         # each other, so a face is tested only against the strictly larger ones
-        for _, same_size in groupby(reversed(masks), key=int.bit_count):
+        by_size = sorted(by_mask, key=int.bit_count, reverse=True)
+        for _, same_size in groupby(by_size, key=int.bit_count):
             larger = tuple(maximal)
-            maximal.extend(m for m in same_size if not any(m & big == m for big in larger))
-        maximal.sort(key=self._labels_of)
+            maximal.extend(m for m in same_size if not larger or all(m & ~big for big in larger))
+        maximal.sort(key=by_mask.__getitem__)  # by the validated label tuples
         self._facet_masks: tuple[int, ...] = tuple(maximal)
-        self._memo: dict = {}
+        facet_tuples = tuple(map(by_mask.__getitem__, maximal))
+        sizes = set(map(len, facet_tuples))
+        self._memo: dict = {"facets": facet_tuples, "dimension": max(sizes, default=0) - 1,
+                            "pure": len(sizes) <= 1}
 
     # -- representation helpers -------------------------------------------
 
@@ -213,7 +218,7 @@ class SimplicialComplex:
     @property
     def dimension(self) -> int:
         """Largest face dimension; -1 for both the empty and void complexes."""
-        return max((m.bit_count() for m in self._facet_masks), default=0) - 1
+        return self._memo["dimension"]
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -225,12 +230,12 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[Face, ...]:
-        return tuple(self._labels_of(m) for m in self._facet_masks)
+        return self._memo["facets"]
 
     @property
     def is_pure(self) -> bool:
         """All facets share one dimension (vacuously true without facets)."""
-        return len({m.bit_count() for m in self._facet_masks}) <= 1
+        return self._memo["pure"]
 
     def has_face(self, face: Iterable[int]) -> bool:
         return self._mask_of(_validate_face(face)) in self._face_index()
@@ -488,11 +493,11 @@ class SimplicialComplex:
         vertex position -> bitmask of the other vertices of those facets."""
 
         def build():
-            n = len(self._labels)
+            n, pos = len(self._labels), self._pos
             inc, nbrs = [0] * n, [0] * n
-            for j, fm in enumerate(self._facet_masks):
-                for b in self._bits(fm):
-                    i = b.bit_length() - 1
+            for j, (fm, f) in enumerate(zip(self._facet_masks, self.facets)):
+                for v in f:
+                    i = pos[v]
                     inc[i] |= 1 << j
                     nbrs[i] |= fm
             return tuple(inc), tuple(m ^ 1 << i for i, m in enumerate(nbrs))
@@ -515,7 +520,7 @@ class SimplicialComplex:
         facet order.  Yields (facet, the facet it was entered from or None)
         in visit order; a caller may stop early.
         """
-        index = self._face_index()
+        index, masks = self._face_index(), self._facet_masks
         seen = reduce(or_, (index[b] for b in self._bits(avoid)), 0)
         queue = self._facets_of(sources & ~seen)
         seen |= sources
@@ -528,7 +533,10 @@ class SimplicialComplex:
                 found |= index[f ^ b]
             found &= ~seen
             seen |= found
-            for g in self._facets_of(found):
+            while found:  # in facet order
+                low = found & -found
+                found ^= low
+                g = masks[low.bit_length() - 1]
                 if g.bit_count() == size:
                     queue.append(g)
                     yield g, f
@@ -538,13 +546,14 @@ class SimplicialComplex:
         return self._memoized("strong", self._compute_strong)
 
     def _compute_strong(self) -> StrongComponents:
-        # a component's facets share one size: sort each by label, all by (size, first)
-        comps, seen = [], set()
-        for j, fm in enumerate(self._facet_masks):
-            if fm not in seen:
-                comp = [g for g, _ in self._strong_search(1 << j)]
-                seen.update(comp)
-                comps.append(tuple(sorted(map(self._labels_of, comp))))
+        # a facet's own bit is its index entry; listed in facet order, which is
+        # label order, a component comes out sorted; all sorted by (size, first)
+        index, facets = self._face_index(), self.facets
+        comps, left = [], (1 << len(facets)) - 1
+        while left:
+            comp = reduce(or_, (index[g] for g, _ in self._strong_search(left & -left)))
+            left &= ~comp
+            comps.append(tuple(facets[b.bit_length() - 1] for b in self._bits(comp)))
         comps.sort(key=lambda c: (len(c[0]), c[0]))
         return StrongComponents(components=tuple(comps), pure=self.is_pure)
 

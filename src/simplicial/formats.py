@@ -1,9 +1,10 @@
 """Facet files, the text format of complexes.
 
 UTF-8 text, one facet per line as nonnegative labels in ASCII decimal
-digits, separated by spaces.  Blank lines and lines starting with # are ignored.
-An empty file is the void complex; a file whose only facet line is *
-is the empty complex (the one whose sole face is the empty set).
+digits, separated by whitespace.  Lines end at LF, CR or CRLF (universal
+newlines), in a file and in a string alike.  Blank lines and # comments are
+ignored.  An empty file is the void complex; a file whose only facet line
+is * is the empty complex (the one whose sole face is the empty set).
 """
 
 from __future__ import annotations
@@ -23,33 +24,36 @@ def parse_label(token: str) -> int:
 
 
 def parse_facet_lines(lines) -> list[tuple[int, ...]]:
+    """Facets of the lines of a facet file, or of its whole text, which is
+    split at universal newlines like a file opened in text mode."""
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = io.StringIO(lines, newline=None)
     facets = []
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+        text = raw.split("#", 1)[0]
+        tokens = text.split()
+        if not tokens:
             continue
-        if text == "*":
+        if tokens == ["*"]:
             facets.append(())
             continue
-        labels = []
-        for token in text.split():
-            try:
-                value = parse_label(token)
-            except ValueError:
-                raise InputError(f"line {lineno}: {token!r} is not an integer label")
-            if value < 0:
-                raise InputError(f"line {lineno}: negative label {value}")
-            labels.append(value)
+        if not (text.isascii() and all(map(str.isdigit, tokens))):
+            for token in tokens:  # name the first token that is no label
+                try:
+                    value = parse_label(token)
+                except ValueError:
+                    raise InputError(f"line {lineno}: {token!r} is not an integer label")
+                if value < 0:
+                    raise InputError(f"line {lineno}: negative label {value}")
+        labels = sorted(map(int, tokens))
         if len(set(labels)) != len(labels):
             raise InputError(f"line {lineno}: repeated label in facet")
-        facets.append(tuple(sorted(labels)))
+        facets.append(tuple(labels))
     return facets
 
 
 def read_complex_text(text: str) -> SimplicialComplex:
-    return build_complex(parse_facet_lines(text.splitlines()))
+    return build_complex(parse_facet_lines(text))
 
 
 def read_complex_file(path) -> SimplicialComplex:
@@ -59,8 +63,7 @@ def read_complex_file(path) -> SimplicialComplex:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 at byte {e.start}") from None
-    # universal newlines, so lines split exactly as a text-mode file does
-    return build_complex(parse_facet_lines(io.StringIO(text, newline=None)))
+    return read_complex_text(text)
 
 
 def facet_file_text(cx: SimplicialComplex) -> str:

@@ -19,6 +19,7 @@ from simplicial import (
 )
 from simplicial import cli
 from simplicial.errors import InternalInvariantError
+from test_homology import NON_PURE
 
 
 def test_void_and_empty_are_distinct():
@@ -258,9 +259,23 @@ def test_structural_witnesses_are_rechecked(monkeypatch, tmp_path, capsys, torus
 
 
 def test_strong_components_match_oracle(corpus):
-    for name, cx in corpus.items():
-        got = sorted(sorted(c) for c in cx.strong_components().components)
-        assert got == O.strong_components(cx.facets), name
+    """The oracle's components in the one order the report uses: each
+    component's facets by label tuple, the components by (facet size, first
+    facet); on the corpus, non-pure complexes, random subcomplexes of one
+    dimension and random complexes of mixed facet sizes."""
+    rng = random.Random(2207)
+    mixed = {}
+    for i in range(60):
+        n = rng.randint(3, 9)
+        mixed[f"mixed{i}"] = build_complex(
+            rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 12))
+        )
+    subs = {f"sub{i}": cx for i, cx in enumerate(_random_pure_subcomplexes(corpus, 60, seed=2208))}
+    cases = {**corpus, **NON_PURE, **subs, **mixed}
+    assert sum(cx.strong_components().count > 1 for cx in cases.values()) >= 40
+    for name, cx in cases.items():
+        want = sorted(O.strong_components(cx.facets), key=lambda c: (len(c[0]), c[0]))
+        assert cx.strong_components().components == tuple(map(tuple, want)), name
 
 
 def test_strong_search_is_a_breadth_first_ridge_search(corpus):

@@ -30,13 +30,61 @@ def test_facet_file_special_forms():
 
 
 def test_facet_parse_errors_carry_line_numbers():
-    # labels are ASCII digits only: int() alone would read 2_0 as 20 and the
-    # Arabic-Indic digit three as 3
-    for text, lineno in [("1 2 x", 1), ("1 2\n3 -1", 2), ("1 2\n\n4 4", 3),
-                         ("1 2\n1 2_0", 2), ("1 2\n\u0663 4", 2), ("+1 2", 1)]:
+    # labels are ASCII digits only: int() alone would read 2_0 as 20, the
+    # Arabic-Indic digit three as 3 and the full-width digit one as 1, and
+    # str.isdigit() holds for the superscript two, which int() refuses
+    for text, message in [
+        ("1 2 x", "line 1: 'x' is not an integer label"),
+        ("1 2\n3 -1", "line 2: negative label -1"),
+        ("1 2\n\n4 4", "line 3: repeated label in facet"),
+        ("1 2\n1 2_0", "line 2: '2_0' is not an integer label"),
+        ("1 2\n\u0663 4", "line 2: '\u0663' is not an integer label"),
+        ("+1 2", "line 1: '+1' is not an integer label"),
+        ("1 \u00b2", "line 1: '\u00b2' is not an integer label"),
+        ("\uff11 2", "line 1: '\uff11' is not an integer label"),
+        ("x -1", "line 1: 'x' is not an integer label"),
+        ("-1 x", "line 1: negative label -1"),
+        ("4 -0 4", "line 1: repeated label in facet"),
+    ]:
         with pytest.raises(InputError) as e:
             parse_facet_lines(text.splitlines())
-        assert f"line {lineno}" in str(e.value)
+        assert str(e.value) == message, text
+
+
+@pytest.mark.parametrize("variant", [
+    "0\t1\t7\n1\t2\t7\n0\t2\t7\n",
+    "0 1 7\r\n1 2 7\r\n0 2 7\r\n",
+    "0\u00a01\u00a07\n1 2\u00a07\n0 2 7\n",
+    "0 1 7 # first\n1 2 7#\n0 2 7  # last",
+    "0 1 007\n01 02 7\n000 2 7\n",
+    "-0 1 7\n1 2 7\n-0 2 7\n",
+])
+def test_facet_lines_read_alike_with_any_separators(tmp_path, variant):
+    """Tabs, CRLF, no-break spaces, trailing comments, leading zeros and -0
+    (read as label 0) give the complex of the plain file, from text and
+    from a file."""
+    want = read_complex_text("0 1 7\n1 2 7\n0 2 7\n")
+    path = tmp_path / "variant.txt"
+    path.write_bytes(variant.encode("utf-8"))
+    assert read_complex_text(variant) == read_complex_file(path) == want
+    assert want.facets == ((0, 1, 7), (0, 2, 7), (1, 2, 7))
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_text_and_file_split_lines_alike(tmp_path, sep):
+    """Only \\n, \\r and \\r\\n end a line, in a string as in a file;
+    str.splitlines() would also break at these separators."""
+    path = tmp_path / "sep.txt"
+    good = f"1 2 3{sep}4 5 6\n"
+    path.write_bytes(good.encode("utf-8"))
+    assert read_complex_text(good) == read_complex_file(path) == build_complex([range(1, 7)])
+    bad = f"1 2 3{sep}4 5 6\n1 2 x\n"
+    path.write_bytes(bad.encode("utf-8"))
+    with pytest.raises(InputError) as from_text:
+        read_complex_text(bad)
+    with pytest.raises(InputError) as from_file:
+        read_complex_file(path)
+    assert str(from_text.value) == str(from_file.value) == "line 2: 'x' is not an integer label"
 
 
 @pytest.fixture()
