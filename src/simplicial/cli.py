@@ -56,20 +56,14 @@ from .theorems import (
 
 
 def _to_jsonable(x):
-    if x is None or isinstance(x, (bool, int, float, str)):
-        return x
+    """Reports hold verdicts, dicts, lists, tuples and scalars only."""
     if isinstance(x, Verdict):
         return {"ok": x.ok, "witness": _to_jsonable(x.witness), "reason": x.reason}
     if isinstance(x, dict):
         return {str(k): _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (set, frozenset)):
-        return [_to_jsonable(v) for v in sorted(x)]
     if isinstance(x, (list, tuple)):
         return [_to_jsonable(v) for v in x]
-    try:
-        return [_to_jsonable(v) for v in x]
-    except TypeError:
-        return str(x)
+    return x
 
 
 def _sha256(path: str) -> str:
@@ -80,15 +74,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _emit(report: dict, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_labels(text: str) -> list[int]:
     try:
         return [parse_label(t) for t in text.replace(",", " ").split()]
@@ -96,8 +81,9 @@ def _parse_labels(text: str) -> list[int]:
         raise InputError(f"expected integer labels, got {text!r}")
 
 
-def _analyze_results(cx: SimplicialComplex, field: FieldSpec | None, cap: int) -> dict:
-    flag = cx.is_flag(cap)
+def _cmd_analyze(cx: SimplicialComplex, args) -> tuple[dict, int]:
+    field = FieldSpec.parse(args.homology) if args.homology else None
+    flag = cx.is_flag(args.cap)
     pm = cx.is_pseudomanifold()
     strong = cx.strong_components()
     results: dict = {
@@ -134,21 +120,14 @@ def _analyze_results(cx: SimplicialComplex, field: FieldSpec | None, cap: int) -
                 "field": field.name,
                 "betti": {"start_dim": -1, "values": list(betti.values)},
                 "cohen_macaulay": cm,
-                "doubly_cohen_macaulay": is_m_cohen_macaulay(cx, 2, field, cap),
+                "doubly_cohen_macaulay": is_m_cohen_macaulay(cx, 2, field, args.cap),
                 "homology_sphere": is_homology_sphere(cx, field),
                 "homology_manifold": is_homology_manifold(cx, field),
             }
-    return results
+    return results, 0
 
 
-def _cmd_analyze(args) -> tuple[dict, int]:
-    cx = read_complex_file(args.path)
-    field = FieldSpec.parse(args.homology) if args.homology else None
-    return _analyze_results(cx, field, args.cap), 0
-
-
-def _cmd_verify(args) -> tuple[dict, int]:
-    cx = read_complex_file(args.path)
+def _cmd_verify(cx: SimplicialComplex, args) -> tuple[dict, int]:
     field = FieldSpec.parse(args.field)
     if args.theorem == "t1":
         report = check_graph_connectivity_bound(cx, args.cap)
@@ -161,15 +140,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
         report = check_h_vector_bound(cx, field, args.cap)
     elif args.theorem == "gk":
         report = check_face_graph_connectivity_bound(cx, args.k, field, args.cap)
-    elif args.theorem == "lb":
+    else:
         report = check_face_lower_bounds_report(cx, args.cap)
-    else:  # argparse choices make this unreachable
-        raise InputError(f"unknown theorem id {args.theorem!r}")
     return report.to_dict(), report.exit_code
 
 
-def _cmd_walk(args) -> tuple[dict, int]:
-    cx = read_complex_file(args.path)
+def _cmd_walk(cx: SimplicialComplex, args) -> tuple[dict, int]:
     avoid = _parse_labels(args.avoid)
     if args.mode == "face":
         cert = strong_walk_avoiding(cx, args.src, args.dst, avoid)
@@ -197,42 +173,38 @@ def _cmd_walk(args) -> tuple[dict, int]:
     return results, 1
 
 
-_GEN_FIXED = {
-    "icosahedron": icosahedron,
-    "torus7": torus_7,
-}
-_GEN_SIZED = {
-    "cross-polytope": cross_polytope_boundary,
-    "simplex-boundary": simplex_boundary,
-    "cycle": cycle,
-}
-_GEN_DERIVED = {
-    "barycentric": barycentric_subdivision,
-    "suspension": suspension,
+# each generator and what it reads: nothing, a size, or the complex --of FILE
+_GENERATORS = {
+    "icosahedron": (icosahedron, None),
+    "torus7": (torus_7, None),
+    "cross-polytope": (cross_polytope_boundary, "size"),
+    "simplex-boundary": (simplex_boundary, "size"),
+    "cycle": (cycle, "size"),
+    "barycentric": (barycentric_subdivision, "of"),
+    "suspension": (suspension, "of"),
 }
 
 
-def _cmd_gen(args) -> tuple[str, int]:
+def _cmd_gen(args) -> str:
     name = args.name
-    if name in _GEN_FIXED:
+    make, reads = _GENERATORS[name]
+    if reads is None:
         if args.size is not None or args.of:
             raise InputError(f"generator {name} takes no parameters")
-        cx = _GEN_FIXED[name]()
-    elif name in _GEN_SIZED:
+        cx = make()
+    elif reads == "size":
         if args.size is None:
             raise InputError(f"generator {name} needs a size argument")
         if args.of:
             raise InputError(f"generator {name} does not read an input complex")
-        cx = _GEN_SIZED[name](args.size)
-    elif name in _GEN_DERIVED:
+        cx = make(args.size)
+    else:
         if args.of is None:
             raise InputError(f"generator {name} needs --of FILE")
         if args.size is not None:
             raise InputError(f"generator {name} takes no size argument")
-        cx = _GEN_DERIVED[name](read_complex_file(args.of))
-    else:  # argparse choices make this unreachable
-        raise InputError(f"unknown generator {name!r}")
-    return facet_file_text(cx), 0
+        cx = make(read_complex_file(args.of))
+    return facet_file_text(cx)
 
 
 def _whole(text: str) -> int:
@@ -286,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("gen", help="emit a generated complex as a facet file")
-    p.add_argument("name", choices=sorted({**_GEN_FIXED, **_GEN_SIZED, **_GEN_DERIVED}))
+    p.add_argument("name", choices=sorted(_GENERATORS))
     p.add_argument("size", nargs="?", type=_whole, default=None)
     p.add_argument("--of", default=None, help="input complex for derived generators")
     p.add_argument("--out", default=None, help="write the facet file to a file")
@@ -302,19 +274,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         if args.command == "gen":
-            text, code = _cmd_gen(args)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            text, code = _cmd_gen(args), 0
         else:
             handler = {
                 "analyze": _cmd_analyze,
                 "verify": _cmd_verify,
                 "walk": _cmd_walk,
             }[args.command]
-            results, code = handler(args)
+            results, code = handler(read_complex_file(args.path), args)
             report = {
                 "tool": "simplicial",
                 "version": __version__,
@@ -322,8 +289,13 @@ def main(argv=None) -> int:
                 "input": {"path": args.path, "sha256": _sha256(args.path)},
                 "results": _to_jsonable(results),
             }
-            _emit(report, args.out)
-    except InputError as e:
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ClassificationError as e:
@@ -340,9 +312,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     finally:
         elapsed = time.monotonic() - started
         print(f"elapsed {elapsed:.3f}s", file=sys.stderr)

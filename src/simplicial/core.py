@@ -42,8 +42,8 @@ lists the faces of lk(sigma) alike, and charges no cap.  The isomorphism
 search reads adjacency off the neighbour masks too.  In a flag complex the
 link of a face is the clique complex of the graph induced on the common
 neighbours of its vertices, so t2 walks link circles on these masks and
-the flag walk takes link components from the facet search: neither builds
-a link complex.
+builds no link complex.  The flag walk takes link components from the
+facet search, and builds a complex of one only for a detour's recursion.
 """
 
 from __future__ import annotations

@@ -37,7 +37,11 @@ def parse_facet_lines(lines) -> list[tuple[int, ...]]:
         if tokens == ["*"]:
             facets.append(())
             continue
-        if not (text.isascii() and all(map(str.isdigit, tokens))):
+        try:
+            if not (text.isascii() and all(map(str.isdigit, tokens))):
+                raise ValueError("not all tokens are ASCII digits")
+            labels = sorted(map(int, tokens))
+        except ValueError:  # or a label past int()'s limit on digits
             for token in tokens:  # name the first token that is no label
                 try:
                     value = parse_label(token)
@@ -45,7 +49,7 @@ def parse_facet_lines(lines) -> list[tuple[int, ...]]:
                     raise InputError(f"line {lineno}: {token!r} is not an integer label")
                 if value < 0:
                     raise InputError(f"line {lineno}: negative label {value}")
-        labels = sorted(map(int, tokens))
+            labels = sorted(map(int, tokens))
         if len(set(labels)) != len(labels):
             raise InputError(f"line {lineno}: repeated label in facet")
         facets.append(tuple(labels))

@@ -334,6 +334,29 @@ class WalkCertificate:
     witness_facets: tuple[Face, ...]
 
 
+def _require(check: str, verdict: Verdict) -> None:
+    """Refuse an input whose verdict on a precondition check failed."""
+    if not verdict:
+        raise ClassificationError(check, witness=verdict.witness)
+
+
+def _walk_request(cx: SimplicialComplex, a: int, b: int, avoid) -> frozenset:
+    """The avoided set of a walk from a to b, once the complex has dimension at
+    least one and a, b and the avoided labels are vertices, a and b outside it."""
+    if cx.dimension < 1:
+        raise InputError("walks need a complex of dimension at least one")
+    avoid = frozenset(avoid)
+    vset = set(cx.vertices)
+    if not avoid <= vset:
+        raise InputError(f"avoided labels {sorted(avoid - vset)} are not vertices")
+    for x in (a, b):
+        if x not in vset:
+            raise InputError(f"{x!r} is not a vertex")
+        if x in avoid:
+            raise InputError(f"endpoint {x} lies in the avoided set")
+    return avoid
+
+
 def strong_walk_avoiding(
     cx: SimplicialComplex, a: int, b: int, avoid
 ) -> WalkCertificate:
@@ -344,15 +367,8 @@ def strong_walk_avoiding(
     facet chain that misses the least avoided vertex, reading one node out
     of each consecutive overlap.
     """
-    pm = cx.is_pseudomanifold()
-    if not pm:
-        raise ClassificationError("pseudomanifold", witness=pm.witness)
-    if cx.dimension < 1:
-        raise InputError("walks need a complex of dimension at least one")
-    avoid = frozenset(avoid)
-    vset = set(cx.vertices)
-    if not avoid <= vset:
-        raise InputError(f"avoided labels {sorted(avoid - vset)} are not vertices")
+    _require("pseudomanifold", cx.is_pseudomanifold())
+    avoid = _walk_request(cx, a, b, avoid)
     d = cx.dimension + 1
     if len(avoid) >= d and not cx.has_face(sorted(avoid)):
         raise ClassificationError(
@@ -360,11 +376,6 @@ def strong_walk_avoiding(
             witness=tuple(sorted(avoid)),
             message="avoided set must be a face or have fewer elements than a facet",
         )
-    for x in (a, b):
-        if x not in vset:
-            raise InputError(f"{x!r} is not a vertex")
-        if x in avoid:
-            raise InputError(f"endpoint {x} lies in the avoided set")
 
     # in a pseudomanifold the facets through the least avoided vertex are
     # exactly those its deletion loses, and the deletion keeps every other

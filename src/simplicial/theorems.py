@@ -21,6 +21,8 @@ from .graphs import (
     SubdivisionEmbedding,
     Walk,
     WalkCertificate,
+    _require,
+    _walk_request,
     face_adjacency_graph,
     graph_of,
     strong_walk_avoiding,
@@ -77,12 +79,25 @@ def _hypothesis(name: str, verdict: Verdict) -> HypothesisCheck:
     return HypothesisCheck(name, bool(verdict), verdict.witness)
 
 
+def _flag_pseudomanifold(cx: SimplicialComplex, cap: int) -> tuple[HypothesisCheck, ...]:
+    """The hypotheses of t1, t2 and lb; both are evaluated."""
+    flag = _hypothesis("flag", cx.is_flag(cap))
+    return flag, _hypothesis("pseudomanifold", cx.is_pseudomanifold())
+
+
+def _bound_rows(values, bounds) -> list[dict]:
+    """The rows of t3 and lb: each value against its lower bound."""
+    return [
+        {"index": i, "value": v, "bound": b, "ok": v >= b}
+        for i, (v, b) in enumerate(zip(values, bounds, strict=True))
+    ]
+
+
 def check_graph_connectivity_bound(
     cx: SimplicialComplex, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> TheoremReport:
     """Flag pseudomanifolds with facets of size d have (2d-2)-connected graphs."""
-    flag, pm = cx.is_flag(cap), cx.is_pseudomanifold()
-    hyps = (_hypothesis("flag", flag), _hypothesis("pseudomanifold", pm))
+    hyps = _flag_pseudomanifold(cx, cap)
     if not all(h.ok for h in hyps):
         return TheoremReport("t1", hyps, None, {})
     d = cx.dimension + 1
@@ -125,11 +140,7 @@ def check_h_vector_bound(
         return TheoremReport("t3", hyps, None, {}, field=field.name)
     h = cx.h_vector()
     d = cx.dimension + 1
-    rows = []
-    for i in range(d + 1):
-        rows.append(
-            {"index": i, "value": h[i], "bound": comb(d, i), "ok": h[i] >= comb(d, i)}
-        )
+    rows = _bound_rows(h, [comb(d, i) for i in range(d + 1)])
     equalities = [r["index"] for r in rows if r["value"] == r["bound"]]
     details = {
         "facet_size": d,
@@ -167,7 +178,7 @@ def check_face_graph_connectivity_bound(
     hyps = (
         _hypothesis("flag", cx.is_flag(cap)),
         _hypothesis("homology-manifold", is_homology_manifold(cx, field)),
-        HypothesisCheck("connected-graph", graph_of(cx).is_connected()),
+        _connected_graph(cx),
     )
     if not all(h.ok for h in hyps):
         return TheoremReport("gk", hyps, None, {"k": k}, field=field.name)
@@ -178,20 +189,33 @@ def check_face_graph_connectivity_bound(
     return TheoremReport("gk", hyps, ok, details, field=field.name)
 
 
+def _connected_graph(cx: SimplicialComplex) -> HypothesisCheck:
+    """gk's connected-graph hypothesis.  A failure names the least vertex and the
+    least vertex outside its component, once no facet is found to meet both."""
+    adj, comp, new = cx._neighbour_masks(), 0, 1  # bit 0 is the least vertex
+    while new:
+        comp |= new
+        for b in cx._bits(new):
+            new |= adj[b.bit_length() - 1]
+        new &= ~comp
+    rest = cx._labels_of((1 << cx.num_vertices) - 1 & ~comp)
+    if not rest:
+        return HypothesisCheck("connected-graph", True)
+    inside = set(cx._labels_of(comp))
+    if any(0 < len(inside.intersection(f)) < len(f) for f in cx.facets):
+        raise InternalInvariantError("a facet meets two components of the graph")
+    return HypothesisCheck("connected-graph", False, (cx.vertices[0], rest[0]))
+
+
 def check_face_lower_bounds_report(
     cx: SimplicialComplex, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> TheoremReport:
     """Face counts of flag pseudomanifolds dominate the cross-polytope's."""
-    flag, pm = cx.is_flag(cap), cx.is_pseudomanifold()
-    hyps = (_hypothesis("flag", flag), _hypothesis("pseudomanifold", pm))
+    hyps = _flag_pseudomanifold(cx, cap)
     if not all(h.ok for h in hyps):
         return TheoremReport("lb", hyps, None, {})
     d = cx.dimension + 1
-    f = cx.f_vector()
-    rows = []
-    for i in range(d + 1):
-        bound = (1 << i) * comb(d, i)
-        rows.append({"index": i, "value": f[i], "bound": bound, "ok": f[i] >= bound})
+    rows = _bound_rows(cx.f_vector(), [(1 << i) * comb(d, i) for i in range(d + 1)])
     return TheoremReport(
         "lb", hyps, all(r["ok"] for r in rows), {"facet_size": d, "rows": rows}
     )
@@ -264,12 +288,8 @@ def cross_polytope_subdivision(
     complex embed directly; the edge between u_i and u_j follows the
     circle of the link of the facet minus v_i and v_j.
     """
-    fl = cx.is_flag(cap)
-    if not fl:
-        raise ClassificationError("flag", witness=fl.witness)
-    pm = cx.is_pseudomanifold()
-    if not pm:
-        raise ClassificationError("pseudomanifold", witness=pm.witness)
+    _require("flag", cx.is_flag(cap))
+    _require("pseudomanifold", cx.is_pseudomanifold())
     facet = tuple(sorted(facet))
     fm = cx._mask_of(facet)
     # a facet is the only facet over itself; a repeated label leaves the
@@ -329,8 +349,7 @@ def check_cross_polytope_subdivision(
     implementation defect, since it arises from the construction and not
     from the verifier.
     """
-    flag, pm = cx.is_flag(cap), cx.is_pseudomanifold()
-    hyps = (_hypothesis("flag", flag), _hypothesis("pseudomanifold", pm))
+    hyps = _flag_pseudomanifold(cx, cap)
     if not all(h.ok for h in hyps):
         return TheoremReport("t2", hyps, None, {})
     d = cx.dimension + 1
@@ -343,8 +362,6 @@ def check_cross_polytope_subdivision(
     else:
         targets = (tuple(sorted(facet)),)
     results = []
-    ok_all = True
-    suspect = False
     for f in targets:
         entry: dict = {"facet": f}
         try:
@@ -365,8 +382,6 @@ def check_cross_polytope_subdivision(
         except InternalInvariantError as e:
             entry["ok"] = False
             entry["internal_error"] = str(e)
-            suspect = True
-        ok_all = ok_all and entry["ok"]
         results.append(entry)
     details = {
         "facet_size": d,
@@ -374,12 +389,12 @@ def check_cross_polytope_subdivision(
         "facets_checked": len(results),
         "results": results,
     }
-    if suspect:
+    if any("internal_error" in entry for entry in results):
         details["suspect"] = (
             "construction invariant failed; suspect an implementation defect "
             "rather than a counterexample"
         )
-    return TheoremReport("t2", hyps, ok_all, details)
+    return TheoremReport("t2", hyps, all(entry["ok"] for entry in results), details)
 
 
 # -- walks that dodge arbitrary small vertex sets -----------------------------
@@ -412,23 +427,9 @@ def strong_walk_avoiding_set(
     face-avoiding walk, the avoided set here is arbitrary; the facet size
     alone bounds how much can be dodged.
     """
-    fl = cx.is_flag(cap)
-    if not fl:
-        raise ClassificationError("flag", witness=fl.witness)
-    pm = cx.is_pseudomanifold()
-    if not pm:
-        raise ClassificationError("pseudomanifold", witness=pm.witness)
-    if cx.dimension < 1:
-        raise InputError("walks need a complex of dimension at least one")
-    avoid = frozenset(avoid)
-    vset = set(cx.vertices)
-    if not avoid <= vset:
-        raise InputError(f"avoided labels {sorted(avoid - vset)} are not vertices")
-    for x in (a, b):
-        if x not in vset:
-            raise InputError(f"{x!r} is not a vertex")
-        if x in avoid:
-            raise InputError(f"endpoint {x} lies in the avoided set")
+    _require("flag", cx.is_flag(cap))
+    _require("pseudomanifold", cx.is_pseudomanifold())
+    avoid = _walk_request(cx, a, b, avoid)
     d = cx.dimension + 1
     if len(avoid) > 2 * d - 3:
         raise ClassificationError(

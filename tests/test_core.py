@@ -139,6 +139,8 @@ def test_delete_vertex(octa):
     assert dl.facets == ((2, 3, 4), (2, 4, 6), (3, 4, 5), (4, 5, 6))
     assert dl.is_pure
     assert dl.dimension == 2
+    with pytest.raises(InputError, match=r"^vertex label -1 is not a nonnegative integer$"):
+        octa.delete([-1])
 
 
 def test_minimal_nonfaces_match_oracle(corpus):

@@ -15,6 +15,9 @@ from simplicial import (
 )
 from simplicial.errors import InternalInvariantError
 
+# past the 4300 digits that int() converts from a string by default
+BIG = "9" * 5000
+
 
 def test_facet_file_round_trip(corpus):
     for name, cx in corpus.items():
@@ -45,6 +48,7 @@ def test_facet_parse_errors_carry_line_numbers():
         ("x -1", "line 1: 'x' is not an integer label"),
         ("-1 x", "line 1: negative label -1"),
         ("4 -0 4", "line 1: repeated label in facet"),
+        (f"1 2 {BIG}", f"line 1: {BIG!r} is not an integer label"),
     ]:
         with pytest.raises(InputError) as e:
             parse_facet_lines(text.splitlines())
@@ -222,7 +226,7 @@ def test_cli_walk_flag_mode_worked_example(octa_file, capsys):
     assert not {1, 3, 6} & set(res["certificate"]["nodes"])
 
 
-@pytest.mark.parametrize("avoid", ["1,4_0", "1,\u0663", "1,+4"])
+@pytest.mark.parametrize("avoid", ["1,4_0", "1,\u0663", "1,+4", f"1,{BIG}"])
 def test_cli_walk_rejects_non_ascii_digit_labels(octa_file, capsys, avoid):
     code, out, err = _run(capsys, ["walk", octa_file, "--from", "2", "--to", "5",
                                    "--avoid", avoid, "--mode", "face"])
@@ -235,6 +239,16 @@ def test_cli_walk_endpoints_are_ascii_digits(octa_file, capsys, src, dst):
     code, out, err = _run(capsys, ["walk", octa_file, "--from", src, "--to", dst])
     assert (code, out) == (2, "")
     assert "ASCII digits" in err
+
+
+@pytest.mark.parametrize("mode", ["face", "flag"])
+def test_cli_walk_needs_dimension_one(tmp_path, capsys, mode):
+    path = tmp_path / "two_points.txt"
+    path.write_text("1\n2\n")
+    code, out, err = _run(capsys, ["walk", str(path), "--from", "1", "--to", "2",
+                                   "--mode", mode])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: walks need a complex of dimension at least one"
 
 
 def test_cli_walk_zero_length(octa_file, capsys):
@@ -299,10 +313,21 @@ def test_cli_gen_icosahedron_and_derived(tmp_path, capsys):
     assert read_complex_text(out).dimension == 3
 
 
-def test_cli_gen_misuse(capsys):
-    assert _run(capsys, ["gen", "icosahedron", "5"])[0] == 2
-    assert _run(capsys, ["gen", "cycle"])[0] == 2
-    assert _run(capsys, ["gen", "barycentric"])[0] == 2
+def test_cli_gen_misuse(octa_file, capsys):
+    for argv, message in [
+        (["icosahedron", "5"], "generator icosahedron takes no parameters"),
+        (["torus7", "--of", octa_file], "generator torus7 takes no parameters"),
+        (["cycle"], "generator cycle needs a size argument"),
+        (["cycle", "--of", octa_file], "generator cycle needs a size argument"),
+        (["cycle", "5", "--of", octa_file], "generator cycle does not read an input complex"),
+        (["barycentric"], "generator barycentric needs --of FILE"),
+        (["barycentric", "3"], "generator barycentric needs --of FILE"),
+        (["barycentric", "3", "--of", octa_file],
+         "generator barycentric takes no size argument"),
+    ]:
+        code, out, err = _run(capsys, ["gen"] + argv)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines()[0] == f"error: {message}", argv
     assert _run(capsys, ["gen", "nope"])[0] == 2
     code, out, _ = _run(capsys, ["gen", "cycle", "5", "--cap", "1"])
     assert (code, out) == (2, "")
@@ -329,6 +354,20 @@ def test_cli_gen_size_and_k_are_ascii_digits(octa_file, capsys, argv):
     assert "ASCII digits" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", None, "--cap", BIG],
+    ["verify", "gk", None, "--k", BIG],
+    ["walk", None, "--from", BIG, "--to", "1"],
+    ["walk", None, "--from", "1", "--to", BIG],
+    ["verify", "t2", None, "--facet", f"1 2 {BIG}"],
+])
+def test_cli_numbers_past_the_digit_limit_are_usage_errors(octa_file, capsys, argv):
+    argv = [octa_file if a is None else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_cli_usage_errors(octa_file, capsys):
     assert _run(capsys, ["verify", "zz", octa_file])[0] == 2
     assert _run(capsys, ["analyze", "/does/not/exist"])[0] == 2
@@ -346,10 +385,14 @@ def test_cli_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
 
 def test_cli_parse_error_carries_line_number(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("1 2\n2 2 3\n")
-    code, _, err = _run(capsys, ["analyze", str(path)])
-    assert code == 2
-    assert "line 2" in err
+    for line, message in [
+        ("2 2 3", "line 2: repeated label in facet"),
+        (f"1 2 {BIG}", f"line 2: {BIG!r} is not an integer label"),
+    ]:
+        path.write_text(f"1 2\n{line}\n")
+        code, out, err = _run(capsys, ["analyze", str(path)])
+        assert (code, out) == (2, ""), line
+        assert err.splitlines()[0] == f"error: {message}", line
 
 
 def test_cli_reports_are_byte_identical(octa_file, capsys):
@@ -362,12 +405,12 @@ def test_cli_reports_are_byte_identical(octa_file, capsys):
 
 
 def test_cli_out_file_matches_stdout(octa_file, tmp_path, capsys):
-    dest = tmp_path / "report.json"
-    code, out, _ = _run(capsys, ["verify", "t1", octa_file, "--out", str(dest)])
-    assert code == 0
-    assert out == ""
-    _, out2, _ = _run(capsys, ["verify", "t1", octa_file])
-    assert dest.read_text() == out2
+    dest = tmp_path / "out.txt"
+    for argv in (["verify", "t1", octa_file], ["gen", "cycle", "5"]):
+        code, out, _ = _run(capsys, argv + ["--out", str(dest)])
+        assert (code, out) == (0, ""), argv
+        _, out2, _ = _run(capsys, argv)
+        assert dest.read_text() == out2, argv
 
 
 def test_cli_version_flag(capsys):

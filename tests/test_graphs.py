@@ -248,15 +248,23 @@ def test_walk_preconditions(octa, books):
     with pytest.raises(ClassificationError) as e:
         strong_walk_avoiding(octa, 1, 4, {2, 3, 6})  # 3 labels, not a face
     assert e.value.check == "avoid-set"
+    assert e.value.witness == (2, 3, 6)
+    assert str(e.value) == "avoided set must be a face or have fewer elements than a facet"
     with pytest.raises(ClassificationError) as e:
         strong_walk_avoiding(books, 3, 4, set())
     assert e.value.check == "pseudomanifold"
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^avoided labels \[9\] are not vertices$"):
         strong_walk_avoiding(octa, 1, 4, {9})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^endpoint 1 lies in the avoided set$"):
         strong_walk_avoiding(octa, 1, 4, {1, 2})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^9 is not a vertex$"):
         strong_walk_avoiding(octa, 9, 4, set())
+    # an endpoint in an avoided set that is too large is named first
+    with pytest.raises(InputError, match=r"^endpoint 1 lies in the avoided set$"):
+        strong_walk_avoiding(octa, 1, 4, {1, 3, 6})
+    # two points: a 0-dimensional pseudomanifold
+    with pytest.raises(InputError, match=r"^walks need a complex of dimension at least one$"):
+        strong_walk_avoiding(build_complex([(1,), (2,)]), 1, 2, set())
 
 
 def test_walk_sweep_over_pseudomanifolds(corpus):

@@ -42,6 +42,8 @@ def test_field_spec_parsing():
         FieldSpec.parse("gf4")
     with pytest.raises(InputError):
         FieldSpec.parse("real")
+    with pytest.raises(InputError, match=r"^GF\(1\) is not a field$"):
+        FieldSpec.gf(1)
 
 
 def test_boundary_matrix_shapes_and_ranks():
@@ -696,6 +698,14 @@ def test_void_complex_is_rejected():
         is_homology_sphere(void, GF2)
     with pytest.raises(InputError):
         boundary_matrix(void, 0, GF2)
+    for decide in (is_cohen_macaulay, lambda cx: is_m_cohen_macaulay(cx, 2)):
+        with pytest.raises(InputError, match=r"^the void complex cannot be classified$"):
+            decide(void)
+
+
+def test_m_cm_needs_a_positive_m(octa):
+    with pytest.raises(InputError, match=r"^m must be a positive integer, got 0$"):
+        is_m_cohen_macaulay(octa, 0)
 
 
 def test_boundary_matrix_bad_degree(octa):

@@ -1,13 +1,16 @@
+import json
 import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import simplicial.cli as cli
 import simplicial.theorems as theorems
 from simplicial import (
     GF2,
     InputError,
+    Verdict,
     build_complex,
     check_cross_polytope_subdivision,
     check_face_graph_connectivity_bound,
@@ -19,6 +22,7 @@ from simplicial import (
     cross_polytope_subdivision,
     cycle,
     face_adjacency_graph,
+    facet_file_text,
     graph_of,
     strong_walk_avoiding_set,
     verify_strong_walk,
@@ -152,6 +156,30 @@ def test_gk_not_applicable(torus):
     assert [h.name for h in r.hypotheses if not h.ok] == ["flag"]
 
 
+def test_gk_names_two_components_of_a_disconnected_graph(octa, tmp_path, capsys):
+    # two disjoint octahedra: a flag homology 2-manifold with two components
+    twins = build_complex(list(octa.facets) + [tuple(v + 6 for v in f) for f in octa.facets])
+    r = check_face_graph_connectivity_bound(twins, 1)
+    assert r.status == "not-applicable" and r.exit_code == 4
+    assert [(h.name, h.ok, h.witness) for h in r.hypotheses] == [
+        ("flag", True, None), ("homology-manifold", True, None),
+        ("connected-graph", False, (1, 7))]
+    path = tmp_path / "twins.txt"
+    path.write_text(facet_file_text(twins))
+    assert cli.main(["verify", "gk", str(path), "--k", "1"]) == 4
+    hyps = json.loads(capsys.readouterr().out)["results"]["hypotheses"]
+    assert hyps[2] == {"name": "connected-graph", "ok": False, "witness": [1, 7]}
+
+
+def test_gk_connected_graph_witness_is_rechecked(octa, monkeypatch):
+    # neighbour masks that lose every edge to vertex 6 cut its facets in two
+    cx = build_complex(octa.facets)
+    masks = tuple(m & ~(1 << 5) for m in cx._neighbour_masks())
+    monkeypatch.setattr(type(cx), "_neighbour_masks", lambda self: masks)
+    with pytest.raises(InternalInvariantError, match="^a facet meets two components of the graph$"):
+        theorems._connected_graph(cx)
+
+
 def test_lb_reports(octa, icosa, torus):
     r = check_face_lower_bounds_report(octa)
     assert r.status == "pass"
@@ -266,6 +294,16 @@ def test_t2_flags_internal_errors(octa, monkeypatch):
     assert r.details["results"][0]["internal_error"] == "forced failure"
 
 
+def test_t2_reports_a_failed_verification(octa, monkeypatch):
+    monkeypatch.setattr(theorems, "verify_subdivision",
+                        lambda host, pattern, emb: Verdict(False, witness={"clause": "forced"}))
+    r = check_cross_polytope_subdivision(octa)
+    assert r.status == "violated" and r.exit_code == 1
+    assert "suspect" not in r.details
+    assert r.details["results"] == [
+        {"facet": (1, 2, 3), "ok": False, "failure": {"clause": "forced"}}]
+
+
 def test_flag_walk_frozen_example(octa):
     cert = strong_walk_avoiding_set(octa, 1, 4, {2, 3, 5})
     assert cert.walk.nodes == (1, 6, 4)
@@ -299,10 +337,14 @@ def test_flag_walk_preconditions(octa, torus, books):
     with pytest.raises(ClassificationError) as e:
         strong_walk_avoiding_set(books, 3, 4, set())
     assert e.value.check == "pseudomanifold"
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^endpoint 1 lies in the avoided set$"):
         strong_walk_avoiding_set(octa, 1, 4, {1})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^9 is not a vertex$"):
         strong_walk_avoiding_set(octa, 1, 9, set())
+    with pytest.raises(InputError, match=r"^avoided labels \[9\] are not vertices$"):
+        strong_walk_avoiding_set(octa, 1, 4, {2, 9})
+    with pytest.raises(InputError, match=r"^walks need a complex of dimension at least one$"):
+        strong_walk_avoiding_set(build_complex([(1,), (2,)]), 1, 2, set())
 
 
 def test_flag_walk_exhaustive_octahedron(octa):
