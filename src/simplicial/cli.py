@@ -26,7 +26,7 @@ from .errors import (
     InternalInvariantError,
     ResourceLimitError,
 )
-from .formats import facet_file_text, parse_label, read_complex_file
+from .formats import facet_file_text, parse_label, quote_input, read_complex_file
 from .generators import (
     barycentric_subdivision,
     cross_polytope_boundary,
@@ -78,7 +78,7 @@ def _parse_labels(text: str) -> list[int]:
     try:
         return [parse_label(t) for t in text.replace(",", " ").split()]
     except ValueError:
-        raise InputError(f"expected integer labels, got {text!r}")
+        raise InputError(f"expected integer labels, got {quote_input(text)}")
 
 
 def _cmd_analyze(cx: SimplicialComplex, args) -> tuple[dict, int]:
@@ -189,13 +189,13 @@ def _cmd_gen(args) -> str:
     name = args.name
     make, reads = _GENERATORS[name]
     if reads is None:
-        if args.size is not None or args.of:
+        if args.size is not None or args.of is not None:
             raise InputError(f"generator {name} takes no parameters")
         cx = make()
     elif reads == "size":
         if args.size is None:
             raise InputError(f"generator {name} needs a size argument")
-        if args.of:
+        if args.of is not None:
             raise InputError(f"generator {name} does not read an input complex")
         cx = make(args.size)
     else:

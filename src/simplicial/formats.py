@@ -15,6 +15,11 @@ from .core import SimplicialComplex, build_complex
 from .errors import InputError
 
 
+def quote_input(text: str) -> str:
+    """repr of user text for a message, past 40 characters cut to 20 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20] + '…'!r} ({len(text)} characters)"
+
+
 def parse_label(token: str) -> int:
     """A label token in ASCII digits, after an optional minus sign so that a
     negative label can be named as one; ValueError for ``2_0``, ``+2``, ..."""
@@ -46,7 +51,7 @@ def parse_facet_lines(lines) -> list[tuple[int, ...]]:
                 try:
                     value = parse_label(token)
                 except ValueError:
-                    raise InputError(f"line {lineno}: {token!r} is not an integer label")
+                    raise InputError(f"line {lineno}: {quote_input(token)} is not an integer label")
                 if value < 0:
                     raise InputError(f"line {lineno}: negative label {value}")
             labels = sorted(map(int, tokens))

@@ -88,8 +88,6 @@ def barycentric_subdivision(cx: SimplicialComplex) -> SimplicialComplex:
             for stop in range(1, len(perm) + 1):
                 chain.append(index[tuple(sorted(perm[:stop]))])
             new_facets.append(tuple(chain))
-    if not new_facets and cx.is_empty_complex:
-        return build_complex([()])
     return build_complex(new_facets)
 
 

@@ -1,15 +1,18 @@
 """Graphs attached to complexes: connectivity certificates and witnessed walks.
 
+A graph keeps its adjacency once, as neighbour bitmasks; one component
+search over such masks serves ``Graph.is_connected`` and gk.
+
 Vertex connectivity is computed by Menger duality: the size of a
 minimum s-t vertex cut is the largest number of internally disjoint s-t
-paths.  The paths are grown in layered phases over neighbour bitmasks of
-the unsplit graph: each phase grows breadth-first layers from s only as
-far as t and augments a blocking set of shortest paths, and the last
-phase, which misses t, yields the cut.  Sweeping a deterministic set of
-pairs gives the global value.  The certificate is checked by code that
-shares nothing with the search: every pair's paths are real, internally
-disjoint and as many as its cut has nodes, and the reported cut
-separates its pair.
+paths.  The paths are grown in layered phases over a copy of the
+neighbour masks of the unsplit graph: each phase grows breadth-first
+layers from s only as far as t and augments a blocking set of shortest
+paths, and the last phase, which misses t, yields the cut.  Sweeping a
+deterministic set of pairs gives the global value.  The certificate is
+checked by code that shares nothing with the search: every pair's paths
+are real, internally disjoint and as many as its cut has nodes, and the
+reported cut separates its pair.
 
 Walks through a pseudomanifold carry a witness facet per edge; the walk
 is accepted when consecutive witnesses lie in one strong component of the
@@ -28,52 +31,43 @@ from .errors import ClassificationError, InputError, InternalInvariantError
 
 
 class Graph:
-    """Finite simple graph over sortable hashable node labels."""
+    """Finite simple graph over sortable hashable node labels, its one
+    adjacency kept as neighbour masks: bit j of entry i joins nodes i and j."""
 
     def __init__(self, nodes, edges):
         self.nodes: tuple = tuple(sorted(set(nodes)))
-        node_set = set(self.nodes)
-        norm = set()
+        self._pos = pos = {u: i for i, u in enumerate(self.nodes)}
+        self._nbr = nbr = [0] * len(self.nodes)
         for e in edges:
             u, v = e
             if u == v:
                 raise InputError(f"loop at {u!r} is not allowed")
-            if u not in node_set or v not in node_set:
+            if u not in pos or v not in pos:
                 raise InputError(f"edge {e!r} leaves the node set")
-            norm.add((u, v) if u <= v else (v, u))
-        self.edges: tuple = tuple(sorted(norm))
-        adj: dict = {u: [] for u in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = {u: tuple(sorted(ns)) for u, ns in adj.items()}
-        self._edge_set = norm
+            nbr[pos[u]] |= 1 << pos[v]
+            nbr[pos[v]] |= 1 << pos[u]
+        above = (self._labels_of(m >> i + 1 << i + 1) for i, m in enumerate(nbr))  # later neighbours
+        self.edges: tuple = tuple((u, w) for u, ws in zip(self.nodes, above) for w in ws)
+
+    def _labels_of(self, mask: int) -> list:
+        return [self.nodes[b.bit_length() - 1] for b in SimplicialComplex._bits(mask)]
 
     def neighbors(self, u):
-        return self._adj[u]
+        return tuple(self._labels_of(self._nbr[self._pos[u]]))
 
     def degree(self, u) -> int:
-        return len(self._adj[u])
+        return self._nbr[self._pos[u]].bit_count()
 
     def has_edge(self, u, v) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self._edge_set
+        i, j = self._pos.get(u), self._pos.get(v)
+        return i is not None and j is not None and bool(self._nbr[i] >> j & 1)
 
     def has_node(self, u) -> bool:
-        return u in self._adj
+        return u in self._pos
 
     def is_connected(self) -> bool:
         """Graphs with at most one node count as connected."""
-        if len(self.nodes) <= 1:
-            return True
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.nodes)
+        return len(self.nodes) <= 1 or _component(self._nbr, 0) == (1 << len(self.nodes)) - 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -99,11 +93,8 @@ def face_adjacency_graph(cx: SimplicialComplex, k: int) -> Graph:
         raise InputError(f"k={k} outside 0..{cx.dimension - 1}")
     if k == 0:
         return graph_of(cx)
-    nodes = cx.faces(k)
-    edges = set()
-    for top in cx.faces(k + 1):
-        edges.update(combinations([top[:i] + top[i + 1 :] for i in range(len(top))], 2))
-    return Graph(nodes, edges)
+    sides = ([top[:i] + top[i + 1 :] for i in range(len(top))] for top in cx.faces(k + 1))
+    return Graph(cx.faces(k), (e for s in sides for e in combinations(s, 2)))
 
 
 @dataclass(frozen=True)
@@ -121,14 +112,15 @@ class ConnectivityResult:
     cut: CutCertificate | None
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Bit j of entry i is set when g.nodes[i] and g.nodes[j] are adjacent."""
-    pos = {u: i for i, u in enumerate(g.nodes)}
-    nbr = [0] * len(g.nodes)
-    for u, v in g.edges:
-        nbr[pos[u]] |= 1 << pos[v]
-        nbr[pos[v]] |= 1 << pos[u]
-    return nbr
+def _component(nbr: list[int], start: int) -> int:
+    """Mask of the nodes joined to node start, for neighbour masks nbr."""
+    comp, new = 0, 1 << start
+    while new:
+        comp |= new
+        for b in SimplicialComplex._bits(new):
+            new |= nbr[b.bit_length() - 1]
+        new &= ~comp
+    return comp
 
 
 def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], int]:
@@ -285,13 +277,11 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     v = min(g.nodes, key=lambda u: (g.degree(u), u))
     pairs = [(v, w) for w in g.nodes if w != v and not g.has_edge(v, w)]
     pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
-    nodes = g.nodes
-    pos = {u: i for i, u in enumerate(nodes)}
-    nbr = _neighbour_masks(g)
+    nodes, nbr = g.nodes, list(g._nbr)
     best_cut = best_pair = None
     for s, t in pairs:
-        index_paths, cut_mask = _disjoint_paths(nbr, pos[s], pos[t])
-        cut = tuple(nodes[b.bit_length() - 1] for b in SimplicialComplex._bits(cut_mask))
+        index_paths, cut_mask = _disjoint_paths(nbr, g._pos[s], g._pos[t])
+        cut = tuple(g._labels_of(cut_mask))
         _check_menger(g, s, t, [[nodes[i] for i in p] for p in index_paths], cut)
         if best_cut is None or (len(cut), cut) < (len(best_cut), best_cut):
             best_cut = cut

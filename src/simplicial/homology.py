@@ -21,14 +21,15 @@ pseudomanifold, then a PL sphere, the passes of sphere and manifold too.
 Failures and complexes it does not shell go through the sweep below.
 
 The Cohen-Macaulay (Reisner), m-Cohen-Macaulay (Baclawski), sphere and
-manifold deciders store no link.  They visit the faces sigma in
-(dimension, label) order.  On a memo miss the clique walk of core,
-started from sigma, lists the face levels of lk(sigma) in label order,
-cutting each face's candidates down to its star at the first that is no
-face, and they are dropped once ranked.  Betti values are memoized on the
-complex under (sigma, field), so the four deciders share one sweep.  All
-deciders report the first failing face in (dimension, label) order, and
-the first failing W in ``combinations(vertices, size)`` order.
+manifold deciders share one defect search, which stores no link.  Past
+the shelling gate it visits the faces sigma in (dimension, label) order.
+On a memo miss the clique walk of core, started from sigma, lists the
+face levels of lk(sigma) in label order, cutting each face's candidates
+down to its star at the first that is no face, and they are dropped once
+ranked.  Betti values are memoized on the complex under (sigma, field),
+so the four deciders share one sweep.  All deciders report the first
+failing face in (dimension, label) order, and the first failing W in
+``combinations(vertices, size)`` order.
 
 Each link takes the cheapest exact method.  One whose facets have at most
 one vertex beyond sigma is read off the face index with no face level:
@@ -221,11 +222,6 @@ def _betti_values(levels, characteristic: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _betti_memo(cx: SimplicialComplex, p: int) -> dict:
-    """Betti values of lk(sigma), keyed by the mask sigma; 0 is the whole complex."""
-    return cx._memoized(("betti", p), dict)
-
-
 def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> BettiTable:
     """Reduced Betti table from dimension -1 through the top dimension.
 
@@ -245,7 +241,7 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = GF2) -> Bett
 def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
     """Memoized Betti values over characteristic p of lk(sigma), by the
     cheapest method of the module docstring."""
-    memo = _betti_memo(cx, p)
+    memo = cx._memoized(("betti", p), dict)  # keyed by sigma; 0 is the whole complex
     values = memo.get(sigma)
     if values is None and p == 0:
         values = _link_values(cx, 2, sigma)
@@ -269,16 +265,6 @@ def _link_levels(cx: SimplicialComplex, sigma: int, top: int):
     if not sigma:
         return [cx._faces_masks(k) for k in range(-1, top)]
     return list(cx._clique_walk(top, sigma, star=True))
-
-
-def _link_sweep(cx: SimplicialComplex, field: FieldSpec, skip_empty: bool = False):
-    """Yield (sigma, Betti values of lk(sigma)) for the faces sigma in
-    (dimension, label) order, from the empty face unless it is skipped."""
-    faces = chain.from_iterable(_link_levels(cx, 0, cx.dimension + 1))  # the empty face first
-    if skip_empty:
-        next(faces)
-    for sigma in faces:
-        yield sigma, _link_values(cx, field.characteristic, sigma)
 
 
 def _low_defect(values):
@@ -349,21 +335,36 @@ def _checked_shelling(cx: SimplicialComplex, order) -> tuple[int, ...]:
     return tuple(h)
 
 
+def _first_defect(cx, field, deleted, sphere=False, skip_empty=False) -> dict | None:
+    """Re-checked witness of the first face in (dimension, label) order, from
+    {} unless skip_empty, whose link has homology below its top degree, or
+    with sphere a top Betti number other than 1; None when a checked shelling
+    (with sphere, of a pseudomanifold) or the sweep finds none.  cx is a
+    complex minus the vertex set ``deleted``, () for none."""
+    if cx.is_void:
+        raise InputError("the void complex cannot be classified")
+    if _shelling_h(cx) and (not sphere or cx.is_pseudomanifold()):
+        return None
+    faces = chain.from_iterable(_link_levels(cx, 0, cx.dimension + 1))  # the empty face first
+    if skip_empty:
+        next(faces)
+    for sigma in faces:
+        values = _link_values(cx, field.characteristic, sigma)
+        defect = _low_defect(values)
+        if defect is None and sphere and values[-1] != 1:
+            defect = (len(values) - 2, values[-1])
+        if defect is not None:
+            return _checked_witness(cx, field, deleted, cx._labels_of(sigma), *defect)
+    return None
+
+
 def _sphere_links(
     cx: SimplicialComplex, field: FieldSpec, skip_empty: bool, reason: str
 ) -> Verdict:
     """First face whose link is not a homology sphere of its own dimension."""
-    if cx.is_void:
-        raise InputError("the void complex cannot be classified")
-    if _shelling_h(cx) and cx.is_pseudomanifold():
-        return Verdict(True)
-    for sigma, values in _link_sweep(cx, field, skip_empty):
-        defect = _low_defect(values)
-        if defect is None and values[-1] != 1:
-            defect = (len(values) - 2, values[-1])
-        if defect is not None:
-            witness = _checked_witness(cx, field, (), cx._labels_of(sigma), *defect)
-            return Verdict(False, witness=witness, reason=reason)
+    witness = _first_defect(cx, field, (), sphere=True, skip_empty=skip_empty)
+    if witness is not None:
+        return Verdict(False, witness=witness, reason=reason)
     sphere = -(-1) ** (cx.dimension + 1)  # the reduced Euler characteristic of a sphere
     return _checked_pass(cx, cx.reduced_euler_characteristic() if skip_empty else sphere)
 
@@ -401,19 +402,6 @@ def is_homology_manifold(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdi
     return _sphere_links(cx, field, True, "a vertex or higher face has a non-sphere link")
 
 
-def _cm_defect(cx: SimplicialComplex, field: FieldSpec, deleted):
-    """Reisner witness of cx, re-checked, or None when it is CM: a checked
-    shelling passes it, else the sweep's first defect is its witness.  cx
-    is a complex minus the vertex set ``deleted``, () for none."""
-    if _shelling_h(cx):
-        return None
-    for sigma, values in _link_sweep(cx, field):
-        defect = _low_defect(values)
-        if defect is not None:
-            return _checked_witness(cx, field, deleted, cx._labels_of(sigma), *defect)
-    return None
-
-
 def _checked_witness(cx, field, deleted, face, degree, betti) -> dict:
     """The witness found in the sweep of cx, once its Betti number has been
     recounted on the link of the face, else InternalInvariantError naming
@@ -447,9 +435,7 @@ def _recount(cx: SimplicialComplex, face, k: int, p: int) -> int:
 
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = GF2) -> Verdict:
     """Reisner test: links have vanishing reduced homology below top degree."""
-    if cx.is_void:
-        raise InputError("the void complex cannot be classified")
-    witness = _cm_defect(cx, field, ())
+    witness = _first_defect(cx, field, ())
     if witness is not None:
         return Verdict(
             False, witness=witness, reason="a link has homology below its top degree"
@@ -501,7 +487,7 @@ def is_m_cohen_macaulay(
                 )
             if size < certified:
                 continue
-            inner = _cm_defect(cx.delete(chosen), field, chosen)
+            inner = _first_defect(cx.delete(chosen), field, chosen)
             if inner is not None:
                 return Verdict(
                     False,

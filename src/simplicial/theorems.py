@@ -21,6 +21,7 @@ from .graphs import (
     SubdivisionEmbedding,
     Walk,
     WalkCertificate,
+    _component,
     _require,
     _walk_request,
     face_adjacency_graph,
@@ -192,12 +193,7 @@ def check_face_graph_connectivity_bound(
 def _connected_graph(cx: SimplicialComplex) -> HypothesisCheck:
     """gk's connected-graph hypothesis.  A failure names the least vertex and the
     least vertex outside its component, once no facet is found to meet both."""
-    adj, comp, new = cx._neighbour_masks(), 0, 1  # bit 0 is the least vertex
-    while new:
-        comp |= new
-        for b in cx._bits(new):
-            new |= adj[b.bit_length() - 1]
-        new &= ~comp
+    comp = _component(cx._neighbour_masks(), 0)  # bit 0 is the least vertex
     rest = cx._labels_of((1 << cx.num_vertices) - 1 & ~comp)
     if not rest:
         return HypothesisCheck("connected-graph", True)

@@ -48,7 +48,7 @@ def test_facet_parse_errors_carry_line_numbers():
         ("x -1", "line 1: 'x' is not an integer label"),
         ("-1 x", "line 1: negative label -1"),
         ("4 -0 4", "line 1: repeated label in facet"),
-        (f"1 2 {BIG}", f"line 1: {BIG!r} is not an integer label"),
+        (f"1 2 {BIG}", "line 1: '99999999999999999999…' (5000 characters) is not an integer label"),
     ]:
         with pytest.raises(InputError) as e:
             parse_facet_lines(text.splitlines())
@@ -232,6 +232,7 @@ def test_cli_walk_rejects_non_ascii_digit_labels(octa_file, capsys, avoid):
                                    "--avoid", avoid, "--mode", "face"])
     assert (code, out) == (2, "")
     assert "expected integer labels" in err
+    assert all(len(line) < 120 for line in err.splitlines())
 
 
 @pytest.mark.parametrize("src, dst", [("\u0662", "5"), ("2", "5_0")])
@@ -320,6 +321,8 @@ def test_cli_gen_misuse(octa_file, capsys):
         (["cycle"], "generator cycle needs a size argument"),
         (["cycle", "--of", octa_file], "generator cycle needs a size argument"),
         (["cycle", "5", "--of", octa_file], "generator cycle does not read an input complex"),
+        (["cycle", "5", "--of", ""], "generator cycle does not read an input complex"),
+        (["icosahedron", "--of", ""], "generator icosahedron takes no parameters"),
         (["barycentric"], "generator barycentric needs --of FILE"),
         (["barycentric", "3"], "generator barycentric needs --of FILE"),
         (["barycentric", "3", "--of", octa_file],
@@ -387,12 +390,13 @@ def test_cli_parse_error_carries_line_number(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     for line, message in [
         ("2 2 3", "line 2: repeated label in facet"),
-        (f"1 2 {BIG}", f"line 2: {BIG!r} is not an integer label"),
+        (f"1 2 {BIG}", "line 2: '99999999999999999999…' (5000 characters) is not an integer label"),
     ]:
         path.write_text(f"1 2\n{line}\n")
         code, out, err = _run(capsys, ["analyze", str(path)])
         assert (code, out) == (2, ""), line
         assert err.splitlines()[0] == f"error: {message}", line
+        assert all(len(err_line) < 120 for err_line in err.splitlines()), line
 
 
 def test_cli_reports_are_byte_identical(octa_file, capsys):

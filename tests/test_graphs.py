@@ -35,6 +35,10 @@ def test_graph_construction():
     assert g.degree(1) == 1
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(1, 3)
+    # a label that is no node is joined to nothing, in either orientation
+    assert not g.has_edge(1, 9) and not g.has_edge(9, 1)
+    assert not g.has_edge(1, "x") and not g.has_edge("x", 1)
+    assert (g == object()) is False
     with pytest.raises(InputError):
         Graph((1, 2), [(1, 1)])
     with pytest.raises(InputError):
@@ -46,6 +50,7 @@ def test_graph_connectivity_helpers():
     assert not g.is_connected()
     assert Graph((1, 2), [(1, 2)]).is_connected()
     assert Graph((5,), []).is_connected()
+    assert Graph((), []).is_connected()
 
 
 def test_graph_of_octahedron(octa):
@@ -125,7 +130,7 @@ class _RecordingList(list):
 def test_tail_past_t_is_read_only_by_the_last_search(extra, paths, first_pinned):
     edges = [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)] + [(v, v + 1) for v in range(4, 33)]
     g = Graph(range(36), edges + extra)
-    nbr = _RecordingList(graphs._neighbour_masks(g))
+    nbr = _RecordingList(g._nbr)
     got, cut = graphs._disjoint_paths(nbr, 0, 1)
     assert sorted(got) == paths
     assert cut == sum(1 << p[1] for p in paths)
@@ -430,6 +435,10 @@ def test_subdivision_rejects_each_clause():
     nonedge[("a", "c")] = (1, 4)
     v = verify_subdivision(host, pattern, emb({"a": 1, "b": 2, "c": 4}, nonedge))
     assert not v and v.witness["clause"] == "path-edge"
+    stray = dict(ok_paths)
+    stray[("a", "c")] = (1, "x", 4)  # a label of another type than the host's
+    v = verify_subdivision(host, pattern, emb({"a": 1, "b": 2, "c": 4}, stray))
+    assert not v and v.witness == {"clause": "path-edge", "edge": ("a", "c"), "step": (1, "x")}
     v = verify_subdivision(host, pattern,
                            emb({"a": 1, "b": 2, "c": 3}, {
                                ("a", "b"): (1, 3, 2),

@@ -350,6 +350,24 @@ def random_graphs(draw):
     return Graph(range(1, n + 1), [e for e in pairs if draw(st.booleans())])
 
 
+@PROPERTY
+@given(random_graphs())
+def test_graph_accessors_match_its_edge_list(g):
+    adj = {u: set() for u in g.nodes}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for u in g.nodes:
+        assert g.neighbors(u) == tuple(sorted(adj[u]))
+        assert g.degree(u) == len(adj[u])
+        assert [g.has_edge(u, v) for v in g.nodes] == [v in adj[u] for v in g.nodes]
+    assert g.is_connected() == O.graph_is_connected(g.nodes, g.edges)
+    # the sweep runs on its own copy of the adjacency
+    before = g.edges, [g.neighbors(u) for u in g.nodes]
+    vertex_connectivity(g)
+    assert (g.edges, [g.neighbors(u) for u in g.nodes]) == before
+
+
 def _pair_list(g):
     """The sweep's pairs: a minimum-degree node v (least label on ties)
     against its non-neighbours, then the non-adjacent pairs of its
@@ -363,7 +381,7 @@ def _pair_list(g):
 
 def _assert_connectivity_matches_oracle(g):
     pos = {u: i for i, u in enumerate(g.nodes)}
-    nbr = graphs._neighbour_masks(g)
+    nbr = g._nbr
     cuts = {}
     for s, t in permutations(g.nodes, 2):
         if t in g.neighbors(s):
@@ -388,7 +406,7 @@ def _assert_connectivity_matches_oracle(g):
 
 def _assert_pairs_match_flow_oracle(g, pairs):
     pos = {u: i for i, u in enumerate(g.nodes)}
-    nbr = graphs._neighbour_masks(g)
+    nbr = g._nbr
     for s, t in pairs:
         paths, cut_mask = graphs._disjoint_paths(nbr, pos[s], pos[t])
         cut = tuple(u for u in g.nodes if cut_mask >> pos[u] & 1)
