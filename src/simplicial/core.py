@@ -547,13 +547,14 @@ class SimplicialComplex:
 
     def _compute_strong(self) -> StrongComponents:
         # a facet's own bit is its index entry; listed in facet order, which is
-        # label order, a component comes out sorted; all sorted by (size, first)
+        # label order, a component comes out sorted; all sorted by (size, first).
+        # A component is read off bin() in one pass, not bit by bit in O(F^2).
         index, facets = self._face_index(), self.facets
         comps, left = [], (1 << len(facets)) - 1
         while left:
             comp = reduce(or_, (index[g] for g, _ in self._strong_search(left & -left)))
             left &= ~comp
-            comps.append(tuple(facets[b.bit_length() - 1] for b in self._bits(comp)))
+            comps.append(tuple(f for f, bit in zip(facets, bin(comp)[:1:-1]) if bit == "1"))
         comps.sort(key=lambda c: (len(c[0]), c[0]))
         return StrongComponents(components=tuple(comps), pure=self.is_pure)
 

@@ -20,6 +20,12 @@ def quote_input(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:20] + '…'!r} ({len(text)} characters)"
 
 
+def quote_label(label) -> str:
+    """repr of a parsed label for a message, past 40 characters cut to 20 and its length."""
+    text = repr(label)
+    return text if len(text) <= 40 else f"{text[:20]}… ({len(text)} characters)"
+
+
 def parse_label(token: str) -> int:
     """A label token in ASCII digits, after an optional minus sign so that a
     negative label can be named as one; ValueError for ``2_0``, ``+2``, ..."""
@@ -53,7 +59,7 @@ def parse_facet_lines(lines) -> list[tuple[int, ...]]:
                 except ValueError:
                     raise InputError(f"line {lineno}: {quote_input(token)} is not an integer label")
                 if value < 0:
-                    raise InputError(f"line {lineno}: negative label {value}")
+                    raise InputError(f"line {lineno}: negative label {quote_label(value)}")
             labels = sorted(map(int, tokens))
         if len(set(labels)) != len(labels):
             raise InputError(f"line {lineno}: repeated label in facet")

@@ -5,14 +5,15 @@ search over such masks serves ``Graph.is_connected`` and gk.
 
 Vertex connectivity is computed by Menger duality: the size of a
 minimum s-t vertex cut is the largest number of internally disjoint s-t
-paths.  The paths are grown in layered phases over a copy of the
-neighbour masks of the unsplit graph: each phase grows breadth-first
-layers from s only as far as t and augments a blocking set of shortest
-paths, and the last phase, which misses t, yields the cut.  Sweeping a
-deterministic set of pairs gives the global value.  The certificate is
-checked by code that shares nothing with the search: every pair's paths
-are real, internally disjoint and as many as its cut has nodes, and the
-reported cut separates its pair.
+paths.  The paths are found over a copy of the neighbour masks of the
+unsplit graph: each pair is seeded with its common-neighbour and two-hop
+paths, then each layered phase grows breadth-first layers from s only as
+far as t and augments a blocking set of shortest paths, and the last
+phase, which misses t, yields the cut.  Sweeping a deterministic set of
+pairs gives the global value.  The certificate is checked by code that
+shares nothing with the search and reads the graph's own neighbour masks:
+every pair's paths are real, internally disjoint and as many as its cut
+has nodes, and the reported cut separates its pair.
 
 Walks through a pseudomanifold carry a witness facet per edge; the walk
 is accepted when consecutive witnesses lie in one strong component of the
@@ -28,6 +29,7 @@ from itertools import combinations
 
 from .core import Face, SimplicialComplex, Verdict
 from .errors import ClassificationError, InputError, InternalInvariantError
+from .formats import quote_label
 
 
 class Graph:
@@ -128,26 +130,36 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
 
     s and t are non-adjacent indices into the neighbour masks.  The flow is
     kept as pred/succ pointers of the nodes on it, and `used` masks those
-    nodes.  It starts as one path s-u-t per common neighbour u; some
-    maximum flow has them all.  Each phase then grows out-state layers
-    from s, one OR of nbr[u] per node u of a layer.  An in-state has one
-    way on: a free node's to its own out-state, a used node's back to its
-    pred's; a used out-state may also step back to its in-state.  The
-    layers stop at the first one next to t.  A backward search from that
-    layer then augments a blocking set of shortest paths, each out-state
-    at most once, and the next phase grows fresh layers.  The phase that
-    runs out of layers without meeting t gives the cut: the nodes whose
-    in-state it reaches and whose out-state it does not, the same after
-    any max flow.
+    nodes.  It is seeded with one path s-u-t per common neighbour u (some
+    maximum flow has them all) and, first fit in bit order, one path s-a-b-t
+    per other neighbour a of s next to a free neighbour of t, b the lowest
+    such; the phases cancel the arcs of a seed that blocks.  Each phase
+    grows out-state layers from s, one OR of nbr[u] per node u of a layer.
+    An in-state has one way on: a free node's to its own out-state, a used
+    node's back to its pred's; a used out-state may also step back to its
+    in-state.  The layers stop at the first one next to t.  A backward
+    search from that layer then augments a blocking set of shortest paths,
+    each out-state at most once, and the next phase grows fresh layers.
+    The phase that runs out of layers without meeting t gives the cut: the
+    nodes whose in-state it reaches and whose out-state it does not, the
+    same after any max flow.
     """
     n = len(nbr)
     pred, succ = [-1] * n, [-1] * n
-    used = common = nbr[s] & nbr[t]
-    while common:
-        low = common & -common
-        common ^= low
-        u = low.bit_length() - 1
-        pred[u], succ[u] = s, t
+    used, firsts, lasts = 0, nbr[s], nbr[t] & ~nbr[s]
+    while firsts:
+        a = firsts & -firsts
+        firsts ^= a
+        u = a.bit_length() - 1
+        if a & nbr[t]:
+            pred[u], succ[u] = s, t
+            used |= a
+        elif lasts and (b := nbr[u] & lasts):
+            b &= -b
+            lasts ^= b
+            w = b.bit_length() - 1
+            pred[u], succ[u], pred[w], succ[w] = s, w, u, t
+            used |= a | b
     while True:
         seen_in = seen_out = 1 << s
         live = [1 << s]  # live[k]: out-states k layers from s
@@ -193,12 +205,13 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
                 continue
             stuck = False
             path = stack[::-1]
-            hops = [(u, succ[z] if used >> z & 1 else z) for u, z in zip(path, path[1:])]
-            hops.append((path[-1], t))  # arcs (out-state u, in-state y) from s
-            # a pointer is cleared only while it names the cancelled arc,
-            # because this path may already have reset it
+            # arcs (out-state u, in-state y) from s, each y read before the hop
+            # from z changes z's pointers, and t is never used; a pointer is
+            # cleared only while it names the cancelled arc, because this path
+            # may already have reset it
             w = -1
-            for u, y in hops:
+            for u, z in zip(path, path[1:] + [t]):
+                y = succ[z] if used >> z & 1 else z
                 if w >= 0 and w != u:  # back along the flow u -> w
                     if succ[u] == w:
                         succ[u] = -1
@@ -218,28 +231,41 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
     starts = (b.bit_length() - 1 for b in SimplicialComplex._bits(nbr[s] & used))
     paths = [[s, w] for w in starts if pred[w] == s]
     for path in paths:
-        while path[-1] != t:
-            if succ[path[-1]] < 0 or len(path) > n:
+        w = path[-1]
+        while w != t:
+            w = succ[w]
+            if w < 0 or len(path) > n:
                 raise InternalInvariantError("flow pointers break off before the target")
-            path.append(succ[path[-1]])
+            path.append(w)
     return paths, seen_in & ~seen_out
 
 
-def _check_menger(g: Graph, s, t, paths, cut) -> None:
-    """Raise unless paths are len(cut) internally disjoint s-t paths of g."""
-    if len(paths) != len(cut):
-        raise InternalInvariantError(f"{len(paths)} disjoint paths for a cut of {len(cut)} nodes")
-    interior = {s, t}
+def _check_menger(g: Graph, s: int, t: int, paths, cut_size: int) -> None:
+    """Raise unless paths are cut_size internally disjoint s-t paths of g.
+
+    s, t and the paths are positions in g.nodes; each step is read off g's
+    own neighbour masks, and a message names labels."""
+    nodes, nbr = g.nodes, g._nbr
+    if len(paths) != cut_size:
+        raise InternalInvariantError(f"{len(paths)} disjoint paths for a cut of {cut_size} nodes")
+    interior = 1 << s | 1 << t
     for path in paths:
         if path[0] != s or path[-1] != t:
-            raise InternalInvariantError(f"path {path!r} does not run from {s!r} to {t!r}")
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                raise InternalInvariantError(f"path step {(a, b)!r} is not an edge")
-        for x in path[1:-1]:
-            if x in interior:
-                raise InternalInvariantError(f"two paths between {s!r} and {t!r} share {x!r}")
-            interior.add(x)
+            labels = [nodes[i] for i in path]
+            raise InternalInvariantError(f"path {labels!r} does not run from {nodes[s]!r} to {nodes[t]!r}")
+        a = s
+        for b in path[1:-1]:
+            bit = 1 << b
+            if not nbr[a] & bit:
+                break
+            if interior & bit:
+                raise InternalInvariantError(f"two paths between {nodes[s]!r} and {nodes[t]!r} share {nodes[b]!r}")
+            interior |= bit
+            a = b
+        else:  # the interior held; the last step ends at t
+            b = t
+        if not nbr[a] >> b & 1:
+            raise InternalInvariantError(f"path step {(nodes[a], nodes[b])!r} is not an edge")
 
 
 def _check_separates(g: Graph, cut, s, t) -> None:
@@ -277,15 +303,16 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     v = min(g.nodes, key=lambda u: (g.degree(u), u))
     pairs = [(v, w) for w in g.nodes if w != v and not g.has_edge(v, w)]
     pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
-    nodes, nbr = g.nodes, list(g._nbr)
-    best_cut = best_pair = None
+    nodes, nbr, pos = g.nodes, list(g._nbr), g._pos
+    best_cut, best_pair = nodes, None  # longer than any cut
     for s, t in pairs:
-        index_paths, cut_mask = _disjoint_paths(nbr, g._pos[s], g._pos[t])
-        cut = tuple(g._labels_of(cut_mask))
-        _check_menger(g, s, t, [[nodes[i] for i in p] for p in index_paths], cut)
-        if best_cut is None or (len(cut), cut) < (len(best_cut), best_cut):
-            best_cut = cut
-            best_pair = (s, t)
+        index_paths, cut_mask = _disjoint_paths(nbr, pos[s], pos[t])
+        _check_menger(g, pos[s], pos[t], index_paths, cut_mask.bit_count())
+        if cut_mask.bit_count() <= len(best_cut):
+            cut = tuple(g._labels_of(cut_mask))
+            if (len(cut), cut) < (len(best_cut), best_cut):
+                best_cut = cut
+                best_pair = (s, t)
     _check_separates(g, best_cut, *best_pair)
     return ConnectivityResult(
         value=len(best_cut),
@@ -338,7 +365,8 @@ def _walk_request(cx: SimplicialComplex, a: int, b: int, avoid) -> frozenset:
     avoid = frozenset(avoid)
     vset = set(cx.vertices)
     if not avoid <= vset:
-        raise InputError(f"avoided labels {sorted(avoid - vset)} are not vertices")
+        missing = ", ".join(map(quote_label, sorted(avoid - vset)))
+        raise InputError(f"avoided labels [{missing}] are not vertices")
     for x in (a, b):
         if x not in vset:
             raise InputError(f"{x!r} is not a vertex")

@@ -312,6 +312,20 @@ def test_strong_component_counts(octa, books, two_triangles):
     assert not mixed.strong_components().pure
 
 
+def test_strong_components_list_facets_in_facet_order(octa, torus):
+    # the octahedron on even labels and torus7 on odd ones: the facets of the
+    # two components interleave in facet order
+    twins = build_complex([tuple(2 * v for v in f) for f in octa.facets]
+                          + [tuple(2 * v - 1 for v in f) for f in torus.facets])
+    bary4 = barycentric_subdivision(cross_polytope_boundary(4))
+    for name, cx in [("bary4", bary4), ("torus7", torus), ("twins", twins)]:
+        want = sorted(O.strong_components(cx.facets), key=lambda c: (len(c[0]), c[0]))
+        assert cx.strong_components().components == tuple(map(tuple, want)), name
+    assert twins.strong_components().count == 2
+    bary5 = barycentric_subdivision(cross_polytope_boundary(5))
+    assert bary5.strong_components().components == (tuple(sorted(bary5.facets)),)
+
+
 def test_pseudomanifold_matches_oracle(corpus):
     for name, cx in corpus.items():
         assert bool(cx.is_pseudomanifold()) == O.is_pseudomanifold(cx.facets), name

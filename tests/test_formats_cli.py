@@ -432,3 +432,24 @@ def test_cli_seed_is_a_usage_error(octa_file, capsys):
 def test_read_complex_file_missing(tmp_path):
     with pytest.raises(OSError):
         read_complex_file(tmp_path / "missing.txt")
+
+
+# a number of 4000 digits parses, so each message names it, cut like quote_input
+LONG = "9" * 4000
+
+
+def test_cli_negative_long_label_is_named_in_short(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text(f"1 2 -{LONG}\n")
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert (code, out) == (2, "")
+    assert "line 1: negative label -9999999999999999999… (4001 characters)" in err
+    assert all(len(line) < 120 for line in err.splitlines())
+
+
+def test_cli_walk_long_avoided_label_is_named_in_short(octa_file, capsys):
+    code, out, err = _run(capsys, ["walk", octa_file, "--from", "2", "--to", "5",
+                                   "--avoid", f"1,{LONG}", "--mode", "face"])
+    assert (code, out) == (2, "")
+    assert "avoided labels [99999999999999999999… (4000 characters)] are not vertices" in err
+    assert all(len(line) < 120 for line in err.splitlines())

@@ -137,6 +137,18 @@ def test_tail_past_t_is_read_only_by_the_last_search(extra, paths, first_pinned)
     assert nbr.reads[first_pinned:34] == [1] * (34 - first_pinned)
 
 
+def test_phases_reroute_a_blocking_seed():
+    # s = 0 ~ a1 = 2, a2 = 3 and t = 1 ~ b1 = 4, b2 = 5, with a1-b1, a1-b2 and
+    # a2-b1: paths seeded first-fit take s-a1-b1-t, which leaves a2 no free
+    # partner, so a phase must send a2 to b1 and move a1 on to b2
+    edges = [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4)]
+    g = Graph(range(6), edges)
+    paths, cut = graphs._disjoint_paths(list(g._nbr), 0, 1)
+    assert sorted(paths) == [[0, 2, 5, 1], [0, 3, 4, 1]]
+    assert cut == 0b1100
+    assert O.nearest_min_vertex_cut(g.nodes, g.edges, 0, 1) == (2, 3)
+
+
 def _connected_without(g, cut):
     """Whether G minus the cut is connected, by the oracle's search."""
     gone = set(cut)
@@ -209,6 +221,27 @@ def test_corrupt_connectivity_certificate_is_caught(name, octa, tmp_path, capsys
     assert cli.main(["verify", "t1", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "suspect" in captured.err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_share_interior, r"^two paths between 11 and 14 share 1[2356]$"),
+    (_step_off_edge, r"^path step \(11, 14\) is not an edge$"),
+    (lambda paths: [paths[0][::-1]] + paths[1:], r"^path \[14, 1[2356], 11\] does not run from 11 to 14$"),
+    (_drop_one, r"^3 disjoint paths for a cut of 4 nodes$"),
+])
+def test_corrupt_certificate_is_reported_in_labels(corrupt, message, octa, monkeypatch):
+    # the octahedron on 11..16 sits at positions 0..5, so a message naming
+    # positions could not match
+    g = Graph([v + 10 for v in octa.vertices], [(a + 10, b + 10) for a, b in octa.faces(1)])
+    search = graphs._disjoint_paths
+
+    def corrupted(nbr, s, t):
+        paths, cut = search(nbr, s, t)
+        return corrupt(paths), cut
+
+    monkeypatch.setattr(graphs, "_disjoint_paths", corrupted)
+    with pytest.raises(InternalInvariantError, match=message):
+        vertex_connectivity(g)
 
 
 def test_cut_that_does_not_separate_is_caught(octa):

@@ -411,7 +411,7 @@ def _assert_pairs_match_flow_oracle(g, pairs):
         paths, cut_mask = graphs._disjoint_paths(nbr, pos[s], pos[t])
         cut = tuple(u for u in g.nodes if cut_mask >> pos[u] & 1)
         assert (len(paths), cut) == O.max_flow_vertex_cut(g.nodes, g.edges, s, t), (s, t)
-        graphs._check_menger(g, s, t, [[g.nodes[i] for i in p] for p in paths], cut)
+        graphs._check_menger(g, pos[s], pos[t], paths, len(cut))
 
 
 @st.composite
