@@ -17,8 +17,9 @@ has nodes, and the reported cut separates its pair.
 
 Walks through a pseudomanifold carry a witness facet per edge; the walk
 is accepted when consecutive witnesses lie in one strong component of the
-closed star of the shared node.  The verifier recomputes everything from
-the certificate alone and shares no construction code with the builders.
+closed star of the shared node.  Subdivision paths are re-checked on the
+host's neighbour masks.  The verifiers recompute everything from the
+certificate alone and share no construction code with the builders.
 """
 
 from __future__ import annotations
@@ -303,16 +304,18 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     v = min(g.nodes, key=lambda u: (g.degree(u), u))
     pairs = [(v, w) for w in g.nodes if w != v and not g.has_edge(v, w)]
     pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
-    nodes, nbr, pos = g.nodes, list(g._nbr), g._pos
-    best_cut, best_pair = nodes, None  # longer than any cut
+    nbr, pos = list(g._nbr), g._pos
+    best_mask, best_size, best_pair = 0, n, None  # n exceeds any cut
     for s, t in pairs:
         index_paths, cut_mask = _disjoint_paths(nbr, pos[s], pos[t])
-        _check_menger(g, pos[s], pos[t], index_paths, cut_mask.bit_count())
-        if cut_mask.bit_count() <= len(best_cut):
-            cut = tuple(g._labels_of(cut_mask))
-            if (len(cut), cut) < (len(best_cut), best_cut):
-                best_cut = cut
-                best_pair = (s, t)
+        size = cut_mask.bit_count()
+        _check_menger(g, pos[s], pos[t], index_paths, size)
+        # positions follow label order (g.nodes is sorted): of two cuts of one size,
+        # the one holding the lowest bit of their difference is the lesser label tuple
+        diff = cut_mask ^ best_mask
+        if size < best_size or size == best_size and diff & -diff & cut_mask:
+            best_mask, best_size, best_pair = cut_mask, size, (s, t)
+    best_cut = tuple(g._labels_of(best_mask))
     _check_separates(g, best_cut, *best_pair)
     return ConnectivityResult(
         value=len(best_cut),
@@ -534,7 +537,8 @@ class SubdivisionEmbedding:
 def verify_subdivision(
     host: Graph, pattern: Graph, emb: SubdivisionEmbedding
 ) -> Verdict:
-    """Recheck a subdivision embedding clause by clause."""
+    """Recheck a subdivision embedding clause by clause, each path in host
+    positions on the host's neighbour masks; a witness names labels."""
     bn = emb.branch_nodes
     missing = [u for u in pattern.nodes if u not in bn]
     if missing:
@@ -548,25 +552,26 @@ def verify_subdivision(
         return Verdict(
             False, witness={"clause": "branch-injective"}, reason="branch images collide"
         )
+    pos, nbr, branch = host._pos, host._nbr, 0
     for u in pattern.nodes:
-        if not host.has_node(bn[u]):
+        i = pos.get(bn[u])
+        if i is None:
             return Verdict(
                 False,
                 witness={"clause": "branch-membership", "node": u, "image": bn[u]},
                 reason="a branch image is not a host node",
             )
-    pattern_keys = {frozenset(e) for e in pattern.edges}
+        branch |= 1 << i
+    edge_of = {frozenset(e): e for e in pattern.edges}
     for key in emb.edge_paths:
-        if frozenset(key) not in pattern_keys:
+        if frozenset(key) not in edge_of:
             return Verdict(
                 False,
                 witness={"clause": "unknown-edge", "edge": tuple(sorted(key))},
                 reason="a path is keyed by a non-edge of the pattern",
             )
-    image_set = set(images)
-    seen_interior: dict = {}
-    for e in pattern.edges:
-        key = frozenset(e)
+    seen, interiors = 0, []  # the interiors so far, and each nonempty one with its edge
+    for key, e in edge_of.items():
         path = emb.edge_paths.get(key)
         if path is None:
             # allow lookup under either tuple orientation for plain dicts
@@ -586,36 +591,41 @@ def verify_subdivision(
                 witness={"clause": "path-shape", "edge": e, "path": path},
                 reason="replacement must be a simple path of length >= 1",
             )
-        want = {bn[e[0]], bn[e[1]]}
-        if {path[0], path[-1]} != want:
+        s, t = bn[e[0]], bn[e[1]]  # distinct, as are the path's ends
+        if not (path[0] == s and path[-1] == t or path[0] == t and path[-1] == s):
             return Verdict(
                 False,
                 witness={"clause": "path-endpoints", "edge": e, "path": path},
                 reason="path endpoints differ from the branch images",
             )
-        for i in range(1, len(path)):
-            if not host.has_edge(path[i - 1], path[i]):
+        w, a, inner = path[0], pos[path[0]], 0
+        for x in path[1:]:
+            b = pos.get(x)
+            if b is None or not nbr[a] >> b & 1:
                 return Verdict(
                     False,
-                    witness={"clause": "path-edge", "edge": e, "step": (path[i - 1], path[i])},
+                    witness={"clause": "path-edge", "edge": e, "step": (w, x)},
                     reason="a path step is not a host edge",
                 )
-        for x in path[1:-1]:
-            if x in image_set:
+            w, a, inner = x, b, inner | 1 << b
+        inner ^= 1 << a
+        if not inner:
+            continue
+        clash = inner & (branch | seen)
+        if clash:  # the first interior node in path order that clashes
+            x, b = next((x, pos[x]) for x in path[1:-1] if clash >> pos[x] & 1)
+            if branch >> b & 1:
                 return Verdict(
                     False,
                     witness={"clause": "interior-hits-branch", "edge": e, "node": x},
                     reason="a path interior meets a branch node",
                 )
-            if x in seen_interior:
-                return Verdict(
-                    False,
-                    witness={
-                        "clause": "interior-overlap",
-                        "edges": (seen_interior[x], e),
-                        "node": x,
-                    },
-                    reason="two path interiors share a node",
-                )
-            seen_interior[x] = e
+            earlier = next(f for f, m in interiors if m >> b & 1)
+            return Verdict(
+                False,
+                witness={"clause": "interior-overlap", "edges": (earlier, e), "node": x},
+                reason="two path interiors share a node",
+            )
+        seen |= inner
+        interiors.append((e, inner))
     return Verdict(True)

@@ -11,6 +11,7 @@ one to suspect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .core import DEFAULT_CANDIDATE_CAP, Face, SimplicialComplex, Verdict, build_complex
@@ -234,43 +235,26 @@ def cross_polytope_graph(d: int) -> Graph:
     return Graph(nodes, edges)
 
 
-def _facet_flip(cx: SimplicialComplex, facet: Face, drop: int) -> int:
-    """The vertex replacing drop in the unique other facet over the ridge."""
-    fm = cx._mask_of(facet)
-    ridge = fm & ~cx._mask_of((drop,))
-    others = [g for g in cx._facets_of(cx._face_index()[ridge]) if g != fm]
-    if len(others) > 1:
-        raise InternalInvariantError("ridge lies in three facets")
-    if not others:
-        raise InternalInvariantError("ridge lies in one facet only")
-    extra = cx._labels_of(others[0] & ~ridge)
-    if len(extra) != 1:
-        raise InternalInvariantError("flip facet has unexpected size")
-    return extra[0]
-
-
-def _circle_path(cx: SimplicialComplex, rho_mask: int, start: int, came_from: int, goal: int):
-    """Walk lk(rho), a disjoint union of circles, from start away from
-    came_from until goal.  In a flag complex lk(rho) is the clique complex
-    of the graph induced on N, the common neighbours of rho's vertices."""
-    adj = cx._neighbour_masks()
-    nmask = (1 << cx.num_vertices) - 1
-    for b in cx._bits(rho_mask):
-        nmask &= adj[b.bit_length() - 1]
-    prev, cur, end = (1 << cx._pos[x] for x in (came_from, start, goal))
-    path = [start]
+def _circle_path(adj, labels, nmask: int, start: int, came_from: int, goal: int):
+    """Walk the graph adj induces on the vertex mask nmask, a disjoint union of
+    circles, from the vertex bit start away from came_from until goal: the
+    labels visited and the mask of those strictly inside.  In a flag complex
+    lk(rho) is the clique complex of the graph on rho's common neighbours."""
+    prev, cur = came_from, start
+    path, inner = [labels[cur.bit_length() - 1]], 0
     limit = nmask.bit_count() + 1
-    while cur != end:
+    while cur != goal:
         nbrs = adj[cur.bit_length() - 1] & nmask if cur & nmask else 0
         if nbrs.bit_count() != 2:
             raise InternalInvariantError("link is not a disjoint union of circles")
         if not nbrs & prev:
             raise InternalInvariantError("circle walk lost its previous node")
         prev, cur = cur, nbrs ^ prev
-        path.append(cx._labels[cur.bit_length() - 1])
+        inner |= cur
+        path.append(labels[cur.bit_length() - 1])
         if len(path) > limit:
             raise InternalInvariantError("circle walk failed to terminate")
-    return tuple(path)
+    return tuple(path), inner & ~goal
 
 
 def cross_polytope_subdivision(
@@ -282,52 +266,59 @@ def cross_polytope_subdivision(
     vertex u_i completing the other facet over the ridge without v_i.
     Pattern edges between branch vertices that are adjacent in the
     complex embed directly; the edge between u_i and u_j follows the
-    circle of the link of the facet minus v_i and v_j.
+    circle of the link of the facet minus v_i and v_j.  All but the
+    embedding itself is worked out on vertex bits of cx.
     """
     _require("flag", cx.is_flag(cap))
     _require("pseudomanifold", cx.is_pseudomanifold())
+    index, adj, labels = cx._face_index(), cx._neighbour_masks(), cx._labels
     facet = tuple(sorted(facet))
     fm = cx._mask_of(facet)
     # a facet is the only facet over itself; a repeated label leaves the
     # mask smaller than the tuple
-    if cx._facets_of(cx._face_index().get(fm, 0)) != [fm] or fm.bit_count() != len(facet):
+    if cx._facets_of(index.get(fm, 0)) != [fm] or fm.bit_count() != len(facet):
         raise InputError(f"{list(facet)} is not a facet")
-    vs = facet
-    d = len(vs)
-    us = [_facet_flip(cx, facet, v) for v in vs]
-    if len(set(us)) != d:
+    d = len(facet)
+    vbits = cx._bits(fm)  # in facet order, since positions follow labels
+    ubits = []
+    for vb in vbits:  # u completes the other facet over the ridge fm ^ vb
+        others = index[fm ^ vb] & ~index[fm]
+        if others & others - 1:
+            raise InternalInvariantError("ridge lies in three facets")
+        if not others:
+            raise InternalInvariantError("ridge lies in one facet only")
+        ub = cx._facet_masks[others.bit_length() - 1] & ~(fm ^ vb)
+        if ub.bit_count() != 1:
+            raise InternalInvariantError("flip facet has unexpected size")
+        ubits.append(ub)
+    if len(set(ubits)) != d:
         raise InternalInvariantError("opposite vertices collide")
-    adj = cx._neighbour_masks()
-    for v, u in zip(vs, us):
-        if u in vs:
+    nv = [adj[vb.bit_length() - 1] for vb in vbits]
+    for m, ub in zip(nv, ubits):
+        if ub & fm:
             raise InternalInvariantError("opposite vertex fell inside the facet")
-        if adj[cx._pos[v]] & cx._mask_of((u,)):
+        if m & ub:
             raise InternalInvariantError("antipodal pair spans an edge")
 
-    branch = {}
-    for i in range(d):
-        branch[i + 1] = vs[i]
-        branch[d + i + 1] = us[i]
-
-    paths: dict = {}
-    for i in range(d):
-        for j in range(d):
-            if i < j:
-                paths[frozenset((i + 1, j + 1))] = (vs[i], vs[j])
-            if i != j:
-                paths[frozenset((i + 1, d + j + 1))] = (vs[i], us[j])
-    interiors: dict = {}
-    branch_vals = set(branch.values())
-    for i in range(d):
-        for j in range(i + 1, d):
-            p = _circle_path(cx, fm & ~cx._mask_of((vs[i], vs[j])), us[i], vs[j], us[j])
+    branch = dict(enumerate(facet + tuple(labels[ub.bit_length() - 1] for ub in ubits), 1))
+    paths = {  # every pattern edge at some v_i is a complex edge
+        frozenset((a, b)): (branch[a], branch[b])
+        for a in range(1, d + 1) for b in range(a + 1, 2 * d + 1) if b != a + d
+    }
+    branch_mask, seen = fm | sum(ubits), 0
+    for i, j in combinations(range(d), 2):
+        common = (1 << len(labels)) - 1  # of the facet's vertices but v_i and v_j
+        for m in nv[:i] + nv[i + 1 : j] + nv[j + 1 :]:
+            common &= m
+        p, inner = _circle_path(adj, labels, common, ubits[i], vbits[j], ubits[j])
+        if inner & (branch_mask | seen):  # name the first clash in path order
             for x in p[1:-1]:
-                if x in branch_vals:
+                if branch_mask >> cx._pos[x] & 1:
                     raise InternalInvariantError("path interior hit a branch vertex")
-                if x in interiors:
+                if seen >> cx._pos[x] & 1:
                     raise InternalInvariantError("two path interiors intersect")
-                interiors[x] = (i, j)
-            paths[frozenset((d + i + 1, d + j + 1))] = p
+        seen |= inner
+        paths[frozenset((d + i + 1, d + j + 1))] = p
     return SubdivisionEmbedding(branch_nodes=branch, edge_paths=paths)
 
 
@@ -364,17 +355,12 @@ def check_cross_polytope_subdivision(
             emb = cross_polytope_subdivision(cx, f, cap)
             verdict = verify_subdivision(host, pattern, emb)
             entry["ok"] = bool(verdict)
-            if verdict:
-                if not all_facets:
-                    entry["branch_nodes"] = sorted(emb.branch_nodes.items())
-                    entry["paths"] = [
-                        {"edge": tuple(sorted(k)), "path": p}
-                        for k, p in sorted(
-                            emb.edge_paths.items(), key=lambda kv: tuple(sorted(kv[0]))
-                        )
-                    ]
-            else:
+            if not verdict:
                 entry["failure"] = verdict.witness
+            elif not all_facets:
+                entry["branch_nodes"] = sorted(emb.branch_nodes.items())
+                rows = ({"edge": tuple(sorted(k)), "path": p} for k, p in emb.edge_paths.items())
+                entry["paths"] = sorted(rows, key=lambda row: row["edge"])
         except InternalInvariantError as e:
             entry["ok"] = False
             entry["internal_error"] = str(e)

@@ -486,3 +486,58 @@ def test_subdivision_path_reversal_is_accepted():
     emb = SubdivisionEmbedding(branch_nodes={"x": 1, "y": 3},
                                edge_paths={("y", "x"): (3, 2, 1)})
     assert verify_subdivision(host, pattern, emb)
+
+
+def test_subdivision_witnesses_are_exact():
+    host = _house_graph()
+    pattern = Graph(("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "c")])
+    ab, ac, bc = ("a", "b"), ("a", "c"), ("b", "c")  # the pattern-edge order
+
+    def witness(paths, branch=None):
+        emb = SubdivisionEmbedding(branch_nodes=branch or {"a": 1, "b": 2, "c": 4},
+                                   edge_paths=paths)
+        v = verify_subdivision(host, pattern, emb)
+        return None if v else v.witness
+
+    ok = {ab: (1, 6, 2), bc: (2, 4), ac: (1, 5, 3, 4)}
+    assert witness(ok) is None
+    assert witness(ok, {"a": 1, "c": 4}) == {"clause": "branch-cover", "missing": "b"}
+    assert witness(ok, {"a": 1, "b": 4, "c": 4}) == {"clause": "branch-injective"}
+    assert witness(ok, {"a": 1, "b": "x", "c": 4}) == {
+        "clause": "branch-membership", "node": "b", "image": "x"}
+    # a key outside the pattern is named sorted, whatever its orientation or type
+    for key in (("x", "a"), ("a", "x"), frozenset(("a", "x"))):
+        assert witness({**ok, key: (1, 2)}) == {"clause": "unknown-edge", "edge": ("a", "x")}
+    assert witness({ab: (1, 6, 2), ac: (1, 5, 3, 4)}) == {"clause": "missing-path", "edge": bc}
+    assert witness({**ok, bc: [2]}) == {"clause": "path-shape", "edge": bc, "path": (2,)}
+    assert witness({**ok, bc: (2, 4, 2)}) == {"clause": "path-shape", "edge": bc,
+                                              "path": (2, 4, 2)}
+    assert witness({**ok, bc: (2, 3)}) == {"clause": "path-endpoints", "edge": bc,
+                                           "path": (2, 3)}
+    # the first step that is no host edge, or leaves the host, in path order
+    for path, step in (((1, 4), (1, 4)), ((1, 5, 4), (5, 4)), ((1, "x", 4), (1, "x")),
+                       ((1, 5, 99, 4), (5, 99)), ((1, 5, 3, 99, 4), (3, 99))):
+        assert witness({**ok, ac: path}) == {"clause": "path-edge", "edge": ac, "step": step}
+    # a reversed tuple key names its pattern edge in pattern orientation
+    assert witness({ab: (1, 6, 2), bc: (2, 4), ("c", "a"): (4, 9, 1)}) == {
+        "clause": "path-edge", "edge": ac, "step": (4, 9)}
+    assert witness({**ok, ac: (1, 3, 2, 4)}) == {"clause": "interior-hits-branch",
+                                                 "edge": ac, "node": 2}
+    # overlaps name the earlier edge in pattern-edge order, not insertion order
+    paths = {ac: (1, 5, 3, 4), bc: (2, 4), ab: (1, 3, 2)}
+    assert witness(paths) == {"clause": "interior-overlap", "edges": (ab, ac), "node": 3}
+    paths = {bc: (2, 3, 4), ab: (1, 6, 2), ac: (1, 5, 3, 4)}
+    assert witness(paths) == {"clause": "interior-overlap", "edges": (ac, bc), "node": 3}
+    # the earlier edge need not be the last one with an interior
+    spokes = Graph(range(1, 6), [(1, 4), (4, 2), (1, 5), (5, 3), (4, 3)])
+    emb = SubdivisionEmbedding(branch_nodes={"a": 1, "b": 2, "c": 3},
+                               edge_paths={ab: (1, 4, 2), ac: (1, 5, 3), bc: (2, 4, 3)})
+    assert verify_subdivision(spokes, pattern, emb).witness == {
+        "clause": "interior-overlap", "edges": (ab, bc), "node": 4}
+    # keys in either orientation; a frozenset key is read before a tuple key
+    flipped = {("b", "a"): (2, 6, 1), ("c", "b"): (4, 2), ("c", "a"): (4, 3, 5, 1)}
+    assert witness(flipped) is None
+    assert witness({**ok, frozenset(ac): (1, 5, 3, 4), ac: (1, 4)}) is None
+    assert witness({**ok, ("c", "a"): (1, 4)}) is None  # the key ac is read first
+    assert witness({ab: (1, 6, 2), bc: (2, 4), ("c", "a"): (1, 4)}) == {
+        "clause": "path-edge", "edge": ac, "step": (1, 4)}

@@ -304,6 +304,57 @@ def test_t2_reports_a_failed_verification(octa, monkeypatch):
         {"facet": (1, 2, 3), "ok": False, "failure": {"clause": "forced"}}]
 
 
+@pytest.mark.parametrize("name", ["cross4", "icosa", "pinched_torus"])
+def test_t2_commutes_with_relabelling(request, tmp_path, capsys, name):
+    cx = request.getfixturevalue(name)
+    phi = {v: 997 - 3 * v for v in cx.vertices}  # reverses the label order
+    lines = [" ".join(str(phi[v]) for v in f) for f in cx.facets]
+    random.Random(26).shuffle(lines)
+    orig_path, rel_path = tmp_path / "orig.txt", tmp_path / "relabelled.txt"
+    orig_path.write_text(facet_file_text(cx))
+    rel_path.write_text("\n".join(lines) + "\n")
+    rel = build_complex([phi[v] for v in f] for f in cx.facets)
+
+    def cli_t2(path, *extra):
+        code = cli.main(["verify", "t2", str(path), *extra])
+        return code, json.loads(capsys.readouterr().out)["results"]
+
+    def image(face):
+        return sorted(phi[v] for v in face)
+
+    def mapped(entry):
+        # the pattern numbers the root facet's vertices in label order, so
+        # relabelling renumbers them, and each path runs from the image of
+        # its lower pattern node
+        f, d = entry["facet"], len(entry["facet"])
+        sigma = {k + 1: image(f).index(phi[v]) + 1 for k, v in enumerate(f)}
+        sigma.update({d + k: d + i for k, i in list(sigma.items())})
+        paths = []
+        for p in entry["paths"]:
+            a, b = p["edge"]
+            path = [phi[x] for x in p["path"]]
+            paths.append({"edge": sorted((sigma[a], sigma[b])),
+                          "path": path if sigma[a] < sigma[b] else path[::-1]})
+        return {"facet": image(f), "ok": entry["ok"],
+                "branch_nodes": sorted([sigma[k], phi[x]] for k, x in entry["branch_nodes"]),
+                "paths": sorted(paths, key=lambda p: p["edge"])}
+
+    code, orig = cli_t2(orig_path, "--all-facets")
+    assert cli_t2(rel_path, "--all-facets") == (code, {**orig, "details": {
+        **orig["details"],
+        "results": sorted(({**e, "facet": image(e["facet"])} for e in orig["details"]["results"]),
+                          key=lambda e: e["facet"])}})
+    root = cx.facets[-1]
+    code, orig = cli_t2(orig_path, "--facet", " ".join(map(str, root)))
+    got = cli_t2(rel_path, "--facet", " ".join(map(str, image(root))))
+    assert got == (code, {**orig, "details": {**orig["details"],
+                                              "results": [mapped(orig["details"]["results"][0])]}})
+    for f in cx.facets:
+        entries = [json.loads(json.dumps(check_cross_polytope_subdivision(c, facet=g).to_dict()))
+                   ["details"]["results"][0] for c, g in ((cx, f), (rel, image(f)))]
+        assert entries[1] == mapped(entries[0]), f
+
+
 def test_flag_walk_frozen_example(octa):
     cert = strong_walk_avoiding_set(octa, 1, 4, {2, 3, 5})
     assert cert.walk.nodes == (1, 6, 4)
@@ -452,23 +503,34 @@ def test_pinched_torus_has_a_disconnected_vertex_link(pinched_torus):
     assert pinched_torus.link((1,)).strong_components().count == 2
 
 
+def _circle_walk(cx, rho_mask, start, came_from, goal):
+    """theorems._circle_path on the common neighbours of rho's vertices, with
+    start, came_from and goal named by labels."""
+    adj = cx._neighbour_masks()
+    common = (1 << cx.num_vertices) - 1
+    for b in cx._bits(rho_mask):
+        common &= adj[b.bit_length() - 1]
+    start, came_from, goal = (cx._mask_of((x,)) for x in (start, came_from, goal))
+    return theorems._circle_path(adj, cx._labels, common, start, came_from, goal)
+
+
 def test_circle_walk_follows_a_link(octa):
     # lk(1) in the octahedron is the 4-cycle 2-3-5-6
-    assert theorems._circle_path(octa, octa._mask_of((1,)), 2, 3, 5) == (2, 6, 5)
+    assert _circle_walk(octa, octa._mask_of((1,)), 2, 3, 5) == ((2, 6, 5), octa._mask_of((6,)))
 
 
 def test_circle_walk_rejects_nodes_without_two_neighbours(path_complex):
     # a theta graph: three paths of two edges from 0 to 1, walked as lk(empty)
     theta = build_complex([(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
     with pytest.raises(InternalInvariantError, match="not a disjoint union of circles"):
-        theorems._circle_path(theta, 0, 2, 1, 3)
+        _circle_walk(theta, 0, 2, 1, 3)
     # the path 1-2-3-4 ends in a node with one neighbour
     with pytest.raises(InternalInvariantError, match="not a disjoint union of circles"):
-        theorems._circle_path(path_complex, 0, 2, 1, 1)
+        _circle_walk(path_complex, 0, 2, 1, 1)
 
 
 def test_circle_walk_rejects_a_start_outside_the_link(icosa):
     # lk(1) in the icosahedron is the 5-cycle on 2..6; vertex 7 lies outside
     # it, though two of its neighbours, 2 and 6, lie on it
     with pytest.raises(InternalInvariantError, match="not a disjoint union of circles"):
-        theorems._circle_path(icosa, icosa._mask_of((1,)), 7, 2, 4)
+        _circle_walk(icosa, icosa._mask_of((1,)), 7, 2, 4)
