@@ -433,28 +433,28 @@ def strong_walk_avoiding(
 
 
 def _facets_strongly_joined(facets: list[Face], f1: Face, f2: Face) -> bool:
-    """Whether f1 and f2 are linked by codimension-one overlaps in the list.
+    """Whether f1 and f2 are linked by shared ridges in the list.
 
     Self-contained component computation used by the verifier; kept apart
     from the construction-side helpers on purpose.
     """
     if f1 == f2:
         return True
-    sets = [set(f) for f in facets]
-    idx = {f: i for i, f in enumerate(facets)}
-    if f1 not in idx or f2 not in idx:
+    if f1 not in facets or f2 not in facets:
         return False
-    seen = {idx[f1]}
-    queue = deque(seen)
-    while queue:
-        i = queue.popleft()
-        for j in range(len(facets)):
-            if j in seen or len(sets[j]) != len(sets[i]):
-                continue
-            if len(sets[i] & sets[j]) == len(sets[i]) - 1:
-                seen.add(j)
-                queue.append(j)
-    return idx[f2] in seen
+    ridges: dict[Face, list[Face]] = {}
+    for f in facets:
+        for i in range(len(f)):
+            ridges.setdefault(f[:i] + f[i + 1:], []).append(f)
+    seen, queue = {f1}, deque([f1])
+    while queue and f2 not in seen:
+        f = queue.popleft()
+        for i in range(len(f)):
+            for g in ridges[f[:i] + f[i + 1:]]:
+                if g not in seen:
+                    seen.add(g)
+                    queue.append(g)
+    return f2 in seen
 
 
 def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
@@ -483,12 +483,11 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
             witness={"clause": "witness-count", "expected": len(nodes) - 1, "got": len(wits)},
             reason="one witness facet per edge is required",
         )
-    facet_set = set(cx.facets)
-    edge_set = set(cx.faces(1))
+    facet_set, index = set(cx.facets), cx._face_index()
     for i in range(1, len(nodes)):
         u, v = nodes[i - 1], nodes[i]
         e = (u, v) if u <= v else (v, u)
-        if u == v or e not in edge_set:
+        if u == v or cx._mask_of(e) not in index:
             return Verdict(
                 False,
                 witness={"clause": "edge", "index": i - 1, "edge": e},
@@ -507,9 +506,13 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
                 witness={"clause": "edge-in-witness", "index": i - 1, "edge": e, "facet": w},
                 reason="witness facet does not contain its edge",
             )
+    stars = {u: [] for u in nodes[1:-1]}  # each interior node's star, in facet order
+    for f in cx.facets if stars else ():
+        for u in f:
+            if u in stars:
+                stars[u].append(f)
     for i in range(1, len(nodes) - 1):
-        star = [f for f in cx.facets if nodes[i] in f]
-        if not _facets_strongly_joined(star, wits[i - 1], wits[i]):
+        if not _facets_strongly_joined(stars[nodes[i]], wits[i - 1], wits[i]):
             return Verdict(
                 False,
                 witness={"clause": "star-component", "index": i, "node": nodes[i]},

@@ -5,7 +5,9 @@ face spanning degree -1, so every Betti table is reduced.  A chain complex
 is given by its face levels: sequences of face masks, from the empty face up.
 The boundary of a k-face is built straight from its bitmask as one sparse
 column over the index of the (k-1)-faces: an int bitset over GF(2), else
-sign (-1)^i on the i-th vertex dropped from the sorted face.  Ranks come
+sign (-1)^i on the i-th vertex dropped from the sorted face, -1 as p - 1
+over GF(p).  Its first entry drops the lowest vertex, giving the face last
+in label order, so each column arrives with its low entry 1.  Ranks come
 from the sparse column reduction in linalg, run from the top down with the
 clearing ("twist") step of Chen and Kerber: a pivot row of a reduced
 column of the (k+1)-th boundary is a k-face whose column would reduce to
@@ -148,20 +150,21 @@ def boundary_matrix(cx: SimplicialComplex, k: int, field: FieldSpec = GF2):
     p = field.characteristic
     mat = [[0] * len(cols) for _ in row_index]
     for j, mask in enumerate(cols):
-        for i, entry in _boundary_column(mask, row_index).items():
-            mat[i][j] = entry % p if p else entry
+        for i, entry in _boundary_column(mask, row_index, p).items():
+            mat[i][j] = entry
     return mat
 
 
-def _boundary_column(mask: int, row_index: dict[int, int]) -> dict[int, int]:
-    """Boundary of one face mask: sign (-1)^i on the i-th vertex dropped."""
+def _boundary_column(mask: int, row_index: dict[int, int], p: int) -> dict[int, int]:
+    """Boundary of one face mask over characteristic p: sign (-1)^i on the
+    i-th vertex dropped, -1 as p - 1 over GF(p)."""
     col = {}
-    sign = 1
+    sign, other = 1, p - 1 if p else -1
     rest = mask
     while rest:
         low = rest & -rest
         col[row_index[mask ^ low]] = sign
-        sign = -sign
+        sign, other = other, sign
         rest ^= low
     return col
 
@@ -188,7 +191,7 @@ def _chain_ranks(levels, characteristic: int) -> list[int]:
     ranks = [0] * top
     cleared: dict = {}
     cols = levels[top]
-    column = _boundary_bits if characteristic == 2 else _boundary_column
+    column = _boundary_bits if characteristic == 2 else partial(_boundary_column, p=characteristic)
     for k in range(top - 1, -1, -1):
         rows = levels[k]
         row_index = {m: i for i, m in enumerate(rows)}
@@ -422,11 +425,12 @@ def _recount(cx: SimplicialComplex, face, k: int, p: int) -> int:
     """Betti number in degree k of lk(face), rebuilt from label tuples, its
     boundary maps ranked by rows built sparse from those tuples."""
     link, betti = cx.link(face), 0
+    signs = (1, p - 1 if p else -1)
     for faces in (link.faces(k), link.faces(k + 1)):
         rows: dict[tuple, dict] = {}
         for j, tau in enumerate(faces):
             for i in range(len(tau)):
-                rows.setdefault(tau[:i] + tau[i + 1:], {})[j] = (-1) ** i
+                rows.setdefault(tau[:i] + tau[i + 1:], {})[j] = signs[i & 1]
         if p == 2:
             rows = {r: sum(1 << j for j in row) for r, row in rows.items()}
         betti -= len(linalg.pivot_rows(rows.values(), p))

@@ -8,8 +8,10 @@ pivots, so they are linearly independent and their number is the rank.
 
 - GF(2) columns are int bitsets, bit r for row r, as the caller builds
   them and as they come back reduced; subtraction is XOR.
-- Other columns are dicts ``{row: int}``.  GF(p) ones keep residues in
-  0..p-1; pivot columns are scaled so that their low entry is 1.
+- Other columns are dicts ``{row: int}`` of nonzero entries in field
+  form, reduced in place: residues 1..p-1 over GF(p), integers over Q.  A
+  GF(p) pivot is scaled to low entry 1 only if elimination left another
+  there; boundary columns arrive with low entry 1.
 - Rational columns stay integral: ``col = b*col - a*pivot_col`` with
   ``a``, ``b`` the two low entries divided by their gcd, then ``col`` is
   divided by the gcd of its entries.  No fraction and no floating point
@@ -30,9 +32,9 @@ def pivot_rows(columns, characteristic: int) -> dict:
     """The nonzero reduced columns keyed by their pivot rows; their number
     is the rank.
 
-    ``columns`` yields int bitsets over GF(2), else ``{row: int}`` dicts
-    with integer entries, and the reduced columns come back in that form;
-    characteristic 0 means the rationals, otherwise GF(p).
+    ``columns`` yields int bitsets over GF(2), else ``{row: int}`` dicts in
+    the field form of the module docstring, and the reduced columns come
+    back in that form; characteristic 0 means the rationals, otherwise GF(p).
     """
     if characteristic == 2:
         return _pivot_rows_gf2(columns)
@@ -55,15 +57,11 @@ def _pivot_rows_gf2(columns) -> dict[int, int]:
 def _pivot_rows_sparse(columns, p: int) -> dict[int, dict[int, int]]:
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
-        if p:
-            col = {r: x % p for r, x in col.items() if x % p}
-        else:
-            col = {r: x for r, x in col.items() if x}
         while col:
             low = max(col)
             owner = pivots.get(low)
             if owner is None:
-                if p:
+                if p and col[low] != 1:
                     inv = pow(col[low], -1, p)
                     col = {r: x * inv % p for r, x in col.items()}
                 pivots[low] = col
@@ -92,10 +90,13 @@ def rank(matrix, characteristic: int) -> int:
     """Rank of an integer matrix given as a list of rows.
 
     Characteristic 0 means the rationals, otherwise GF(p).  Row rank equals
-    column rank, so each row is reduced as one sparse column.
+    column rank, so each row is reduced as one sparse column in field form.
     """
-    if characteristic == 2:
+    p = characteristic
+    if p == 2:
         rows = (sum(1 << j for j, x in enumerate(row) if x & 1) for row in matrix)
+    elif p:
+        rows = ({j: x % p for j, x in enumerate(row) if x % p} for row in matrix)
     else:
         rows = ({j: x for j, x in enumerate(row) if x} for row in matrix)
     return len(pivot_rows(rows, characteristic))

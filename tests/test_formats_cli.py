@@ -1,17 +1,23 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simplicial.cli as cli
 from simplicial import (
     InputError,
     Verdict,
     build_complex,
+    cross_polytope_boundary,
+    cycle,
     facet_file_text,
     parse_facet_lines,
     read_complex_file,
     read_complex_text,
+    simplex_boundary,
 )
 from simplicial.errors import InternalInvariantError
 
@@ -453,3 +459,100 @@ def test_cli_walk_long_avoided_label_is_named_in_short(octa_file, capsys):
     assert (code, out) == (2, "")
     assert "avoided labels [99999999999999999999… (4000 characters)] are not vertices" in err
     assert all(len(line) < 120 for line in err.splitlines())
+
+
+# tokens a facet line refuses (signs, fractions, non-ASCII digits, separators
+# inside a label, a * beside labels) and one it takes, a label past 2**64
+JUNK_TOKENS = ("-1", "x", "1.5", "+2", "\u0663", "2_0", "*", "0x3", "9" * 30)
+
+
+# spheres under 12 vertices, on which the walk and theorem checks get past
+# their hypotheses
+FUZZ_SPHERES = tuple(
+    facet_file_text(cx).splitlines()
+    for cx in (cycle(5), simplex_boundary(3), cross_polytope_boundary(3),
+               cross_polytope_boundary(4))
+)
+
+
+@st.composite
+def facet_file_bytes(draw):
+    """Facet files on labels 0..11: a sphere's facet lines or random ones,
+    mixed with junk tokens, comments and blank lines under any line ending,
+    or arbitrary bytes."""
+    kind = draw(st.sampled_from(("bytes", "random", "sphere", "sphere")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    label = st.integers(0, 11).map(str)
+    comment = st.one_of(st.just(""), st.text(max_size=10).map(lambda t: "# " + t))
+    noise = st.one_of(
+        st.lists(st.one_of(label, st.sampled_from(JUNK_TOKENS)), max_size=4).map(" ".join),
+        comment,
+        st.just("*"),
+    )
+    if kind == "sphere":
+        lines = list(draw(st.sampled_from(FUZZ_SPHERES)))
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(comment))
+    else:
+        facet = st.lists(label, min_size=1, max_size=5, unique=True).map(" ".join)
+        lines = draw(st.lists(st.one_of(facet, noise), max_size=8))
+    if draw(st.booleans()):
+        lines = [line.replace(" ", "\t") + " # facet" for line in lines]
+    return draw(st.sampled_from(("\n", "\r\n", "\r"))).join(lines).encode()
+
+
+@st.composite
+def cli_argvs(draw, path):
+    """An argv for every command, with options drawn valid or not, and a
+    random --cap."""
+    labels = st.lists(st.integers(0, 9).map(str), max_size=2)
+    field = st.sampled_from(("gf2", "gf3", "gf5", "rational", "gf4", "real"))
+    command = draw(st.sampled_from(("analyze", "verify", "walk", "gen")))
+    if command == "analyze":
+        argv = ["analyze", path]
+        if draw(st.booleans()):
+            argv += ["--homology", draw(field)]
+    elif command == "verify":
+        argv = ["verify", draw(st.sampled_from(("t1", "t2", "t3", "gk", "lb"))), path,
+                "--field", draw(field), "--k", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            argv += ["--facet", " ".join(draw(labels))]
+        if draw(st.booleans()):
+            argv.append("--all-facets")
+    elif command == "walk":
+        argv = ["walk", path, "--from", str(draw(st.integers(0, 9))),
+                "--to", str(draw(st.integers(0, 9))), "--avoid", ",".join(draw(labels)),
+                "--mode", draw(st.sampled_from(("face", "flag")))]
+    else:  # mostly the arguments the generator takes; gen has no --cap
+        name = draw(st.sampled_from(("barycentric", "suspension", "cycle", "cross-polytope",
+                                     "simplex-boundary", "icosahedron", "nope")))
+        argv = ["gen", name]
+        sized = name in ("cycle", "cross-polytope", "simplex-boundary")
+        if draw(st.integers(0, 4)) == 0 or sized:
+            argv.append(str(draw(st.integers(0, 5))))
+        if draw(st.integers(0, 4)) == 0 or name in ("barycentric", "suspension"):
+            argv += ["--of", path]
+    if draw(st.integers(0, 9 if command == "gen" else 2)) == 0:
+        argv += ["--cap", str(draw(st.integers(-1, 400)))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "facets.txt")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_cli_front_door_exits_cleanly_on_any_input(fuzz_path, data):
+    """Every command on malformed, binary and comment-laden facet files under
+    12 vertices exits 0 to 4 and prints no traceback."""
+    with open(fuzz_path, "wb") as fh:
+        fh.write(data.draw(facet_file_bytes(), label="file"))
+    argv = data.draw(cli_argvs(fuzz_path), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert 0 <= code <= 4, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

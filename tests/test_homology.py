@@ -29,7 +29,8 @@ from simplicial import (
 from simplicial import cli, homology, linalg
 from simplicial.errors import InternalInvariantError, ResourceLimitError
 
-FIELDS = (GF2, GF3, RATIONALS)
+GF5, GF7 = FieldSpec.gf(5), FieldSpec.gf(7)
+FIELDS = (GF2, GF3, GF5, GF7, RATIONALS)
 
 
 def test_field_spec_parsing():
@@ -101,6 +102,48 @@ def test_frozen_betti_values(octa, torus, icosa, rp2):
     assert tuple(reduced_betti_numbers(rp2, GF2).values) == (0, 0, 1, 1)
     assert tuple(reduced_betti_numbers(rp2, GF3).values) == (0, 0, 0, 0)
     assert tuple(reduced_betti_numbers(rp2, RATIONALS).values) == (0, 0, 0, 0)
+
+
+def test_boundary_columns_arrive_with_low_entry_one(monkeypatch, corpus):
+    """Every column the chain complex hands linalg over GF(p) has residues in
+    1..p-1 and low entry 1, since dropping the lowest vertex gives the face
+    last in label order; the corpus ranks scale no incoming column."""
+    real = linalg._pivot_rows_sparse
+    columns = []
+
+    def recording(cols, p):
+        cols = list(cols)
+        columns.extend((p, dict(c)) for c in cols)
+        return real(cols, p)
+
+    monkeypatch.setattr(linalg, "_pivot_rows_sparse", recording)
+    for cx in corpus.values():
+        for p in (3, 5, 7):
+            homology._chain_ranks(homology._link_levels(cx, 0, cx.dimension + 1), p)
+    assert columns
+    for p, col in columns:
+        assert col[max(col)] == 1 and all(0 < x < p for x in col.values()), (p, col)
+
+
+def test_gf5_pivot_whose_reduced_low_entry_is_not_one_is_scaled(monkeypatch, rp2):
+    """A column changed by elimination can end on a low entry other than 1:
+    over GF(5), {0: 1, 1: 3} minus 3 times {0: 1, 1: 1} is {0: 3}, which is
+    scaled by the inverse of 3 before it becomes a pivot.  Elimination on the
+    boundary columns of RP^2 needs the same scaling, and its Betti numbers
+    still match the oracle."""
+    inverted = []
+
+    def counting_pow(base, exp, mod):
+        inverted.append((base, mod))
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(linalg, "pow", counting_pow, raising=False)
+    assert linalg.pivot_rows([{0: 1, 1: 1}, {0: 1, 1: 3}], 5) == {1: {0: 1, 1: 1}, 0: {0: 1}}
+    assert inverted == [(3, 5)]
+    inverted.clear()
+    cx = build_complex(rp2.facets)  # a fresh memo
+    assert reduced_betti_numbers(cx, GF5).values == O.betti_numbers(cx.facets, 5) == (0,) * 4
+    assert inverted and all(base not in (0, 1) and mod == 5 for base, mod in inverted)
 
 
 OVERREPORTED = pytest.mark.parametrize(("extra", "message"), [

@@ -19,6 +19,7 @@ from simplicial import (
     GF2,
     GF3,
     RATIONALS,
+    FieldSpec,
     Graph,
     barycentric_subdivision,
     build_complex,
@@ -73,9 +74,12 @@ def integer_matrices(draw):
     ]
 
 
+ALL_FIELDS = (GF2, GF3, FieldSpec.gf(5), FieldSpec.gf(7), RATIONALS)
+
+
 def _assert_betti_match_oracle(facets):
     cx = build_complex(facets)
-    for field in (GF2, GF3, RATIONALS):
+    for field in ALL_FIELDS:
         got = tuple(reduced_betti_numbers(cx, field).values)
         assert got == O.betti_numbers(cx.facets, field.characteristic), field.name
 
@@ -226,7 +230,7 @@ def test_isomorphism_existence_matches_oracle(fa, fb):
     assert (is_isomorphic(a, b) is not None) == O.is_isomorphic(a.facets, b.facets)
 
 
-FIELDS = st.sampled_from((GF2, GF3, RATIONALS))
+FIELDS = st.sampled_from(ALL_FIELDS)
 SUBSET_SIZES = st.integers(1, 3)
 
 
