@@ -18,12 +18,13 @@ racing on one entry would only build it twice.
 
 Face-facet incidence lives in one memo entry, the face index, which maps
 every face mask, the empty face included, to its facet bitset: bit i stands
-for the i-th facet, and is set when that facet holds the face.  A set is a
-face exactly when it is a key (``has_face``), a link is read off the facets
-over its face, the pseudomanifold test counts the facets over each ridge,
-and t2's facet flips read them.  Strong components, the face-avoiding walk
-and the flag walk's link components come from one facet search over it,
-from facet to facet across shared ridges, on facet bitsets.
+for the i-th facet, and is set when that facet holds the face.  That format
+is private to this module.  The only ways out, all as facet masks, are
+``_star`` (the facets over a face mask, read by links and t2's facet flips),
+``_strong_search`` (strong components, the face-avoiding walk and the flag
+walk's link components, from facet to facet across shared ridges) and the
+greedy ``_shelling_order``.  A set is a face exactly when it is a key
+(``has_face``), and the pseudomanifold test counts the facets over ridges.
 
 Vertex adjacency and incidence are read straight off the facet list: each
 vertex has the mask of its neighbours in the 1-skeleton and the facet
@@ -266,6 +267,11 @@ class SimplicialComplex:
         complex has no keys."""
         return self._faces()[1]
 
+    def _star(self, m: int) -> list[int] | None:
+        """The facet masks over face mask m in facet order; None for a nonface."""
+        fac = self._face_index().get(m)
+        return None if fac is None else self._facets_of(fac)
+
     def _faces(self) -> tuple:
         """The face levels and the face index, from one clique walk that lists
         faces only; a flag test that passed has kept them already."""
@@ -335,14 +341,13 @@ class SimplicialComplex:
         """Faces that extend the given one, with the face itself stripped."""
         f = _validate_face(face)
         m = self._mask_of(f)
-        over = self._face_index().get(m)
+        over = self._star(m)
         if over is None:
             raise InputError(f"{list(f)} is not a face of this complex")
         if m == 0:
             return self
         return self._memoized(
-            ("link", m),
-            lambda: SimplicialComplex(self._labels_of(fm & ~m) for fm in self._facets_of(over)),
+            ("link", m), lambda: SimplicialComplex(self._labels_of(fm & ~m) for fm in over)
         )
 
     def delete(self, points: Iterable[int]) -> "SimplicialComplex":
@@ -510,9 +515,9 @@ class SimplicialComplex:
 
     # -- the facet search: strong components and pseudomanifolds --------------
 
-    def _strong_search(self, sources: int, keep: int = 0, avoid: int = 0) -> Iterator[tuple]:
+    def _strong_search(self, m: int, keep: int = 0, avoid: int = 0) -> Iterator[tuple]:
         """Breadth-first search over facets joined through shared ridges,
-        from the facets of the bitset sources, all of one size.
+        from the facets over face mask m, all of one size.
 
         One step goes from a facet f to the other facets of f's size over
         f ^ b, for each vertex bit b of f outside keep, and never enters a
@@ -522,8 +527,8 @@ class SimplicialComplex:
         """
         index, masks = self._face_index(), self._facet_masks
         seen = reduce(or_, (index[b] for b in self._bits(avoid)), 0)
-        queue = self._facets_of(sources & ~seen)
-        seen |= sources
+        queue = self._facets_of(index[m] & ~seen)
+        seen |= index[m]
         size = queue[0].bit_count() if queue else 0
         for f in queue[:]:
             yield f, None
@@ -541,6 +546,32 @@ class SimplicialComplex:
                     queue.append(g)
                     yield g, f
 
+    def _shelling_order(self) -> list[int] | None:
+        """The facet masks of a pure complex in a shelling order, or None.
+        Facets sharing a ridge with shelled ones queue in the order met, and
+        one whose restriction R(F), the v with F - v in a shelled facet, lies
+        in no shelled facet is shelled.  One that fails is queued again only
+        once a neighbour is shelled: R(F) grows only then, and other shelled
+        facets can only contain it.  So it is tried at most once per neighbour."""
+        if not self.is_pure:
+            return None
+        index = self._face_index()
+        queue = list(self._facet_masks[:1])  # read first in, first out
+        queued, shelled, order = 1, 0, []  # facet bitsets; a facet's own is index[f]
+        for f in queue:
+            queued ^= index[f]
+            bits = self._bits(f)
+            rest = sum(b for b in bits if index[f ^ b] & shelled)
+            if index[rest] & shelled:
+                continue
+            shelled |= index[f]
+            order.append(f)
+            for b in bits:
+                new = index[f ^ b] & ~(queued | shelled)
+                queued |= new
+                queue.extend(self._facets_of(new))
+        return order if len(order) == len(self._facet_masks) else None
+
     def strong_components(self) -> StrongComponents:
         """Group facets by chains of codimension-one (in both) overlaps."""
         return self._memoized("strong", self._compute_strong)
@@ -549,10 +580,11 @@ class SimplicialComplex:
         # a facet's own bit is its index entry; listed in facet order, which is
         # label order, a component comes out sorted; all sorted by (size, first).
         # A component is read off bin() in one pass, not bit by bit in O(F^2).
-        index, facets = self._face_index(), self.facets
+        index, facets, masks = self._face_index(), self.facets, self._facet_masks
         comps, left = [], (1 << len(facets)) - 1
         while left:
-            comp = reduce(or_, (index[g] for g, _ in self._strong_search(left & -left)))
+            first = masks[(left & -left).bit_length() - 1]
+            comp = reduce(or_, (index[g] for g, _ in self._strong_search(first)))
             left &= ~comp
             comps.append(tuple(f for f, bit in zip(facets, bin(comp)[:1:-1]) if bit == "1"))
         comps.sort(key=lambda c: (len(c[0]), c[0]))

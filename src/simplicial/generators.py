@@ -93,9 +93,9 @@ def barycentric_subdivision(cx: SimplicialComplex) -> SimplicialComplex:
 
 def _vertex_signature(cx: SimplicialComplex):
     """Vertex -> (degree, sorted sizes of the facets through it)."""
-    adj, index = cx._neighbour_masks(), cx._face_index()
+    adj = cx._neighbour_masks()
     return {
-        v: (adj[i].bit_count(), tuple(sorted(map(int.bit_count, cx._facets_of(index[1 << i])))))
+        v: (adj[i].bit_count(), tuple(sorted(map(int.bit_count, cx._star(1 << i)))))
         for i, v in enumerate(cx.vertices)
     }
 

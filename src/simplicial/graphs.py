@@ -403,7 +403,7 @@ def strong_walk_avoiding(
     # facet and its ridges; the chain ends at the first facet through b
     least = cx._mask_of((min(avoid),)) if avoid else 0
     am, bm, parent = cx._mask_of((a,)), cx._mask_of((b,)), {}
-    for f, p in cx._strong_search(cx._face_index()[am], avoid=least):
+    for f, p in cx._strong_search(am, avoid=least):
         parent[f] = p
         if f & bm:
             break
@@ -471,7 +471,7 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
         return Verdict(False, witness={"clause": "walk-empty"}, reason="no nodes")
     vset = set(cx.vertices)
     for i, u in enumerate(nodes):
-        if u not in vset:
+        if type(u) is not int or u not in vset:
             return Verdict(
                 False,
                 witness={"clause": "node-membership", "index": i, "node": u},
@@ -483,18 +483,18 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
             witness={"clause": "witness-count", "expected": len(nodes) - 1, "got": len(wits)},
             reason="one witness facet per edge is required",
         )
-    facet_set, index = set(cx.facets), cx._face_index()
+    facet_set = set(cx.facets)
     for i in range(1, len(nodes)):
         u, v = nodes[i - 1], nodes[i]
         e = (u, v) if u <= v else (v, u)
-        if u == v or cx._mask_of(e) not in index:
+        if u == v or not cx.has_face(e):
             return Verdict(
                 False,
                 witness={"clause": "edge", "index": i - 1, "edge": e},
                 reason="walk step is not an edge of the complex",
             )
         w = wits[i - 1]
-        if w not in facet_set:
+        if type(w) is not tuple or w not in facet_set or any(type(x) is not int for x in w):
             return Verdict(
                 False,
                 witness={"clause": "witness-facet", "index": i - 1, "facet": w},

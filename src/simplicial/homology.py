@@ -14,11 +14,11 @@ column of the (k+1)-th boundary is a k-face whose column would reduce to
 zero, so it is never built.  Each Betti table is checked against the
 bounds the ranks must obey.
 
-A shelling decides most passes with no rank.  A greedy search on the
-facet bitsets of the face index looks for a shelling order once per
-complex, for every field; a checker that reads only the facet list, as
-label tuples, confirms it and counts off it the h-vector, which must be
-the f-vector's.  A checked order decides the CM pass, and on a
+A shelling decides most passes with no rank.  A greedy search in core,
+beside the facet search, looks for a shelling order once per complex, for
+every field; a checker here that reads only the facet list, as label
+tuples, confirms it and counts off it the h-vector, which must be the
+f-vector's.  A checked order decides the CM pass, and on a
 pseudomanifold, then a PL sphere, the passes of sphere and manifold too.
 Failures and complexes it does not shell go through the sweep below.
 
@@ -55,7 +55,6 @@ face, degree and field.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
@@ -251,7 +250,7 @@ def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
         if _low_defect(values) is not None:
             values = None
     if values is None:
-        over = cx._facets_of(cx._face_index()[sigma])
+        over = cx._star(sigma)
         beyond = max(map(int.bit_count, over)) - sigma.bit_count()
         if beyond < 2:  # {} or len(over) points
             values = (0, len(over) - 1) if beyond else (1,)
@@ -281,35 +280,7 @@ def _low_defect(values):
 def _shelling_h(cx: SimplicialComplex) -> tuple[int, ...]:
     """h-vector counted off a checked shelling of cx, for every field, or ()
     when the greedy search finds none."""
-    return cx._memoized("shelling", lambda: _checked_shelling(cx, _shelling_order(cx)))
-
-
-def _shelling_order(cx: SimplicialComplex) -> list[int] | None:
-    """The facet masks of a pure cx in a shelling order, or None.  Facets
-    sharing a ridge with shelled ones queue in the order met, and one whose
-    restriction R(F), the v with F - v in a shelled facet, lies in no
-    shelled facet is shelled.  One that fails is queued again only once a
-    neighbour is shelled: R(F) grows only then, and other shelled facets can
-    only contain it.  So a facet is tried at most once per neighbour."""
-    if not cx.is_pure:
-        return None
-    index = cx._face_index()
-    queue = deque(cx._facet_masks[:1])
-    queued, shelled, order = 1, 0, []  # facet bitsets; a facet's own is index[f]
-    while queue:
-        f = queue.popleft()
-        queued ^= index[f]
-        bits = cx._bits(f)
-        rest = sum(b for b in bits if index[f ^ b] & shelled)
-        if index[rest] & shelled:
-            continue
-        shelled |= index[f]
-        order.append(f)
-        for b in bits:
-            new = index[f ^ b] & ~(queued | shelled)
-            queued |= new
-            queue.extend(cx._facets_of(new))
-    return order if len(order) == len(cx._facet_masks) else None
+    return cx._memoized("shelling", lambda: _checked_shelling(cx, cx._shelling_order()))
 
 
 def _checked_shelling(cx: SimplicialComplex, order) -> tuple[int, ...]:

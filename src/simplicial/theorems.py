@@ -271,23 +271,23 @@ def cross_polytope_subdivision(
     """
     _require("flag", cx.is_flag(cap))
     _require("pseudomanifold", cx.is_pseudomanifold())
-    index, adj, labels = cx._face_index(), cx._neighbour_masks(), cx._labels
+    adj, labels = cx._neighbour_masks(), cx._labels
     facet = tuple(sorted(facet))
     fm = cx._mask_of(facet)
     # a facet is the only facet over itself; a repeated label leaves the
     # mask smaller than the tuple
-    if cx._facets_of(index.get(fm, 0)) != [fm] or fm.bit_count() != len(facet):
+    if cx._star(fm) != [fm] or fm.bit_count() != len(facet):
         raise InputError(f"{list(facet)} is not a facet")
     d = len(facet)
     vbits = cx._bits(fm)  # in facet order, since positions follow labels
     ubits = []
     for vb in vbits:  # u completes the other facet over the ridge fm ^ vb
-        others = index[fm ^ vb] & ~index[fm]
-        if others & others - 1:
+        others = [g for g in cx._star(fm ^ vb) if g != fm]
+        if len(others) > 1:
             raise InternalInvariantError("ridge lies in three facets")
         if not others:
             raise InternalInvariantError("ridge lies in one facet only")
-        ub = cx._facet_masks[others.bit_length() - 1] & ~(fm ^ vb)
+        ub = others[0] & ~(fm ^ vb)
         if ub.bit_count() != 1:
             raise InternalInvariantError("flip facet has unexpected size")
         ubits.append(ub)
@@ -388,10 +388,9 @@ def _link_component(cx: SimplicialComplex, face: Face, anchor: Face):
     The facet search from face + anchor keeps face, so it crosses only the
     ridges of the star of face."""
     fm, start = cx._mask_of(face), cx._mask_of(face + anchor)
-    over = cx._face_index().get(start, 0)
-    if cx._facets_of(over) != [start]:
+    if cx._star(start) != [start]:
         return None
-    return {cx._labels_of(g & ~fm) for g, _ in cx._strong_search(over, keep=fm)}
+    return {cx._labels_of(g & ~fm) for g, _ in cx._strong_search(start, keep=fm)}
 
 
 def _same_star_component(cx: SimplicialComplex, v: int, f1: Face, f2: Face) -> bool:

@@ -290,7 +290,7 @@ def test_strong_search_is_a_breadth_first_ridge_search(corpus):
             if not kept:
                 continue
             source = cx._mask_of(kept[0])
-            got = list(cx._strong_search(cx._face_index()[source], avoid=cx._mask_of((v,))))
+            got = list(cx._strong_search(source, avoid=cx._mask_of((v,))))
             order = {f: i for i, (f, _) in enumerate(got)}
             assert got[0] == (source, None), name
             depth = {source: 0}

@@ -412,6 +412,18 @@ def test_verifier_rejects_witness_count_and_unknown_nodes(octa):
     assert not v and v.witness["clause"] == "walk-empty"
 
 
+def test_verifier_rejects_labels_that_are_not_ints(octa):
+    """A bool or float equals an int label, but no label is one: a node is
+    refused under node-membership and a witness entry under witness-facet,
+    as is a witness that is a list, not a facet tuple."""
+    v = verify_strong_walk(octa, WalkCertificate(Walk((True, 2.0)), ((1, 2, 3),)))
+    assert not v and v.witness == {"clause": "node-membership", "index": 0, "node": True}
+    for witness in ((True, 2, 3), [1, 2, 3]):
+        v = verify_strong_walk(octa, WalkCertificate(Walk((1, 2)), (witness,)))
+        assert not v and v.witness["clause"] == "witness-facet" and v.witness["index"] == 0
+    assert verify_strong_walk(octa, WalkCertificate(Walk((1, 2)), ((1, 2, 3),)))
+
+
 def _house_graph():
     return Graph(range(1, 7), [(1, 3), (3, 2), (2, 4), (4, 3), (3, 5), (5, 1),
                                (2, 6), (6, 1)])

@@ -183,7 +183,7 @@ def test_betti_self_check_catches_overreported_rank(monkeypatch, extra, message)
 
 def _no_shelling(patch):
     """Make the shelling search find nothing, so the sweep decides."""
-    patch.setattr(homology, "_shelling_order", lambda cx: None)
+    patch.setattr(SimplicialComplex, "_shelling_order", lambda cx: None)
 
 
 @OVERREPORTED
@@ -261,8 +261,8 @@ def test_closed_forms_match_the_reduction(corpus):
     most one vertex beyond sigma, take values read off the face index; they
     must be what the reduction of their face levels gives."""
     for name, cx in {**corpus, **NON_PURE}.items():
-        for sigma, over in cx._face_index().items():
-            beyond = max(map(int.bit_count, cx._facets_of(over))) - sigma.bit_count()
+        for sigma in map(cx._mask_of, cx.all_faces()):
+            beyond = max(map(int.bit_count, cx._star(sigma))) - sigma.bit_count()
             if beyond > 1:
                 continue
             levels = homology._link_levels(cx, sigma, beyond)
@@ -276,8 +276,8 @@ def test_link_levels_are_the_levels_of_the_link(corpus):
     complex in the same label order, for every face of the corpus and of
     non-pure complexes, whose links can mix facet sizes."""
     for name, cx in {**corpus, **NON_PURE}.items():
-        for sigma, over in cx._face_index().items():
-            top = max(map(int.bit_count, cx._facets_of(over))) - sigma.bit_count()
+        for sigma in map(cx._mask_of, cx.all_faces()):
+            top = max(map(int.bit_count, cx._star(sigma))) - sigma.bit_count()
             levels = homology._link_levels(cx, sigma, top)
             link = cx.link(cx._labels_of(sigma))
             assert len(levels) == link.dimension + 2, (name, sigma)
@@ -671,7 +671,7 @@ def test_shelling_checker_refutes_broken_orders(bary_octa):
     with two ridge-adjacent facets swapped (the facet then at position 1
     shares no ridge with the one before it), an order missing a facet and
     the facets of a complex that is not pure."""
-    order = homology._shelling_order(bary_octa)
+    order = bary_octa._shelling_order()
     assert homology._checked_shelling(bary_octa, order) == (1, 23, 23, 1)
     swapped = [order[2], order[1], order[0], *order[3:]]
     assert (order[0] & order[2]).bit_count() == 2
@@ -680,7 +680,7 @@ def test_shelling_checker_refutes_broken_orders(bary_octa):
     with pytest.raises(InternalInvariantError, match="not the pure facet list"):
         homology._checked_shelling(bary_octa, order[:-1])
     mixed = build_complex([(1, 2, 3), (3, 4)])
-    assert homology._shelling_order(mixed) is None
+    assert mixed._shelling_order() is None
     with pytest.raises(InternalInvariantError, match="not the pure facet list"):
         homology._checked_shelling(mixed, list(mixed._facet_masks))
 

@@ -20,6 +20,7 @@ from simplicial import (
     GF3,
     RATIONALS,
     FieldSpec,
+    SimplicialComplex,
     Graph,
     barycentric_subdivision,
     build_complex,
@@ -36,7 +37,7 @@ from simplicial import (
     simplex_boundary,
     vertex_connectivity,
 )
-from simplicial import graphs, homology, linalg
+from simplicial import graphs, linalg
 from simplicial.errors import InputError
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -167,20 +168,21 @@ pure_facets = st.lists(
 
 
 def _assert_face_index_matches_oracle(facets):
-    """The keys of the face index are the faces, and each value, listed in
-    facet order, is the facets over its face, whether the flag test's walk
-    kept the index or the uncapped walk built it."""
-    faces = sorted(tuple(sorted(f)) for f in O.close_downward(facets))
+    """The star of each face, listed in facet order, is the facets over it,
+    and a face plus one more vertex has a star exactly when it is a face, so
+    a nonface probe gives None; whether the flag test's walk kept the index
+    or the uncapped walk built it."""
+    faces = O.close_downward(facets)
     for flag_first in (False, True):
         cx = build_complex(facets)
         if flag_first:
             cx.is_flag()
-        index = cx._face_index()
-        assert sorted(map(cx._labels_of, index)) == faces
-        for m, over in index.items():
-            face = set(cx._labels_of(m))
+        for face in faces:
             want = [f for f in cx.facets if face <= set(f)]
-            assert [cx._labels_of(fm) for fm in cx._facets_of(over)] == want, sorted(face)
+            assert [cx._labels_of(fm) for fm in cx._star(cx._mask_of(face))] == want, sorted(face)
+            for v in set(cx.vertices) - face:
+                probe = cx._star(cx._mask_of(face | {v}))
+                assert (probe is None) == (face | {v} not in faces), sorted(face | {v})
 
 
 @PROPERTY
@@ -324,7 +326,7 @@ def _assert_certified_verdicts_match_the_sweep(facets):
 
     certified = verdicts()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homology, "_shelling_order", lambda cx: None)
+        patch.setattr(SimplicialComplex, "_shelling_order", lambda cx: None)
         assert verdicts() == certified
 
 

@@ -7,6 +7,7 @@ name; every one it names must exist, or a traced run fails.
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import simplicial
@@ -75,6 +76,7 @@ PUBLIC = [
 ]
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PACKAGE = Path(simplicial.__file__).resolve().parent
 
 
 def test_all_is_frozen_and_resolves():
@@ -83,6 +85,17 @@ def test_all_is_frozen_and_resolves():
     assert len(set(simplicial.__all__)) == len(simplicial.__all__)
     for name in PUBLIC:
         assert hasattr(simplicial, name), name
+
+
+def test_only_core_reads_the_face_index_values():
+    """The face index maps faces to facet bitsets, a format private to core:
+    every other module reads facet masks through _star or the two facet
+    searches, so only core names the index or its bitset decoder."""
+    naming = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if re.search(r"_face_index|_facets_of", path.read_text(encoding="utf-8"))
+    )
+    assert naming == ["core.py"]
 
 
 def test_every_traced_target_resolves():
