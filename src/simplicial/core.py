@@ -16,35 +16,35 @@ three entries itself: the facets as label tuples, the dimension and purity.
 The memo takes no lock: the package starts no threads, and two threads
 racing on one entry would only build it twice.
 
-Face-facet incidence lives in one memo entry, the face index, which maps
-every face mask, the empty face included, to its facet bitset: bit i stands
-for the i-th facet, and is set when that facet holds the face.  That format
-is private to this module.  The only ways out, all as facet masks, are
-``_star`` (the facets over a face mask, read by links and t2's facet flips),
-``_strong_search`` (strong components, the face-avoiding walk and the flag
-walk's link components, from facet to facet across shared ridges) and the
-greedy ``_shelling_order``.  A set is a face exactly when it is a key
-(``has_face``), and the pseudomanifold test counts the facets over ridges.
+The faces live in one memo entry, the face index: the clique walk's level
+dicts, where entry c maps each face on c vertices, as a mask in label-tuple
+order, to its facet bitset (bit i set when the i-th facet holds the face).
+Other modules read only the keys, or facet masks: ``_over`` reads the bitset
+over a face mask, 0 for a nonface, for ``has_face`` and ``_star`` (the
+facets over a face mask: links and t2's facet flips), and ``_strong_search``
+(strong components, the face-avoiding walk and the flag walk's link
+components, facet to facet across shared ridges), the greedy
+``_shelling_order`` and the pseudomanifold test read the ridge level.
 
 Vertex adjacency and incidence are read straight off the facet list: each
 vertex has the mask of its neighbours in the 1-skeleton and the facet
 bitset of the facets through it.  One walk over the cliques that extend
-faces builds the face index and the face levels and decides flagness: each
-face carries the AND of its vertices' facet bitsets and the common
-neighbours of its vertices above its top label (an AND of masks); each of
-them gives a candidate one vertex larger, which is a face exactly when its
-face's facets meet the new vertex's, and a minimal nonface when it is not
-but its one-smaller subsets are in the previous level.  Each level comes
-out in label-tuple order with no sort, and the flag test stops at its
-first minimal nonface.  A walk that only lists faces cuts a face's
-candidates down to its star at its first miss, so on any input it tests
-little more than the faces it keeps.  Started from a face sigma, the walk
-lists the faces of lk(sigma) alike, and charges no cap.  The isomorphism
-search reads adjacency off the neighbour masks too.  In a flag complex the
-link of a face is the clique complex of the graph induced on the common
-neighbours of its vertices, so t2 walks link circles on these masks and
-builds no link complex.  The flag walk takes link components from the
-facet search, and builds a complex of one only for a detour's recursion.
+faces builds the face levels and decides flagness: each face carries the
+AND of its vertices' facet bitsets and the common neighbours of its
+vertices above its top label (an AND of masks); each of them gives a
+candidate one vertex larger, which is a face exactly when its face's facets
+meet the new vertex's, and a minimal nonface when it is not but its
+one-smaller subsets are in the previous level.  Each level comes out in
+label-tuple order with no sort, and the flag test stops at its first
+minimal nonface.  A walk that only lists faces cuts a face's candidates
+down to its star at its first miss, so on any input it tests little more
+than the faces it keeps.  Started from a face sigma, the walk lists the
+faces of lk(sigma) alike, and charges no cap.  The isomorphism search reads
+adjacency off the neighbour masks too.  In a flag complex the link of a
+face is the clique complex of the graph induced on the common neighbours of
+its vertices, so t2 walks link circles on these masks and builds no link
+complex.  The flag walk takes link components from the facet search, and
+builds a complex of one only for a detour's recursion.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class SimplicialComplex:
         return self._memo["pure"]
 
     def has_face(self, face: Iterable[int]) -> bool:
-        return self._mask_of(_validate_face(face)) in self._face_index()
+        return bool(self._over(self._mask_of(_validate_face(face))))
 
     # facet masks are in label order and positions follow the labels, so equal
     # complexes have equal pairs; void ((), ()) differs from empty ((), (0,))
@@ -261,39 +261,30 @@ class SimplicialComplex:
 
     # -- the face index and the face levels -----------------------------------
 
-    def _face_index(self) -> dict[int, int]:
-        """Face mask -> the facet bitset of the facets over it, bit i for the
-        i-th facet.  Every face is a key, the empty face included; the void
-        complex has no keys."""
-        return self._faces()[1]
+    def _face_index(self) -> list[dict[int, int]]:
+        """The face levels of the module docstring, from one clique walk that
+        lists faces only, or kept by a flag test that passed."""
+        top = self.dimension + 1
+        return self._memoized("faces", lambda: list(self._clique_walk(top, star=True)))
 
-    def _star(self, m: int) -> list[int] | None:
+    def _over(self, m: int | None) -> int:
+        """The facet bitset over face mask m; 0 for a nonface, or for None,
+        the mask of a set with a label that is not a vertex."""
+        levels = self._face_index()
+        if m is None or m.bit_count() >= len(levels):
+            return 0
+        return levels[m.bit_count()].get(m, 0)
+
+    def _star(self, m: int | None) -> list[int] | None:
         """The facet masks over face mask m in facet order; None for a nonface."""
-        fac = self._face_index().get(m)
-        return None if fac is None else self._facets_of(fac)
+        fac = self._over(m)
+        return self._facets_of(fac) if fac else None
 
-    def _faces(self) -> tuple:
-        """The face levels and the face index, from one clique walk that lists
-        faces only; a flag test that passed has kept them already."""
-
-        def build():
-            return self._kept(self._clique_walk(self.dimension + 1, star=True))
-
-        return self._memoized("faces", build)
-
-    @staticmethod
-    def _kept(levels) -> tuple:
-        """Face levels, each a tuple of masks in label-tuple order, and the
-        face index merged from the walk's level dicts."""
-        levels, index = tuple(levels), {}
-        for level in levels:
-            index.update(level)
-        return tuple(map(tuple, levels)), index
-
-    def _faces_masks(self, k: int) -> tuple[int, ...]:
-        """The faces of dimension k, ordered by label tuple."""
-        levels = self._faces()[0]
-        return levels[k + 1] if 0 <= k + 1 < len(levels) else ()
+    def _faces_masks(self, k: int) -> dict[int, int]:
+        """The faces of dimension k, ordered by label tuple, as the keys of
+        their level."""
+        levels = self._face_index()
+        return levels[k + 1] if 0 <= k + 1 < len(levels) else {}
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """All faces of dimension k, ordered by label tuple.
@@ -471,7 +462,7 @@ class SimplicialComplex:
         The witness on failure is the first minimal nonface with three or
         more vertices, where the walk stops, re-checked against the facet
         list.  A complex that passes has had every face level walked, and
-        keeps them with the face index.
+        keeps the levels as its face index.
         """
 
         def build():
@@ -486,7 +477,7 @@ class SimplicialComplex:
                     raise InternalInvariantError(f"{list(nf)} is no minimal nonface")
                 return Verdict(False, witness=nf, reason="minimal nonface with 3 or more vertices")
             # the last level walked, on dimension + 2 vertices, holds no face
-            self._memo.setdefault("faces", self._kept(levels[:-1]))
+            self._memo.setdefault("faces", levels[:-1])
             return Verdict(True)
 
         return self._memoized("flag", build)
@@ -525,17 +516,18 @@ class SimplicialComplex:
         facet order.  Yields (facet, the facet it was entered from or None)
         in visit order; a caller may stop early.
         """
-        index, masks = self._face_index(), self._facet_masks
-        seen = reduce(or_, (index[b] for b in self._bits(avoid)), 0)
-        queue = self._facets_of(index[m] & ~seen)
-        seen |= index[m]
+        levels, masks, over = self._face_index(), self._facet_masks, self._over(m)
+        seen = reduce(or_, (levels[1][b] for b in self._bits(avoid)), 0)
+        queue = self._facets_of(over & ~seen)
+        seen |= over
         size = queue[0].bit_count() if queue else 0
+        ridges = levels[size - 1]  # read only when the facets have vertices
         for f in queue[:]:
             yield f, None
         for f in queue:
             found = 0
             for b in self._bits(f & ~keep):
-                found |= index[f ^ b]
+                found |= ridges[f ^ b]
             found &= ~seen
             seen |= found
             while found:  # in facet order
@@ -555,19 +547,20 @@ class SimplicialComplex:
         facets can only contain it.  So it is tried at most once per neighbour."""
         if not self.is_pure:
             return None
-        index = self._face_index()
+        levels, d = self._face_index(), self.dimension + 1
+        facets, ridges = levels[d], levels[d - 1]
         queue = list(self._facet_masks[:1])  # read first in, first out
-        queued, shelled, order = 1, 0, []  # facet bitsets; a facet's own is index[f]
+        queued, shelled, order = 1, 0, []  # facet bitsets; a facet's own is facets[f]
         for f in queue:
-            queued ^= index[f]
+            queued ^= facets[f]
             bits = self._bits(f)
-            rest = sum(b for b in bits if index[f ^ b] & shelled)
-            if index[rest] & shelled:
+            rest = sum(b for b in bits if ridges[f ^ b] & shelled)
+            if levels[rest.bit_count()][rest] & shelled:
                 continue
-            shelled |= index[f]
+            shelled |= facets[f]
             order.append(f)
             for b in bits:
-                new = index[f ^ b] & ~(queued | shelled)
+                new = ridges[f ^ b] & ~(queued | shelled)
                 queued |= new
                 queue.extend(self._facets_of(new))
         return order if len(order) == len(self._facet_masks) else None
@@ -577,14 +570,14 @@ class SimplicialComplex:
         return self._memoized("strong", self._compute_strong)
 
     def _compute_strong(self) -> StrongComponents:
-        # a facet's own bit is its index entry; listed in facet order, which is
-        # label order, a component comes out sorted; all sorted by (size, first).
+        # a facet's own bit is its entry in its level; listed in facet order, which
+        # is label order, a component comes out sorted; all sorted by (size, first).
         # A component is read off bin() in one pass, not bit by bit in O(F^2).
-        index, facets, masks = self._face_index(), self.facets, self._facet_masks
+        levels, facets, masks = self._face_index(), self.facets, self._facet_masks
         comps, left = [], (1 << len(facets)) - 1
         while left:
             first = masks[(left & -left).bit_length() - 1]
-            comp = reduce(or_, (index[g] for g, _ in self._strong_search(first)))
+            comp = reduce(or_, (levels[g.bit_count()][g] for g, _ in self._strong_search(first)))
             left &= ~comp
             comps.append(tuple(f for f, bit in zip(facets, bin(comp)[:1:-1]) if bit == "1"))
         comps.sort(key=lambda c: (len(c[0]), c[0]))
@@ -612,9 +605,8 @@ class SimplicialComplex:
             )
         # strongly connected, hence pure: every face one vertex short of the
         # facets is a ridge, and every facet over it shares it
-        index = self._face_index()
-        for rm in self._faces_masks(self.dimension - 1):
-            count = index[rm].bit_count()
+        for rm, fac in self._face_index()[self.dimension].items():
+            count = fac.bit_count()
             if count != 2:
                 if self._facets_over(rm) == 2:  # recounted on the facet list
                     raise InternalInvariantError(f"{list(self._labels_of(rm))} lies in 2 facets")

@@ -270,18 +270,13 @@ def _check_menger(g: Graph, s: int, t: int, paths, cut_size: int) -> None:
 
 
 def _check_separates(g: Graph, cut, s, t) -> None:
-    """Raise unless s and t are apart in g minus the cut, by BFS over neighbors."""
-    seen = set(cut)
-    if s in seen or t in seen:
+    """Raise unless s and t are apart in g minus the cut, read off g's own
+    neighbour masks with the cut's bits cleared."""
+    pos = g._pos
+    cut_mask = sum(1 << pos[u] for u in set(cut))
+    if cut_mask & (1 << pos[s] | 1 << pos[t]):
         raise InternalInvariantError(f"cut {cut!r} contains an end of {(s, t)!r}")
-    seen.add(s)
-    queue = deque([s])
-    while queue:
-        for w in g.neighbors(queue.popleft()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if t in seen:
+    if _component([m & ~cut_mask for m in g._nbr], pos[s]) >> pos[t] & 1:
         raise InternalInvariantError(f"cut {cut!r} does not separate {s!r} from {t!r}")
 
 
@@ -362,16 +357,18 @@ def _require(check: str, verdict: Verdict) -> None:
 
 def _walk_request(cx: SimplicialComplex, a: int, b: int, avoid) -> frozenset:
     """The avoided set of a walk from a to b, once the complex has dimension at
-    least one and a, b and the avoided labels are vertices, a and b outside it."""
+    least one and a, b and the avoided labels are vertices, a and b outside it.
+    A vertex is an int: 1.0 and True, equal to 1, are not."""
     if cx.dimension < 1:
         raise InputError("walks need a complex of dimension at least one")
     avoid = frozenset(avoid)
     vset = set(cx.vertices)
-    if not avoid <= vset:
-        missing = ", ".join(map(quote_label, sorted(avoid - vset)))
+    strays = [x for x in avoid if type(x) is not int or x not in vset]
+    if strays:
+        missing = ", ".join(map(quote_label, sorted(strays)))
         raise InputError(f"avoided labels [{missing}] are not vertices")
     for x in (a, b):
-        if x not in vset:
+        if type(x) is not int or x not in vset:
             raise InputError(f"{x!r} is not a vertex")
         if x in avoid:
             raise InputError(f"endpoint {x} lies in the avoided set")

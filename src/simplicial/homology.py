@@ -34,7 +34,7 @@ failing face in (dimension, label) order, and the first failing W in
 ``combinations(vertices, size)`` order.
 
 Each link takes the cheapest exact method.  One whose facets have at most
-one vertex beyond sigma is read off the face index with no face level:
+one vertex beyond sigma is read off the star of sigma, with no level:
 {}, the link of a facet, has values (1,), and the n points linking a
 ridge in n facets have (0, n - 1).  Over Q a link is ranked over GF(2)
 first.  By universal coefficients betti_i(X; Q) <= betti_i(X; GF(2)), and
@@ -261,9 +261,9 @@ def _link_values(cx, p: int, sigma: int) -> tuple[int, ...]:
 
 
 def _link_levels(cx: SimplicialComplex, sigma: int, top: int):
-    """Face levels of lk(sigma) on 0 up to top vertices, each its face masks
-    in label order: the face levels of cx for sigma = 0, else the level
-    dicts of the clique walk from sigma, keyed by face mask."""
+    """Face levels of lk(sigma) on 0 up to top vertices, each a dict keyed by
+    face mask in label order: those of cx for sigma = 0, else those of the
+    clique walk from sigma."""
     if not sigma:
         return [cx._faces_masks(k) for k in range(-1, top)]
     return list(cx._clique_walk(top, sigma, star=True))

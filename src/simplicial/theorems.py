@@ -275,8 +275,9 @@ def cross_polytope_subdivision(
     facet = tuple(sorted(facet))
     fm = cx._mask_of(facet)
     # a facet is the only facet over itself; a repeated label leaves the
-    # mask smaller than the tuple
-    if cx._star(fm) != [fm] or fm.bit_count() != len(facet):
+    # mask smaller than the tuple; a label is an int, not 1.0 or True
+    if (cx._star(fm) != [fm] or fm.bit_count() != len(facet)
+            or any(type(v) is not int for v in facet)):
         raise InputError(f"{list(facet)} is not a facet")
     d = len(facet)
     vbits = cx._bits(fm)  # in facet order, since positions follow labels

@@ -33,6 +33,13 @@ def test_void_and_empty_are_distinct():
     assert tuple(empty.h_vector()) == (1,)
     with pytest.raises(InputError):
         void.f_vector()
+    # the empty face, whether the face levels come from the flag test or not
+    for flag_first in (False, True):
+        void, empty = build_complex([]), build_complex([()])
+        if flag_first:
+            assert void.is_flag() and empty.is_flag()
+        assert not void.has_face(()) and empty.has_face(())
+        assert not empty.has_face((1,))
 
 
 def test_construction_normalizes():
@@ -239,13 +246,14 @@ def test_structural_witnesses_are_rechecked(monkeypatch, tmp_path, capsys, torus
         for item in real_walk(self, *args, **kwargs):
             yield item if isinstance(item, dict) else item & (item - 1)
 
-    def skewed(self):
-        index = real_index(self)
-        ridge = next(m for m in index if m.bit_count() == self.dimension)
-        third = next(1 << j for j in range(len(self._facet_masks)) if not index[ridge] >> j & 1)
-        if index[ridge].bit_count() == 2:
-            index[ridge] |= third
-        return index
+    def skewed(self):  # one entry of the ridge level gains a third facet
+        levels = real_index(self)
+        ridges = levels[self.dimension]
+        ridge = next(iter(ridges))
+        third = next(1 << j for j in range(len(self._facet_masks)) if not ridges[ridge] >> j & 1)
+        if ridges[ridge].bit_count() == 2:
+            ridges[ridge] |= third
+        return levels
 
     for name, patch, cx, check, match in (
             ("_clique_walk", dropped, torus, "is_flag", "no minimal nonface"),

@@ -297,6 +297,13 @@ def test_walk_preconditions(octa, books):
         strong_walk_avoiding(octa, 1, 4, {1, 2})
     with pytest.raises(InputError, match=r"^9 is not a vertex$"):
         strong_walk_avoiding(octa, 9, 4, set())
+    # labels equal to vertices but not ints
+    with pytest.raises(InputError, match=r"^True is not a vertex$"):
+        strong_walk_avoiding(octa, True, 2, ())
+    with pytest.raises(InputError, match=r"^2\.0 is not a vertex$"):
+        strong_walk_avoiding(octa, 1, 2.0, ())
+    with pytest.raises(InputError, match=r"^avoided labels \[3\.0\] are not vertices$"):
+        strong_walk_avoiding(octa, 1, 2, {3.0})
     # an endpoint in an avoided set that is too large is named first
     with pytest.raises(InputError, match=r"^endpoint 1 lies in the avoided set$"):
         strong_walk_avoiding(octa, 1, 4, {1, 3, 6})

@@ -170,19 +170,24 @@ pure_facets = st.lists(
 def _assert_face_index_matches_oracle(facets):
     """The star of each face, listed in facet order, is the facets over it,
     and a face plus one more vertex has a star exactly when it is a face, so
-    a nonface probe gives None; whether the flag test's walk kept the index
-    or the uncapped walk built it."""
+    a nonface probe gives None; has_face agrees, and is False on a label that
+    is no vertex; whether the flag test's walk kept the index or the uncapped
+    walk built it."""
     faces = O.close_downward(facets)
     for flag_first in (False, True):
         cx = build_complex(facets)
         if flag_first:
             cx.is_flag()
+        unknown = max(cx.vertices, default=0) + 1
+        assert not cx.has_face((unknown,))
         for face in faces:
             want = [f for f in cx.facets if face <= set(f)]
             assert [cx._labels_of(fm) for fm in cx._star(cx._mask_of(face))] == want, sorted(face)
+            assert cx.has_face(face) and not cx.has_face(face | {unknown}), sorted(face)
             for v in set(cx.vertices) - face:
                 probe = cx._star(cx._mask_of(face | {v}))
                 assert (probe is None) == (face | {v} not in faces), sorted(face | {v})
+                assert cx.has_face(face | {v}) == (face | {v} in faces), sorted(face | {v})
 
 
 @PROPERTY

@@ -249,10 +249,13 @@ def test_subdivision_claims(icosa):
 
 
 def test_subdivision_rejects_non_facet(octa):
-    # a non-face, a proper face, an unknown label, a repeated label, the empty face
-    for root in ((1, 2, 4), (1, 2), (1, 2, 99), (1, 1, 2), ()):
-        with pytest.raises(InputError, match="is not a facet"):
-            cross_polytope_subdivision(octa, root)
+    # a non-face, a proper face, an unknown label, a repeated label, the empty
+    # face, and labels equal to a facet's but not ints
+    for root in ((1, 2, 4), (1, 2), (1, 2, 99), (1, 1, 2), (), (1.0, 2, 3), (True, 2, 3)):
+        for build in (cross_polytope_subdivision, check_cross_polytope_subdivision):
+            with pytest.raises(InputError) as e:
+                build(octa, root)
+            assert str(e.value) == f"{sorted(root)} is not a facet"
 
 
 def test_subdivision_rejects_bad_hypotheses(torus, books):
@@ -394,6 +397,11 @@ def test_flag_walk_preconditions(octa, torus, books):
         strong_walk_avoiding_set(octa, 1, 9, set())
     with pytest.raises(InputError, match=r"^avoided labels \[9\] are not vertices$"):
         strong_walk_avoiding_set(octa, 1, 4, {2, 9})
+    # labels equal to vertices but not ints
+    with pytest.raises(InputError, match=r"^1\.0 is not a vertex$"):
+        strong_walk_avoiding_set(octa, 1.0, 2, ())
+    with pytest.raises(InputError, match=r"^avoided labels \[3\.0\] are not vertices$"):
+        strong_walk_avoiding_set(octa, 1, 2, {3.0})
     with pytest.raises(InputError, match=r"^walks need a complex of dimension at least one$"):
         strong_walk_avoiding_set(build_complex([(1,), (2,)]), 1, 2, set())
 
