@@ -3,7 +3,8 @@
 A complex is stored by its facets (inclusion-maximal faces); every other
 face is implied by downward closure.  Vertices carry arbitrary nonnegative
 integer labels externally and are packed into bitmask positions internally,
-so subset tests are single integer operations.  The void complex (no faces
+so subset tests are single integer operations; ``_mask_of`` is the one gate
+for the labels a caller passes, in every module.  The void complex (no faces
 at all) and the empty complex (only the empty face) are distinct values.
 
 All operations are deterministic: faces are ordered by (cardinality, label
@@ -82,9 +83,7 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class FVector:
-    """Face counts (f_{-1}, f_0, ..., f_{d-1}); f_{-1} counts the empty face."""
-
+class _Counts:
     counts: tuple[int, ...]
 
     def __iter__(self):
@@ -98,23 +97,17 @@ class FVector:
 
 
 @dataclass(frozen=True)
-class HVector:
+class FVector(_Counts):
+    """Face counts (f_{-1}, f_0, ..., f_{d-1}); f_{-1} counts the empty face."""
+
+
+@dataclass(frozen=True)
+class HVector(_Counts):
     """The h-vector (h_0, ..., h_d) obtained from the f-vector.
 
     The two encode the same data: sum_i h_i x^i equals
     sum_i f_{i-1} x^i (1-x)^(d-i), expanded over the integers.
     """
-
-    counts: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __getitem__(self, i):
-        return self.counts[i]
-
-    def __len__(self):
-        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -135,10 +128,15 @@ class StrongComponents:
         return len(self.components)
 
 
+def _is_label(v) -> bool:
+    """Whether v is a vertex label: an int.  1.0 and True, equal to 1, are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate_face(face: Iterable[int]) -> Face:
     out = tuple(face)
     for v in out:
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+        if type(v) is not int and not _is_label(v):
             raise InputError(f"vertex label {v!r} is not an integer")
         if v < 0:
             raise InputError(f"vertex label {v} is negative")
@@ -181,10 +179,10 @@ class SimplicialComplex:
     # -- representation helpers -------------------------------------------
 
     def _mask_of(self, face: Iterable[int]) -> int | None:
-        """Bitmask for a validated face, or None if a label is unknown."""
+        """Bitmask of a set of labels; None if one is no label (``_is_label``) or no vertex."""
         m = 0
         for v in face:
-            i = self._pos.get(v)
+            i = self._pos.get(v) if type(v) is int or _is_label(v) else None
             if i is None:
                 return None
             m |= 1 << i
@@ -346,15 +344,11 @@ class SimplicialComplex:
 
         Labels that are not vertices of the complex are ignored.
         """
-        pts = set(points)
-        for v in pts:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        points = tuple(points)
+        for v in points:  # the first bad label in the caller's order
+            if not _is_label(v) or v < 0:
                 raise InputError(f"vertex label {v!r} is not a nonnegative integer")
-        m = 0
-        for v in pts:
-            i = self._pos.get(v)
-            if i is not None:
-                m |= 1 << i
+        m = self._mask_of(v for v in points if v in self._pos)
         if m == 0:
             return self
         return SimplicialComplex([self._labels_of(fm & ~m) for fm in self._facet_masks])

@@ -26,6 +26,12 @@ def quote_label(label) -> str:
     return text if len(text) <= 40 else f"{text[:20]}… ({len(text)} characters)"
 
 
+def label_key(label) -> tuple:
+    """Sort key for labels a caller may mix: ints and floats in the order
+    sorted() gives them, then anything else, ordered by repr."""
+    return (0, label) if isinstance(label, (int, float)) else (1, repr(label))
+
+
 def parse_label(token: str) -> int:
     """A label token in ASCII digits, after an optional minus sign so that a
     negative label can be named as one; ValueError for ``2_0``, ``+2``, ..."""

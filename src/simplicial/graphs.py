@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .core import Face, SimplicialComplex, Verdict
 from .errors import ClassificationError, InputError, InternalInvariantError
-from .formats import quote_label
+from .formats import label_key, quote_label
 
 
 class Graph:
@@ -357,18 +357,16 @@ def _require(check: str, verdict: Verdict) -> None:
 
 def _walk_request(cx: SimplicialComplex, a: int, b: int, avoid) -> frozenset:
     """The avoided set of a walk from a to b, once the complex has dimension at
-    least one and a, b and the avoided labels are vertices, a and b outside it.
-    A vertex is an int: 1.0 and True, equal to 1, are not."""
+    least one and a, b and the avoided labels are vertices, a and b outside it."""
     if cx.dimension < 1:
         raise InputError("walks need a complex of dimension at least one")
     avoid = frozenset(avoid)
-    vset = set(cx.vertices)
-    strays = [x for x in avoid if type(x) is not int or x not in vset]
+    strays = [x for x in avoid if cx._mask_of((x,)) is None]
     if strays:
-        missing = ", ".join(map(quote_label, sorted(strays)))
+        missing = ", ".join(map(quote_label, sorted(strays, key=label_key)))
         raise InputError(f"avoided labels [{missing}] are not vertices")
     for x in (a, b):
-        if type(x) is not int or x not in vset:
+        if cx._mask_of((x,)) is None:
             raise InputError(f"{x!r} is not a vertex")
         if x in avoid:
             raise InputError(f"endpoint {x} lies in the avoided set")
@@ -466,9 +464,8 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
     wits = cert.witness_facets
     if len(nodes) == 0:
         return Verdict(False, witness={"clause": "walk-empty"}, reason="no nodes")
-    vset = set(cx.vertices)
     for i, u in enumerate(nodes):
-        if type(u) is not int or u not in vset:
+        if cx._mask_of((u,)) is None:
             return Verdict(
                 False,
                 witness={"clause": "node-membership", "index": i, "node": u},
@@ -491,7 +488,7 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
                 reason="walk step is not an edge of the complex",
             )
         w = wits[i - 1]
-        if type(w) is not tuple or w not in facet_set or any(type(x) is not int for x in w):
+        if type(w) is not tuple or cx._mask_of(w) is None or w not in facet_set:
             return Verdict(
                 False,
                 witness={"clause": "witness-facet", "index": i - 1, "facet": w},

@@ -16,6 +16,7 @@ from math import comb
 
 from .core import DEFAULT_CANDIDATE_CAP, Face, SimplicialComplex, Verdict, build_complex
 from .errors import ClassificationError, InputError, InternalInvariantError
+from .formats import label_key
 from .generators import cross_polytope_boundary, is_isomorphic
 from .graphs import (
     Graph,
@@ -272,12 +273,11 @@ def cross_polytope_subdivision(
     _require("flag", cx.is_flag(cap))
     _require("pseudomanifold", cx.is_pseudomanifold())
     adj, labels = cx._neighbour_masks(), cx._labels
-    facet = tuple(sorted(facet))
+    facet = tuple(sorted(facet, key=label_key))
     fm = cx._mask_of(facet)
-    # a facet is the only facet over itself; a repeated label leaves the
-    # mask smaller than the tuple; a label is an int, not 1.0 or True
-    if (cx._star(fm) != [fm] or fm.bit_count() != len(facet)
-            or any(type(v) is not int for v in facet)):
+    # a facet is the only facet over itself, and _star(None) is None; a
+    # repeated label leaves the mask smaller than the tuple
+    if cx._star(fm) != [fm] or fm.bit_count() != len(facet):
         raise InputError(f"{list(facet)} is not a facet")
     d = len(facet)
     vbits = cx._bits(fm)  # in facet order, since positions follow labels
@@ -348,7 +348,7 @@ def check_cross_polytope_subdivision(
     elif facet is None:
         targets = (cx.facets[0],)
     else:
-        targets = (tuple(sorted(facet)),)
+        targets = (tuple(sorted(facet, key=label_key)),)
     results = []
     for f in targets:
         entry: dict = {"facet": f}

@@ -1,11 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import oracles as O
+import simplicial
 from simplicial import (
+    FVector,
+    HVector,
     InputError,
     ResourceLimitError,
     SimplicialComplex,
@@ -93,6 +100,10 @@ def test_frozen_f_vectors(octa, icosa, torus, cross4, bary_tetra):
     assert tuple(torus.f_vector()) == (1, 7, 21, 14)
     assert tuple(cross4.f_vector()) == (1, 8, 24, 32, 16)
     assert tuple(bary_tetra.f_vector()) == (1, 14, 36, 24)
+    counts = (1, 6, 12, 8)
+    assert octa.f_vector() == FVector(counts) != HVector(counts)
+    assert repr(octa.f_vector()) == "FVector(counts=(1, 6, 12, 8))"
+    assert repr(HVector(counts)) == "HVector(counts=(1, 6, 12, 8))"
 
 
 def test_h_vectors_match_oracle(corpus):
@@ -148,6 +159,24 @@ def test_delete_vertex(octa):
     assert dl.dimension == 2
     with pytest.raises(InputError, match=r"^vertex label -1 is not a nonnegative integer$"):
         octa.delete([-1])
+
+
+def test_delete_names_the_first_bad_label_in_the_callers_order():
+    """The same label under every string hash seed, which a set's iteration
+    order would not give."""
+    code = (
+        "from simplicial import cross_polytope_boundary\n"
+        "try:\n"
+        "    cross_polytope_boundary(3).delete(['b', 'a', 'c'])\n"
+        "except Exception as e:\n"
+        "    print(type(e).__name__, e)\n"
+    )
+    src = str(Path(simplicial.__file__).resolve().parents[1])
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout == "InputError vertex label 'b' is not a nonnegative integer\n", seed
 
 
 def test_minimal_nonfaces_match_oracle(corpus):

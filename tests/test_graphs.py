@@ -304,6 +304,9 @@ def test_walk_preconditions(octa, books):
         strong_walk_avoiding(octa, 1, 2.0, ())
     with pytest.raises(InputError, match=r"^avoided labels \[3\.0\] are not vertices$"):
         strong_walk_avoiding(octa, 1, 2, {3.0})
+    # labels that do not sort against ints: numbers first, in numeric order
+    with pytest.raises(InputError, match=r"^avoided labels \[3\.0, 'a'\] are not vertices$"):
+        strong_walk_avoiding(octa, 1, 2, {"a", 3.0})
     # an endpoint in an avoided set that is too large is named first
     with pytest.raises(InputError, match=r"^endpoint 1 lies in the avoided set$"):
         strong_walk_avoiding(octa, 1, 4, {1, 3, 6})
@@ -425,7 +428,7 @@ def test_verifier_rejects_labels_that_are_not_ints(octa):
     as is a witness that is a list, not a facet tuple."""
     v = verify_strong_walk(octa, WalkCertificate(Walk((True, 2.0)), ((1, 2, 3),)))
     assert not v and v.witness == {"clause": "node-membership", "index": 0, "node": True}
-    for witness in ((True, 2, 3), [1, 2, 3]):
+    for witness in ((True, 2, 3), [1, 2, 3], (1, [2], 3)):
         v = verify_strong_walk(octa, WalkCertificate(Walk((1, 2)), (witness,)))
         assert not v and v.witness["clause"] == "witness-facet" and v.witness["index"] == 0
     assert verify_strong_walk(octa, WalkCertificate(Walk((1, 2)), ((1, 2, 3),)))

@@ -98,6 +98,17 @@ def test_only_core_reads_the_face_index_values():
     assert naming == ["core.py"]
 
 
+def test_only_core_states_the_vertex_label_rule():
+    """A vertex label is an int that is not a bool: core states the rule
+    once, and every other module reads a caller's labels through _mask_of."""
+    rule = re.compile(r"type\([^)]*\) is (not )?int\b|isinstance\([^)]*\bbool\b")
+    stating = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if rule.search(path.read_text(encoding="utf-8"))
+    )
+    assert stating == ["core.py"]
+
+
 def test_every_traced_target_resolves():
     spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)

@@ -1,5 +1,6 @@
 import json
 import random
+from enum import IntEnum
 from itertools import combinations
 from math import comb
 
@@ -11,6 +12,8 @@ from simplicial import (
     GF2,
     InputError,
     Verdict,
+    Walk,
+    WalkCertificate,
     build_complex,
     check_cross_polytope_subdivision,
     check_face_graph_connectivity_bound,
@@ -24,6 +27,7 @@ from simplicial import (
     face_adjacency_graph,
     facet_file_text,
     graph_of,
+    strong_walk_avoiding,
     strong_walk_avoiding_set,
     verify_strong_walk,
     verify_subdivision,
@@ -258,6 +262,13 @@ def test_subdivision_rejects_non_facet(octa):
             assert str(e.value) == f"{sorted(root)} is not a facet"
 
 
+def test_subdivision_names_a_root_that_does_not_sort(octa):
+    # numbers in numeric order, then any other label by repr
+    for build in (cross_polytope_subdivision, check_cross_polytope_subdivision):
+        with pytest.raises(InputError, match=r"^\[2, 3, 'a'\] is not a facet$"):
+            build(octa, ("a", 2, 3))
+
+
 def test_subdivision_rejects_bad_hypotheses(torus, books):
     with pytest.raises(ClassificationError):
         cross_polytope_subdivision(torus, torus.facets[0])
@@ -402,8 +413,31 @@ def test_flag_walk_preconditions(octa, torus, books):
         strong_walk_avoiding_set(octa, 1.0, 2, ())
     with pytest.raises(InputError, match=r"^avoided labels \[3\.0\] are not vertices$"):
         strong_walk_avoiding_set(octa, 1, 2, {3.0})
+    # labels that do not sort against ints: numbers first, in numeric order
+    with pytest.raises(InputError,
+                       match=r"^avoided labels \[3\.0, 9, 10, 'a'\] are not vertices$"):
+        strong_walk_avoiding_set(octa, 1, 2, {"a", 10, 3.0, 9})
     with pytest.raises(InputError, match=r"^walks need a complex of dimension at least one$"):
         strong_walk_avoiding_set(build_complex([(1,), (2,)]), 1, 2, set())
+
+
+def test_an_int_subclass_is_the_vertex_it_equals(octa):
+    """An IntEnum member is an int, so every entry point that takes labels
+    reads it as the vertex it equals."""
+
+    class L(IntEnum):
+        A = 1
+
+    assert build_complex([[L.A if v == 1 else v for v in f] for f in octa.facets]) == octa
+    assert octa.has_face((L.A, 2))
+    assert octa.delete([L.A]) == octa.delete([1])
+    for walk in (strong_walk_avoiding, strong_walk_avoiding_set):
+        for a, b, avoid in ((L.A, 5, {2}), (2, 4, {L.A})):
+            cert = walk(octa, a, b, avoid)
+            assert verify_strong_walk(octa, cert), (walk, a, b, avoid)
+    assert cross_polytope_subdivision(octa, (L.A, 2, 3)).branch_nodes[1] == 1
+    assert check_cross_polytope_subdivision(octa, (L.A, 2, 3)).status == "pass"
+    assert verify_strong_walk(octa, WalkCertificate(Walk((L.A, 2)), ((1, 2, 3),)))
 
 
 def test_flag_walk_exhaustive_octahedron(octa):
