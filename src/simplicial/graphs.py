@@ -65,9 +65,6 @@ class Graph:
         i, j = self._pos.get(u), self._pos.get(v)
         return i is not None and j is not None and bool(self._nbr[i] >> j & 1)
 
-    def has_node(self, u) -> bool:
-        return u in self._pos
-
     def is_connected(self) -> bool:
         """Graphs with at most one node count as connected."""
         return len(self.nodes) <= 1 or _component(self._nbr, 0) == (1 << len(self.nodes)) - 1
@@ -138,12 +135,13 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
     grows out-state layers from s, one OR of nbr[u] per node u of a layer.
     An in-state has one way on: a free node's to its own out-state, a used
     node's back to its pred's; a used out-state may also step back to its
-    in-state.  The layers stop at the first one next to t.  A backward
-    search from that layer then augments a blocking set of shortest paths,
-    each out-state at most once, and the next phase grows fresh layers.
-    The phase that runs out of layers without meeting t gives the cut: the
-    nodes whose in-state it reaches and whose out-state it does not, the
-    same after any max flow.
+    in-state.  The layers stop at the first one next to t.  From each of its
+    out-states next to t, a depth-first search back, lowest live out-state
+    first, augments a blocking set of shortest paths, each out-state at most
+    once; a dead end leaves its layer, so no candidate list is kept.  The
+    next phase grows fresh layers, and the one that runs out of layers
+    without meeting t gives the cut: the nodes whose in-state it reaches and
+    whose out-state it does not, the same after any max flow.
     """
     n = len(nbr)
     pred, succ = [-1] * n, [-1] * n
@@ -186,22 +184,16 @@ def _disjoint_paths(nbr: list[int], s: int, t: int) -> tuple[list[list[int]], in
         while ends:
             low = ends & -ends
             ends ^= low
-            # out-states back from t, one per layer, each with the
-            # predecessors of its in-state still to try
-            stack, cands = [low.bit_length() - 1], []
+            # out-states back from t, one per layer; each steps to its lowest live predecessor
+            stack = [low.bit_length() - 1]
             while stack and len(stack) < len(live):
-                k = len(live) - len(stack)
-                if len(cands) < len(stack):
-                    z = stack[-1]
-                    y = succ[z] if used >> z & 1 else z
-                    cands.append((nbr[y] | used & 1 << y) & live[k - 1])
-                c = cands[-1]
+                k, z = len(live) - len(stack), stack[-1]
+                y = succ[z] if used >> z & 1 else z
+                c = (nbr[y] | used & 1 << y) & live[k - 1]
                 if c:
-                    cands[-1] ^= c & -c
                     stack.append((c & -c).bit_length() - 1)
                 else:
                     live[k] ^= 1 << stack.pop()
-                    cands.pop()
             if not stack:
                 continue
             stuck = False
@@ -289,28 +281,31 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     neighbors of v; some minimum cut is always caught this way.  Among the
     minimum cuts seen, the lexicographically least is reported.  Each
     pair's paths prove its cut minimum (Menger), and the reported cut is
-    checked to separate its pair, by code that reads only g.
+    checked to separate its pair, by code that reads only g.  The sweep
+    works in node positions; labels appear only in the certificate.
     """
-    n = len(g.nodes)
+    nbr, n = list(g._nbr), len(g.nodes)
     if n < 2:
         raise InputError("vertex connectivity needs at least two nodes")
-    if all(g.degree(u) == n - 1 for u in g.nodes):
+    # positions follow label order (g.nodes is sorted): v is the first node of
+    # least degree, the pairs come in label order, and of two cuts of one size
+    # the one holding the lowest bit of their difference is the lesser label tuple
+    v = min(range(n), key=lambda i: nbr[i].bit_count())
+    if nbr[v].bit_count() == n - 1:
         return ConnectivityResult(value=n - 1, complete=True, cut=None)
-    v = min(g.nodes, key=lambda u: (g.degree(u), u))
-    pairs = [(v, w) for w in g.nodes if w != v and not g.has_edge(v, w)]
-    pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
-    nbr, pos = list(g._nbr), g._pos
+    near = [w for w in range(n) if nbr[v] >> w & 1]
+    pairs = [(v, w) for w in range(n) if w != v and not nbr[v] >> w & 1]
+    pairs += [(a, b) for a, b in combinations(near, 2) if not nbr[a] >> b & 1]
     best_mask, best_size, best_pair = 0, n, None  # n exceeds any cut
     for s, t in pairs:
-        index_paths, cut_mask = _disjoint_paths(nbr, pos[s], pos[t])
+        paths, cut_mask = _disjoint_paths(nbr, s, t)
         size = cut_mask.bit_count()
-        _check_menger(g, pos[s], pos[t], index_paths, size)
-        # positions follow label order (g.nodes is sorted): of two cuts of one size,
-        # the one holding the lowest bit of their difference is the lesser label tuple
+        _check_menger(g, s, t, paths, size)
         diff = cut_mask ^ best_mask
         if size < best_size or size == best_size and diff & -diff & cut_mask:
             best_mask, best_size, best_pair = cut_mask, size, (s, t)
     best_cut = tuple(g._labels_of(best_mask))
+    best_pair = tuple(g.nodes[i] for i in best_pair)
     _check_separates(g, best_cut, *best_pair)
     return ConnectivityResult(
         value=len(best_cut),
@@ -360,7 +355,10 @@ def _walk_request(cx: SimplicialComplex, a: int, b: int, avoid) -> frozenset:
     least one and a, b and the avoided labels are vertices, a and b outside it."""
     if cx.dimension < 1:
         raise InputError("walks need a complex of dimension at least one")
-    avoid = frozenset(avoid)
+    try:
+        avoid = frozenset(avoid)
+    except TypeError:  # not iterable, or an item that cannot be hashed
+        raise InputError(f"avoided set {quote_label(avoid)} is not a set of labels") from None
     strays = [x for x in avoid if cx._mask_of((x,)) is None]
     if strays:
         missing = ", ".join(map(quote_label, sorted(strays, key=label_key)))

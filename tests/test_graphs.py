@@ -310,6 +310,11 @@ def test_walk_preconditions(octa, books):
     # an endpoint in an avoided set that is too large is named first
     with pytest.raises(InputError, match=r"^endpoint 1 lies in the avoided set$"):
         strong_walk_avoiding(octa, 1, 4, {1, 3, 6})
+    # an avoided set that is not a set of labels: unhashable items, not iterable
+    with pytest.raises(InputError, match=r"^avoided set \[\[3\]\] is not a set of labels$"):
+        strong_walk_avoiding(octa, 1, 2, [[3]])
+    with pytest.raises(InputError, match=r"^avoided set 5 is not a set of labels$"):
+        strong_walk_avoiding(octa, 1, 2, 5)
     # two points: a 0-dimensional pseudomanifold
     with pytest.raises(InputError, match=r"^walks need a complex of dimension at least one$"):
         strong_walk_avoiding(build_complex([(1,), (2,)]), 1, 2, set())

@@ -4,7 +4,8 @@ off the face index (its keys and facet bitsets, face levels, ``has_face``,
 links, strong components, the pseudomanifold test), the neighbour masks
 (neighbours, minimal nonfaces, the flag test), the isomorphism search and
 the vertex-connectivity sweep with its per-pair cuts against the
-brute-force oracles.
+brute-force oracles, and the theorems' checks on random flag spheres and
+tori.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 """
@@ -24,6 +25,10 @@ from simplicial import (
     Graph,
     barycentric_subdivision,
     build_complex,
+    check_cross_polytope_subdivision,
+    check_face_lower_bounds_report,
+    check_graph_connectivity_bound,
+    check_h_vector_bound,
     cross_polytope_boundary,
     cycle,
     face_adjacency_graph,
@@ -35,6 +40,9 @@ from simplicial import (
     is_m_cohen_macaulay,
     reduced_betti_numbers,
     simplex_boundary,
+    strong_walk_avoiding_set,
+    torus_7,
+    verify_strong_walk,
     vertex_connectivity,
 )
 from simplicial import graphs, linalg
@@ -491,3 +499,47 @@ def test_connectivity_of_sphere_construction_graphs_matches_oracle(facets):
     g = graph_of(build_complex(facets))
     if len(g.nodes) >= 2:
         _assert_connectivity_matches_oracle(g)
+
+
+# flag bases for edge subdivision: two spheres and a torus
+FLAG_BASES = {
+    "cross3": cross_polytope_boundary(3),
+    "cross4": cross_polytope_boundary(4),
+    "bary torus7": barycentric_subdivision(torus_7()),
+}
+
+
+@st.composite
+def edge_subdivided_flag_complexes(draw):
+    """A flag base after 1 to 25 drawn edge subdivisions, with two endpoints
+    and 2d-3 other vertices for a walk to avoid.  Subdividing {a, b} adds a
+    vertex c and replaces each facet F through a and b by F-a+c and F-b+c;
+    the result is flag, and a pseudomanifold on the same space."""
+    name = draw(st.sampled_from(sorted(FLAG_BASES)))
+    base = FLAG_BASES[name]
+    facets = [frozenset(f) for f in base.facets]
+    for c in range(base.num_vertices + 1, base.num_vertices + 1 + draw(st.integers(1, 25))):
+        a, b = draw(st.sampled_from(sorted({e for f in facets for e in combinations(sorted(f), 2)})))
+        facets = [g for f in facets
+                  for g in ((f - {a} | {c}, f - {b} | {c}) if a in f and b in f else (f,))]
+    cx = build_complex(facets)
+    a, b, *avoid = draw(st.permutations(cx.vertices))[:2 * cx.dimension + 1]
+    return name, cx, a, b, avoid
+
+
+@settings(PROPERTY, max_examples=30)
+@given(edge_subdivided_flag_complexes())
+def test_edge_subdivisions_of_flag_spheres_and_tori_meet_the_bounds(drawn):
+    """t1, lb and t2 hold on every base, t3 on the spheres; a flag walk dodges
+    2d-3 vertices; every sweep pair's flow and cut match the textbook flow,
+    where the nearest-s cut is often not the neighbourhood of an end."""
+    name, cx, a, b, avoid = drawn
+    assert cx.is_flag() and cx.is_pseudomanifold()
+    reports = [check_graph_connectivity_bound(cx), check_face_lower_bounds_report(cx),
+               check_cross_polytope_subdivision(cx, all_facets=True)]
+    if name != "bary torus7":
+        reports.append(check_h_vector_bound(cx))
+    assert [r.status for r in reports] == ["pass"] * len(reports)
+    assert verify_strong_walk(cx, strong_walk_avoiding_set(cx, a, b, avoid))
+    g = graph_of(cx)
+    _assert_pairs_match_flow_oracle(g, _pair_list(g))

@@ -417,6 +417,11 @@ def test_flag_walk_preconditions(octa, torus, books):
     with pytest.raises(InputError,
                        match=r"^avoided labels \[3\.0, 9, 10, 'a'\] are not vertices$"):
         strong_walk_avoiding_set(octa, 1, 2, {"a", 10, 3.0, 9})
+    # an avoided set that is not a set of labels: unhashable items, not iterable
+    with pytest.raises(InputError, match=r"^avoided set \[\{3\}\] is not a set of labels$"):
+        strong_walk_avoiding_set(octa, 1, 2, [{3}])
+    with pytest.raises(InputError, match=r"^avoided set 5 is not a set of labels$"):
+        strong_walk_avoiding_set(octa, 1, 2, 5)
     with pytest.raises(InputError, match=r"^walks need a complex of dimension at least one$"):
         strong_walk_avoiding_set(build_complex([(1,), (2,)]), 1, 2, set())
 
