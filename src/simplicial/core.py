@@ -4,7 +4,9 @@ A complex is stored by its facets (inclusion-maximal faces); every other
 face is implied by downward closure.  Vertices carry arbitrary nonnegative
 integer labels externally and are packed into bitmask positions internally,
 so subset tests are single integer operations; ``_mask_of`` is the one gate
-for the labels a caller passes, in every module.  The void complex (no faces
+for the labels a caller passes, in every module.  The constructor checks
+the labels of all faces once, in bulk, and runs ``_validate_face`` face by
+face only to name the first bad face.  The void complex (no faces
 at all) and the empty complex (only the empty face) are distinct values.
 
 All operations are deterministic: faces are ordered by (cardinality, label
@@ -52,9 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from math import comb
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInvariantError, ResourceLimitError
@@ -156,12 +158,26 @@ class SimplicialComplex:
     __slots__ = ("_labels", "_pos", "_facet_masks", "_memo")
 
     def __init__(self, facets: Iterable[Iterable[int]] = ()):
-        faces = set(map(_validate_face, facets))
-        labels = sorted({v for f in faces for v in f})
+        given, error = [], None  # given keeps the faces read before a TypeError
+        try:  # all faces at once: int labels, the least >= 0, no face repeating one
+            given.extend(map(tuple, facets))
+            faces = list(map(tuple, map(sorted, given)))
+            labels = sorted(set(chain.from_iterable(faces)))
+            bit = {v: 1 << i for i, v in enumerate(labels)}
+            masks = list(map(sum, map(map, repeat(bit.__getitem__), faces)))  # OR unless a label repeats
+            # the types of every label, not of the set, where 1 hides an equal True
+            ok = ((set(map(type, chain.from_iterable(faces))) <= {int}
+                   or all(map(_is_label, chain.from_iterable(faces))))
+                  and (not labels or labels[0] >= 0)
+                  and list(map(int.bit_count, masks)) == list(map(len, faces)))
+        except TypeError as e:  # unorderable or unhashable labels, or a face not iterable
+            error, ok = e, False
+        if not ok:  # name the first bad face as _validate_face does, in input order
+            list(map(_validate_face, given))
+            raise error or InternalInvariantError("faces refused in bulk pass one by one")
         self._labels: tuple[int, ...] = tuple(labels)
         self._pos = {v: i for i, v in enumerate(labels)}
-        bit = {v: 1 << i for i, v in enumerate(labels)}
-        by_mask = {sum(map(bit.__getitem__, f)): f for f in faces}  # distinct bits: sum is OR
+        by_mask = dict(zip(masks, faces))
         maximal: list[int] = []
         # scan from large to small; two distinct faces of one size never hold
         # each other, so a face is tested only against the strictly larger ones
@@ -519,8 +535,10 @@ class SimplicialComplex:
         for f in queue[:]:
             yield f, None
         for f in queue:
-            found = 0
-            for b in self._bits(f & ~keep):
+            found, rest = 0, f & ~keep
+            while rest:  # each vertex bit b of rest, for the ridge f ^ b
+                b = rest & -rest
+                rest ^= b
                 found |= ridges[f ^ b]
             found &= ~seen
             seen |= found
@@ -571,7 +589,8 @@ class SimplicialComplex:
         comps, left = [], (1 << len(facets)) - 1
         while left:
             first = masks[(left & -left).bit_length() - 1]
-            comp = reduce(or_, (levels[g.bit_count()][g] for g, _ in self._strong_search(first)))
+            own = levels[first.bit_count()]  # one search stays among facets of first's size
+            comp = reduce(or_, map(own.__getitem__, map(itemgetter(0), self._strong_search(first))))
             left &= ~comp
             comps.append(tuple(f for f, bit in zip(facets, bin(comp)[:1:-1]) if bit == "1"))
         comps.sort(key=lambda c: (len(c[0]), c[0]))

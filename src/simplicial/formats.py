@@ -5,14 +5,19 @@ digits, separated by whitespace.  Lines end at LF, CR or CRLF (universal
 newlines), in a file and in a string alike.  Blank lines and # comments are
 ignored.  An empty file is the void complex; a file whose only facet line
 is * is the empty complex (the one whose sole face is the empty set).
+
+The parser checks the text at once, the constructor the labels, once and in
+bulk; the parser's per-line loop runs only to name the first refused line.
 """
 
 from __future__ import annotations
 
-import io
+from contextlib import suppress
+from itertools import repeat
+from operator import contains, itemgetter
 
 from .core import SimplicialComplex, build_complex
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 
 def quote_input(text: str) -> str:
@@ -40,37 +45,43 @@ def parse_label(token: str) -> int:
     return int(token)
 
 
+class _Labels(dict):
+    """Token -> int(token), each distinct token converted once, when first met."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = value = int(token)
+        return value
+
+
 def parse_facet_lines(lines) -> list[tuple[int, ...]]:
     """Facets of the lines of a facet file, or of its whole text, which is
-    split at universal newlines like a file opened in text mode."""
-    if isinstance(lines, str):
-        lines = io.StringIO(lines, newline=None)
-    facets = []
+    split at universal newlines like a file opened in text mode; checked at
+    once, and token by token only to name the first refused line."""
+    if isinstance(lines, str):  # str.splitlines() would also break at \x0b, \x85, ...
+        lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    kept = lines = list(lines)
+    if any(map(contains, lines, repeat("#"))):
+        kept = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    rows = ([] if t == ["*"] else t for t in filter(None, map(str.split, kept)))
+    label = _Labels()
+    with suppress(ValueError):  # int() refuses x, 1.5, a lone minus, 4300 digits and more
+        facets = list(map(tuple, map(sorted, map(map, repeat(label.__getitem__), rows))))
+        if (not "".join(label).strip("-0123456789") and min(label.values(), default=0) >= 0
+                and sum(map(len, map(set, facets))) == sum(map(len, facets))):
+            return facets
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0]
-        tokens = text.split()
-        if not tokens:
-            continue
-        if tokens == ["*"]:
-            facets.append(())
-            continue
-        try:
-            if not (text.isascii() and all(map(str.isdigit, tokens))):
-                raise ValueError("not all tokens are ASCII digits")
-            labels = sorted(map(int, tokens))
-        except ValueError:  # or a label past int()'s limit on digits
-            for token in tokens:  # name the first token that is no label
-                try:
-                    value = parse_label(token)
-                except ValueError:
-                    raise InputError(f"line {lineno}: {quote_input(token)} is not an integer label")
-                if value < 0:
-                    raise InputError(f"line {lineno}: negative label {quote_label(value)}")
-            labels = sorted(map(int, tokens))
+        tokens = raw.split("#", 1)[0].split()
+        labels = []
+        for token in tokens if tokens != ["*"] else ():
+            try:
+                labels.append(parse_label(token))
+            except ValueError:  # or a label past int()'s limit on digits
+                raise InputError(f"line {lineno}: {quote_input(token)} is not an integer label")
+            if labels[-1] < 0:
+                raise InputError(f"line {lineno}: negative label {quote_label(labels[-1])}")
         if len(set(labels)) != len(labels):
             raise InputError(f"line {lineno}: repeated label in facet")
-        facets.append(tuple(labels))
-    return facets
+    raise InternalInvariantError("facet lines refused at once pass one by one")
 
 
 def read_complex_text(text: str) -> SimplicialComplex:

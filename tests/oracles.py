@@ -5,6 +5,7 @@ set/Fraction arithmetic, sharing no code with the package internals.
 Keep these slow and obvious; they only ever run on small inputs.
 """
 
+import io
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -453,3 +454,38 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def parse_facet_lines(lines):
+    """Facets of a facet file, read one line and one token at a time; a
+    string is split at universal newlines, like a file opened in text mode.
+    A refused line raises ValueError with the message the CLI prints, where
+    text past 40 characters is cut to 20 and its length."""
+    if isinstance(lines, str):
+        lines = io.StringIO(lines, newline=None)
+    facets = []
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens == ["*"]:
+            facets.append(())
+            continue
+        labels = []
+        for token in tokens:
+            digits = token[1:] if token.startswith("-") else token
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(token)
+                labels.append(int(token))  # ValueError past int()'s limit on digits
+            except ValueError:
+                shown = repr(token) if len(token) <= 40 else f"{token[:20] + '…'!r} ({len(token)} characters)"
+                raise ValueError(f"line {lineno}: {shown} is not an integer label") from None
+            if labels[-1] < 0:
+                shown = repr(labels[-1])
+                shown = shown if len(shown) <= 40 else f"{shown[:20]}… ({len(shown)} characters)"
+                raise ValueError(f"line {lineno}: negative label {shown}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"line {lineno}: repeated label in facet")
+        facets.append(tuple(sorted(labels)))
+    return facets

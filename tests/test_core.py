@@ -3,10 +3,12 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from enum import IntEnum
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as O
 import simplicial
@@ -25,6 +27,7 @@ from simplicial import (
     simplex_boundary,
 )
 from simplicial import cli
+from simplicial.core import _validate_face
 from simplicial.errors import InternalInvariantError
 from test_homology import NON_PURE
 
@@ -65,6 +68,75 @@ def test_rejects_bad_faces():
         build_complex([(-1, 2)])
     with pytest.raises(InputError):
         build_complex([("a", 2)])
+    # True and 1.0 equal a label of an earlier face, which a set of the labels would keep
+    for faces, label in [([(1, 2), (True, 3)], "True"), ([(1, 2), (3, 1.0)], "1.0")]:
+        with pytest.raises(InputError, match=f"^vertex label {label} is not an integer$"):
+            build_complex(faces)
+
+
+class _Vertex(IntEnum):
+    ONE = 1
+    FOUR = 4
+
+
+# labels the constructor takes (ints, IntEnum members), and those it refuses
+# too: bools, floats equal to a label, strings, negatives, and unorderable
+# or unhashable ones
+GOOD_LABELS = st.one_of(st.integers(0, 6), st.sampled_from(_Vertex))
+BAD_LABELS = st.sampled_from((True, False, 1.0, 2.5, "a", -1, -2, None, (1,), [2]))
+
+
+@st.composite
+def face_lists(draw):
+    """A function that makes the same face list on each call: faces as tuples,
+    lists, one-shot generators or, rarely, a label where a face should be;
+    the list itself may be a one-shot generator."""
+    face = st.lists(GOOD_LABELS, max_size=4, unique=draw(st.booleans()))
+    faces = draw(st.lists(face, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):  # refused labels, anywhere
+        face = faces[draw(st.integers(0, len(faces) - 1))]
+        face.insert(draw(st.integers(0, len(face))), draw(BAD_LABELS))
+    shapes = draw(st.lists(st.sampled_from(("tuple", "list", "gen")), min_size=len(faces),
+                           max_size=len(faces)))
+    if draw(st.integers(0, 3)) == 3:
+        shapes[draw(st.integers(0, len(faces) - 1))] = "scalar"
+    one_shot = draw(st.booleans())
+
+    def make():
+        shaped = {"tuple": tuple, "list": list, "gen": lambda f: (v for v in f), "scalar": len}
+        out = (shaped[shape](f) for f, shape in zip(faces, shapes))
+        return out if one_shot else list(out)
+
+    return make
+
+
+def _built_face_by_face(faces):
+    """_labels, _facet_masks and memo of a complex whose faces pass _validate_face one by one."""
+    valid = set(map(_validate_face, faces))
+    maximal = sorted(f for f in valid if not any(set(f) < set(g) for g in valid))
+    labels = tuple(sorted({v for f in valid for v in f}))
+    masks = tuple(sum(1 << labels.index(v) for v in f) for f in maximal)
+    sizes = {len(f) for f in maximal}
+    return labels, masks, {"facets": tuple(maximal), "dimension": max(sizes, default=0) - 1,
+                           "pure": len(sizes) <= 1}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(make=face_lists())
+def test_constructor_checks_all_faces_at_once(make):
+    """The bulk checks of SimplicialComplex(faces) raise the first error of
+    [_validate_face(f) for f in faces], and on good faces build what the
+    validated faces give."""
+    try:
+        want = _built_face_by_face(make())
+    except (InputError, TypeError) as e:
+        want = (type(e), str(e))
+    try:
+        cx = SimplicialComplex(make())
+        got = (cx._labels, cx._facet_masks, cx._memo)
+    except (InputError, TypeError) as e:
+        got = (type(e), str(e))
+    assert got == want
 
 
 def test_face_queries(octa):

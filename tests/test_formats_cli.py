@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as O
 import simplicial.cli as cli
 from simplicial import (
     InputError,
@@ -95,6 +96,56 @@ def test_text_and_file_split_lines_alike(tmp_path, sep):
     with pytest.raises(InputError) as from_file:
         read_complex_file(path)
     assert str(from_text.value) == str(from_file.value) == "line 2: 'x' is not an integer label"
+
+
+# label tokens, good and bad, and the separators that may stand between
+# them: str.split() takes each separator as whitespace, and str.splitlines()
+# would also end a line at \x0b, \x0c, \x1c-\x1e, \x85 and \u2028
+PARSE_TOKENS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.sampled_from(("007", "00", "-0", "-3", "+1", "1_0", "\uff11", "x", "*", "1#2", BIG,
+                     "9" * 4000, "-" + "9" * 4000, "--1", "1-")),
+)
+PARSE_SEPARATORS = st.sampled_from((" ", "  ", "\t", "\u00a0", "\x0b", "\x0c", "\x1c", "\x1d",
+                                    "\x1e", "\x1f", "\x85", "\u2028"))
+
+
+@st.composite
+def facet_texts(draw):
+    """Facet file texts of such tokens, with lone * lines, blank lines and
+    comments, under LF, CR and CRLF line ends."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("facet", "facet", "facet", "star", "blank", "comment")))
+        if kind == "facet":
+            tokens = draw(st.lists(PARSE_TOKENS, min_size=1, max_size=5))
+            line = draw(PARSE_SEPARATORS).join(tokens)
+            if draw(st.booleans()):
+                line = draw(PARSE_SEPARATORS) + line + draw(PARSE_SEPARATORS)
+        else:
+            line = {"star": "*", "blank": draw(PARSE_SEPARATORS), "comment": ""}[kind]
+        if kind == "comment" or draw(st.integers(0, 4)) == 0:
+            line += "# " + draw(st.sampled_from(("1 2", "x", "*", "")))
+        out.append(line + draw(st.sampled_from(("\n", "\r", "\r\n"))))
+    text = "".join(out)
+    return text[:-1] if draw(st.booleans()) else text  # maybe with no end to the last line
+
+
+def _parsed(parse, lines, error):
+    try:
+        return parse(lines)
+    except error as e:
+        return str(e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=facet_texts(), keepends=st.booleans())
+def test_parse_facet_lines_matches_the_line_by_line_oracle(text, keepends):
+    """Checked at once, a text and its list of lines give the facets of the
+    one-token-at-a-time oracle, or raise InputError with its message."""
+    for lines in (text, text.splitlines(keepends)):
+        want = _parsed(O.parse_facet_lines, lines, ValueError)
+        assert _parsed(parse_facet_lines, lines, InputError) == want, lines
 
 
 @pytest.fixture()
