@@ -55,15 +55,11 @@ from .theorems import (
 )
 
 
-def _to_jsonable(x):
-    """Reports hold verdicts, dicts, lists, tuples and scalars only."""
-    if isinstance(x, Verdict):
-        return {"ok": x.ok, "witness": _to_jsonable(x.witness), "reason": x.reason}
-    if isinstance(x, dict):
-        return {str(k): _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_to_jsonable(v) for v in x]
-    return x
+def _verdict_json(v) -> dict:
+    """json.dumps's hook: a Verdict is the one report value JSON cannot write."""
+    if not isinstance(v, Verdict):
+        raise TypeError(f"{type(v).__name__} is not a report value")
+    return {"ok": v.ok, "witness": v.witness, "reason": v.reason}
 
 
 def _sha256(path: str) -> str:
@@ -152,16 +148,13 @@ def _cmd_walk(cx: SimplicialComplex, args) -> tuple[dict, int]:
     else:
         cert = strong_walk_avoiding_set(cx, args.src, args.dst, avoid, args.cap)
     verdict = verify_strong_walk(cx, cert)
-    avoided = not (set(avoid) & set(cert.walk.nodes))
+    avoided = not (set(avoid) & set(cert.nodes))
     results = {
         "mode": args.mode,
         "from": args.src,
         "to": args.dst,
         "avoid": sorted(set(avoid)),
-        "certificate": {
-            "nodes": list(cert.walk.nodes),
-            "witness_facets": [list(f) for f in cert.witness_facets],
-        },
+        "certificate": {"nodes": cert.nodes, "witness_facets": cert.witness_facets},
         "verified": bool(verdict),
         "avoidance_ok": avoided,
     }
@@ -287,9 +280,9 @@ def main(argv=None) -> int:
                 "version": __version__,
                 "command": _command_echo(args),
                 "input": {"path": args.path, "sha256": _sha256(args.path)},
-                "results": _to_jsonable(results),
+                "results": results,
             }
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            text = json.dumps(report, indent=2, sort_keys=True, default=_verdict_json) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -318,29 +318,15 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
 
 
 @dataclass(frozen=True)
-class Walk:
-    """Node sequence; edge i joins nodes i-1 and i.  May repeat nodes."""
-
-    nodes: tuple
-
-    @property
-    def edges(self) -> tuple:
-        ns = self.nodes
-        return tuple(
-            (ns[i - 1], ns[i]) if ns[i - 1] <= ns[i] else (ns[i], ns[i - 1])
-            for i in range(1, len(ns))
-        )
-
-@dataclass(frozen=True)
 class WalkCertificate:
-    """A walk plus one witness facet per edge.
+    """A walk's nodes, which may repeat, and a witness facet for each step.
 
     The walk is accepted when every edge lies inside its witness facet and
     consecutive witnesses sit in a single strong component of the closed
     star of the node they share.
     """
 
-    walk: Walk
+    nodes: tuple
     witness_facets: tuple[Face, ...]
 
 
@@ -420,7 +406,7 @@ def strong_walk_avoiding(
             nodes.append(allowed & -allowed)
             wits.append(cx._labels_of(f))
     return WalkCertificate(
-        walk=Walk(tuple(cx._labels[m.bit_length() - 1] for m in nodes)),
+        nodes=tuple(cx._labels[m.bit_length() - 1] for m in nodes),
         witness_facets=tuple(wits),
     )
 
@@ -458,7 +444,7 @@ def verify_strong_walk(cx: SimplicialComplex, cert: WalkCertificate) -> Verdict:
     every interior node.  The witness on failure names the first failing
     clause and position.
     """
-    nodes = cert.walk.nodes
+    nodes = cert.nodes
     wits = cert.witness_facets
     if len(nodes) == 0:
         return Verdict(False, witness={"clause": "walk-empty"}, reason="no nodes")

@@ -63,6 +63,7 @@ from math import comb
 from . import linalg
 from .core import DEFAULT_CANDIDATE_CAP, SimplicialComplex, Verdict
 from .errors import InputError, InternalInvariantError, ResourceLimitError
+from .formats import quote_input, quote_label
 
 
 def _is_prime(n: int) -> bool:
@@ -84,6 +85,8 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if c >= 1 << 31:  # refused before trial division, which takes sqrt(c) steps
+            raise InputError(f"field characteristic must be below 2^31, got {quote_label(c)}")
         if c != 0 and not _is_prime(c):
             raise InputError(f"field characteristic must be 0 or a prime, got {c}")
 
@@ -106,9 +109,14 @@ class FieldSpec:
         t = text.strip().lower()
         if t in ("rational", "rationals", "q", "qq", "0"):
             return FieldSpec.rationals()
-        if t.startswith("gf") and t[2:].isdigit():
-            return FieldSpec.gf(int(t[2:]))
-        raise InputError(f"unknown field {text!r}; use gf<p> or rational")
+        if t.startswith("gf") and t[2:].isascii() and t[2:].isdigit():
+            try:
+                p = int(t[2:])
+            except ValueError:  # past int()'s digit limit: an unknown field
+                pass
+            else:
+                return FieldSpec.gf(p)
+        raise InputError(f"unknown field {quote_input(text)}; use gf<p> or rational")
 
 
 GF2 = FieldSpec.gf(2)

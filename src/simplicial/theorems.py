@@ -21,7 +21,6 @@ from .generators import cross_polytope_boundary, is_isomorphic
 from .graphs import (
     Graph,
     SubdivisionEmbedding,
-    Walk,
     WalkCertificate,
     _component,
     _require,
@@ -420,7 +419,7 @@ def strong_walk_avoiding_set(
             message=f"avoided set must have fewer than {2 * d - 2} vertices",
         )
     nodes, wits = _avoiding_walk(cx, a, b, avoid, 0, d, cap)
-    return WalkCertificate(walk=Walk(tuple(nodes)), witness_facets=tuple(wits))
+    return WalkCertificate(nodes=tuple(nodes), witness_facets=tuple(wits))
 
 
 def _avoiding_walk(cx, a, b, avoid, depth, max_depth, cap):
@@ -449,7 +448,7 @@ def _avoiding_walk(cx, a, b, avoid, depth, max_depth, cap):
     if core_set and not cx.has_face(tuple(sorted(core_set))):
         raise InternalInvariantError("densely joined avoided vertices are not a face")
     base = strong_walk_avoiding(cx, a, b, core_set)
-    nodes = list(base.walk.nodes)
+    nodes = list(base.nodes)
     wits = list(base.witness_facets)
 
     i = 0

@@ -89,9 +89,9 @@ def test_criterion_3_avoiding_walks_exhaustive(octa, icosa):
                         for b in rest:
                             cert = strong_walk_avoiding_set(cx, a, b, avoid)
                             assert verify_strong_walk(cx, cert), (avoid, a, b)
-                            assert not set(avoid) & set(cert.walk.nodes)
-                            assert cert.walk.nodes[0] == a
-                            assert cert.walk.nodes[-1] == b
+                            assert not set(avoid) & set(cert.nodes)
+                            assert cert.nodes[0] == a
+                            assert cert.nodes[-1] == b
 
 
 def test_criterion_4_subdivision_extraction(octa, cross4, icosa):

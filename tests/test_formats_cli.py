@@ -255,6 +255,22 @@ def test_cli_verify_t3_gk_lb(octa_file, capsys):
         assert _report(out)["results"]["status"] == "pass"
 
 
+# field names that escaped as a ValueError, or ran trial division to sqrt(2^127 - 1)
+BAD_FIELDS = ("gf²", "gf" + "9" * 5000, f"gf{2**127 - 1}")
+
+
+@pytest.mark.parametrize("name", BAD_FIELDS + ("gf３", "gf٣"),
+                         ids=["superscript", "5000-digits", "2^127-1", "fullwidth", "arabic-indic"])
+def test_cli_refuses_field_names_past_ascii_digits_or_2_31(octa_file, capsys, name):
+    message = "below 2^31" if name == BAD_FIELDS[2] else "unknown field"
+    for argv in (["verify", "t3", octa_file, "--field", name],
+                 ["analyze", octa_file, "--homology", name]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert message in err and "Traceback" not in err
+        assert max(len(line) for line in err.splitlines()) < 120
+
+
 def test_cli_verify_resource_cap(octa_file, capsys):
     code, _, err = _run(capsys, ["verify", "t3", octa_file, "--cap", "1"])
     assert code == 3
@@ -558,7 +574,7 @@ def cli_argvs(draw, path):
     """An argv for every command, with options drawn valid or not, and a
     random --cap."""
     labels = st.lists(st.integers(0, 9).map(str), max_size=2)
-    field = st.sampled_from(("gf2", "gf3", "gf5", "rational", "gf4", "real"))
+    field = st.sampled_from(("gf2", "gf3", "gf5", "rational", "gf4", "real") + BAD_FIELDS)
     command = draw(st.sampled_from(("analyze", "verify", "walk", "gen")))
     if command == "analyze":
         argv = ["analyze", path]

@@ -8,7 +8,9 @@ Reports are part of the contract: a change that means to keep behaviour
 must keep every report byte-identical.  Each entry below is the exit code
 and the sha256 of ``json.dumps(report["results"], sort_keys=True)`` for one
 command on one complex (None when the command prints no report).  Only
-``results`` is hashed, because ``input.path`` names the temporary file.
+``results`` is hashed, because ``input.path`` names the temporary file;
+the whole text is pinned as its own re-encoding with a two-space indent,
+sorted keys and one trailing newline.
 
 A change that means to alter reports copies the new digests from the
 failing assertion into the table and says so in CHANGES.md.
@@ -76,10 +78,11 @@ def _digests(cx, path, commands=_commands):
         stdout = io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        digest = None
-        if stdout.getvalue():
-            results = json.loads(stdout.getvalue())["results"]
-            text = json.dumps(results, sort_keys=True)
+        digest, printed = None, stdout.getvalue()
+        if printed:
+            report = json.loads(printed)
+            assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n", name
+            text = json.dumps(report["results"], sort_keys=True)
             digest = hashlib.sha256(text.encode()).hexdigest()
         out[name] = (code, digest)
     return out

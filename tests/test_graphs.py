@@ -8,7 +8,6 @@ from simplicial import (
     Graph,
     InputError,
     SimplicialComplex,
-    Walk,
     WalkCertificate,
     barycentric_subdivision,
     build_complex,
@@ -253,14 +252,9 @@ def test_cut_that_does_not_separate_is_caught(octa):
         graphs._check_separates(g, (1, 2, 3, 4, 5), 3, 6)
 
 
-def test_walk_objects():
-    w = Walk((1, 2, 3, 2))
-    assert w.edges == ((1, 2), (2, 3), (2, 3))  # edges come out sorted
-
-
 def test_walk_frozen_example(octa):
     cert = strong_walk_avoiding(octa, 2, 5, {1, 4})
-    assert cert.walk.nodes == (2, 3, 5)
+    assert cert.nodes == (2, 3, 5)
     assert cert.witness_facets == ((2, 3, 4), (3, 4, 5))
     assert verify_strong_walk(octa, cert)
 
@@ -269,15 +263,15 @@ def test_walk_avoiding_a_facet(octa):
     # the avoided set is a whole facet here
     cert = strong_walk_avoiding(octa, 1, 4, {2, 3})
     assert verify_strong_walk(octa, cert)
-    assert set(cert.walk.nodes) <= {1, 4, 5, 6}
+    assert set(cert.nodes) <= {1, 4, 5, 6}
     cert = strong_walk_avoiding(octa, 1, 6, {2, 3, 4})
     assert verify_strong_walk(octa, cert)
-    assert not {2, 3, 4} & set(cert.walk.nodes)
+    assert not {2, 3, 4} & set(cert.nodes)
 
 
 def test_walk_zero_length(octa):
     cert = strong_walk_avoiding(octa, 3, 3, {1})
-    assert cert.walk.nodes == (3,)
+    assert cert.nodes == (3,)
     assert cert.witness_facets == ()
     assert verify_strong_walk(octa, cert)
 
@@ -333,9 +327,9 @@ def test_walk_sweep_over_pseudomanifolds(corpus):
                 for b in rest:
                     cert = strong_walk_avoiding(cx, a, b, sigma)
                     assert verify_strong_walk(cx, cert), (name, sigma, a, b)
-                    assert not set(sigma) & set(cert.walk.nodes)
-                    assert cert.walk.nodes[0] == a
-                    assert cert.walk.nodes[-1] == b
+                    assert not set(sigma) & set(cert.nodes)
+                    assert cert.nodes[0] == a
+                    assert cert.nodes[-1] == b
 
 
 def test_walk_sweep_small_avoid_sets(octa, torus):
@@ -348,7 +342,7 @@ def test_walk_sweep_small_avoid_sets(octa, torus):
                 for b in rest:
                     cert = strong_walk_avoiding(cx, a, b, avoid)
                     assert verify_strong_walk(cx, cert)
-                    assert not set(avoid) & set(cert.walk.nodes)
+                    assert not set(avoid) & set(cert.nodes)
 
 
 def test_deletion_of_pseudomanifold_is_strongly_connected(corpus):
@@ -393,37 +387,37 @@ def test_link_components_of_pseudomanifold_are_pseudomanifolds(corpus):
 
 
 def test_verifier_rejects_fabricated_witness(octa):
-    cert = WalkCertificate(Walk((2, 3, 5)), ((2, 3, 4), (3, 5, 9)))
+    cert = WalkCertificate((2, 3, 5), ((2, 3, 4), (3, 5, 9)))
     v = verify_strong_walk(octa, cert)
     assert not v and v.witness["clause"] == "witness-facet"
 
 
 def test_verifier_rejects_non_edge(octa):
-    cert = WalkCertificate(Walk((2, 5)), ((2, 3, 4),))
+    cert = WalkCertificate((2, 5), ((2, 3, 4),))
     v = verify_strong_walk(octa, cert)
     assert not v and v.witness["clause"] == "edge"
 
 
 def test_verifier_rejects_edge_outside_witness(octa):
-    cert = WalkCertificate(Walk((2, 3)), ((3, 4, 5),))
+    cert = WalkCertificate((2, 3), ((3, 4, 5),))
     v = verify_strong_walk(octa, cert)
     assert not v and v.witness["clause"] == "edge-in-witness"
 
 
 def test_verifier_rejects_wrong_star_component():
     pinched = build_complex([(1, 2, 3), (3, 4, 5)])
-    cert = WalkCertificate(Walk((2, 3, 4)), ((1, 2, 3), (3, 4, 5)))
+    cert = WalkCertificate((2, 3, 4), ((1, 2, 3), (3, 4, 5)))
     v = verify_strong_walk(pinched, cert)
     assert not v and v.witness["clause"] == "star-component"
     assert v.witness["index"] == 1
 
 
 def test_verifier_rejects_witness_count_and_unknown_nodes(octa):
-    v = verify_strong_walk(octa, WalkCertificate(Walk((2, 3)), ()))
+    v = verify_strong_walk(octa, WalkCertificate((2, 3), ()))
     assert not v and v.witness["clause"] == "witness-count"
-    v = verify_strong_walk(octa, WalkCertificate(Walk((2, 9)), ((2, 3, 4),)))
+    v = verify_strong_walk(octa, WalkCertificate((2, 9), ((2, 3, 4),)))
     assert not v and v.witness["clause"] == "node-membership"
-    v = verify_strong_walk(octa, WalkCertificate(Walk(()), ()))
+    v = verify_strong_walk(octa, WalkCertificate((), ()))
     assert not v and v.witness["clause"] == "walk-empty"
 
 
@@ -431,12 +425,12 @@ def test_verifier_rejects_labels_that_are_not_ints(octa):
     """A bool or float equals an int label, but no label is one: a node is
     refused under node-membership and a witness entry under witness-facet,
     as is a witness that is a list, not a facet tuple."""
-    v = verify_strong_walk(octa, WalkCertificate(Walk((True, 2.0)), ((1, 2, 3),)))
+    v = verify_strong_walk(octa, WalkCertificate((True, 2.0), ((1, 2, 3),)))
     assert not v and v.witness == {"clause": "node-membership", "index": 0, "node": True}
     for witness in ((True, 2, 3), [1, 2, 3], (1, [2], 3)):
-        v = verify_strong_walk(octa, WalkCertificate(Walk((1, 2)), (witness,)))
+        v = verify_strong_walk(octa, WalkCertificate((1, 2), (witness,)))
         assert not v and v.witness["clause"] == "witness-facet" and v.witness["index"] == 0
-    assert verify_strong_walk(octa, WalkCertificate(Walk((1, 2)), ((1, 2, 3),)))
+    assert verify_strong_walk(octa, WalkCertificate((1, 2), ((1, 2, 3),)))
 
 
 def _house_graph():

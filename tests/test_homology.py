@@ -45,6 +45,11 @@ def test_field_spec_parsing():
         FieldSpec.parse("real")
     with pytest.raises(InputError, match=r"^GF\(1\) is not a field$"):
         FieldSpec.gf(1)
+    # a characteristic from 2^31 up is refused before any trial division
+    assert FieldSpec.parse("gf2147483647").characteristic == 2**31 - 1
+    for p in (2**31, 2**127 - 1):
+        with pytest.raises(InputError, match=r"^field characteristic must be below 2\^31"):
+            FieldSpec.gf(p)
 
 
 def test_boundary_matrix_shapes_and_ranks():

@@ -26,6 +26,7 @@ from simplicial import (
     barycentric_subdivision,
     build_complex,
     check_cross_polytope_subdivision,
+    check_face_graph_connectivity_bound,
     check_face_lower_bounds_report,
     check_graph_connectivity_bound,
     check_h_vector_bound,
@@ -530,9 +531,10 @@ def edge_subdivided_flag_complexes(draw):
 @settings(PROPERTY, max_examples=30)
 @given(edge_subdivided_flag_complexes())
 def test_edge_subdivisions_of_flag_spheres_and_tori_meet_the_bounds(drawn):
-    """t1, lb and t2 hold on every base, t3 on the spheres; a flag walk dodges
-    2d-3 vertices; every sweep pair's flow and cut match the textbook flow,
-    where the nearest-s cut is often not the neighbourhood of an end."""
+    """t1, lb and t2 hold on every base, t3 on the spheres; gk's certificate
+    on the edge graph re-verifies; a flag walk dodges 2d-3 vertices; every
+    sweep pair's flow and cut match the textbook flow, where the nearest-s
+    cut is often not the neighbourhood of an end."""
     name, cx, a, b, avoid = drawn
     assert cx.is_flag() and cx.is_pseudomanifold()
     reports = [check_graph_connectivity_bound(cx), check_face_lower_bounds_report(cx),
@@ -540,6 +542,15 @@ def test_edge_subdivisions_of_flag_spheres_and_tori_meet_the_bounds(drawn):
     if name != "bary torus7":
         reports.append(check_h_vector_bound(cx))
     assert [r.status for r in reports] == ["pass"] * len(reports)
+    # gk is an instance check: its cut has as many nodes as it claims and,
+    # by the textbook flow on the edge graph without it, separates its pair
+    gk = check_face_graph_connectivity_bound(cx, 1)
+    assert gk.applicable
+    cut, (s, t) = gk.details["minimum_cut"], gk.details["separated_pair"]
+    assert len(cut) == gk.details["connectivity"] and not {s, t} & set(cut)
+    eg = face_adjacency_graph(cx, 1)
+    kept = [e for e in eg.edges if not set(e) & set(cut)]
+    assert O.max_flow_vertex_cut([u for u in eg.nodes if u not in cut], kept, s, t)[0] == 0
     assert verify_strong_walk(cx, strong_walk_avoiding_set(cx, a, b, avoid))
     g = graph_of(cx)
     _assert_pairs_match_flow_oracle(g, _pair_list(g))

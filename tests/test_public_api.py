@@ -36,7 +36,6 @@ PUBLIC = [
     "SubdivisionEmbedding",
     "TheoremReport",
     "Verdict",
-    "Walk",
     "WalkCertificate",
     "__version__",
     "barycentric_subdivision",

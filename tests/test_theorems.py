@@ -12,7 +12,6 @@ from simplicial import (
     GF2,
     InputError,
     Verdict,
-    Walk,
     WalkCertificate,
     build_complex,
     check_cross_polytope_subdivision,
@@ -371,20 +370,20 @@ def test_t2_commutes_with_relabelling(request, tmp_path, capsys, name):
 
 def test_flag_walk_frozen_example(octa):
     cert = strong_walk_avoiding_set(octa, 1, 4, {2, 3, 5})
-    assert cert.walk.nodes == (1, 6, 4)
+    assert cert.nodes == (1, 6, 4)
     assert verify_strong_walk(octa, cert)
 
 
 def test_flag_walk_worked_example(octa):
     cert = strong_walk_avoiding_set(octa, 2, 5, {1, 3, 6})
     assert verify_strong_walk(octa, cert)
-    assert not {1, 3, 6} & set(cert.walk.nodes)
-    assert cert.walk.nodes[0] == 2 and cert.walk.nodes[-1] == 5
+    assert not {1, 3, 6} & set(cert.nodes)
+    assert cert.nodes[0] == 2 and cert.nodes[-1] == 5
 
 
 def test_flag_walk_zero_length(octa):
     cert = strong_walk_avoiding_set(octa, 3, 3, {1, 2})
-    assert cert.walk.nodes == (3,)
+    assert cert.nodes == (3,)
     assert verify_strong_walk(octa, cert)
 
 
@@ -442,7 +441,7 @@ def test_an_int_subclass_is_the_vertex_it_equals(octa):
             assert verify_strong_walk(octa, cert), (walk, a, b, avoid)
     assert cross_polytope_subdivision(octa, (L.A, 2, 3)).branch_nodes[1] == 1
     assert check_cross_polytope_subdivision(octa, (L.A, 2, 3)).status == "pass"
-    assert verify_strong_walk(octa, WalkCertificate(Walk((L.A, 2)), ((1, 2, 3),)))
+    assert verify_strong_walk(octa, WalkCertificate((L.A, 2), ((1, 2, 3),)))
 
 
 def test_flag_walk_exhaustive_octahedron(octa):
@@ -455,8 +454,8 @@ def test_flag_walk_exhaustive_octahedron(octa):
                 for b in rest:
                     cert = strong_walk_avoiding_set(octa, a, b, avoid)
                     assert verify_strong_walk(octa, cert), (avoid, a, b)
-                    assert not set(avoid) & set(cert.walk.nodes)
-                    assert cert.walk.nodes[0] == a and cert.walk.nodes[-1] == b
+                    assert not set(avoid) & set(cert.nodes)
+                    assert cert.nodes[0] == a and cert.nodes[-1] == b
                     count += 1
     assert count == 606
 
@@ -469,7 +468,7 @@ def test_flag_walk_exhaustive_cross4(cross4):
             for a, b in [(rest[0], rest[-1]), (rest[-1], rest[0])]:
                 cert = strong_walk_avoiding_set(cross4, a, b, avoid)
                 assert verify_strong_walk(cross4, cert), (avoid, a, b)
-                assert not set(avoid) & set(cert.walk.nodes)
+                assert not set(avoid) & set(cert.nodes)
 
 
 def test_flag_walk_random_sample_on_barycentric(bary_tetra):
@@ -483,7 +482,7 @@ def test_flag_walk_random_sample_on_barycentric(bary_tetra):
         a, b = rng.choice(rest), rng.choice(rest)
         cert = strong_walk_avoiding_set(bary_tetra, a, b, avoid)
         assert verify_strong_walk(bary_tetra, cert), (avoid, a, b)
-        assert not set(avoid) & set(cert.walk.nodes)
+        assert not set(avoid) & set(cert.nodes)
 
 
 def test_flag_walk_on_one_dimensional_sphere(hexagon):
@@ -494,7 +493,7 @@ def test_flag_walk_on_one_dimensional_sphere(hexagon):
             for b in rest:
                 cert = strong_walk_avoiding_set(hexagon, a, b, {v})
                 assert verify_strong_walk(hexagon, cert)
-                assert v not in cert.walk.nodes
+                assert v not in cert.nodes
 
 
 # -- links of flag complexes read off masks ----------------------------------
