@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .core import DEFAULT_CANDIDATE_CAP, SimplicialComplex, Verdict
@@ -26,7 +26,7 @@ from .errors import (
     InternalInvariantError,
     ResourceLimitError,
 )
-from .formats import facet_file_text, parse_label, quote_input, read_complex_file
+from .formats import facet_file_text, parse_label, quote_input, read_complex_bytes, read_complex_file
 from .generators import (
     barycentric_subdivision,
     cross_polytope_boundary,
@@ -56,18 +56,43 @@ from .theorems import (
 
 
 def _verdict_json(v) -> dict:
-    """json.dumps's hook: a Verdict is the one report value JSON cannot write."""
+    """A Verdict as the dict a report writes; TypeError for any other value
+    that is not a report value."""
     if not isinstance(v, Verdict):
         raise TypeError(f"{type(v).__name__} is not a report value")
     return {"ok": v.ok, "witness": v.witness, "reason": v.reason}
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=_verdict_json)``
+    for a report value, without json's pure-Python indent encoder; indent is
+    the line break and spaces before value's closing bracket.  Report values
+    are str-keyed dicts, lists, tuples, strs, ints, bools, None and Verdicts;
+    anything else raises TypeError, floats too."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)  # json's own escaper, in C
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)  # as json writes an IntEnum
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("a report key is not a str")
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
+                 for k in sorted(value)]
+        brackets = "{}"
+    else:
+        return _json_text(_verdict_json(value), indent)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _parse_labels(text: str) -> list[int]:
@@ -274,15 +299,17 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify,
                 "walk": _cmd_walk,
             }[args.command]
-            results, code = handler(read_complex_file(args.path), args)
+            with open(args.path, "rb") as fh:
+                data = fh.read()  # one read: the bytes parsed are the bytes hashed
+            results, code = handler(read_complex_bytes(data, args.path), args)
             report = {
                 "tool": "simplicial",
                 "version": __version__,
                 "command": _command_echo(args),
-                "input": {"path": args.path, "sha256": _sha256(args.path)},
+                "input": {"path": args.path, "sha256": hashlib.sha256(data).hexdigest()},
                 "results": results,
             }
-            text = json.dumps(report, indent=2, sort_keys=True, default=_verdict_json) + "\n"
+            text = _json_text(report) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -25,9 +25,10 @@ order, to its facet bitset (bit i set when the i-th facet holds the face).
 Other modules read only the keys, or facet masks: ``_over`` reads the bitset
 over a face mask, 0 for a nonface, for ``has_face`` and ``_star`` (the
 facets over a face mask: links and t2's facet flips), and ``_strong_search``
-(strong components, the face-avoiding walk and the flag walk's link
-components, facet to facet across shared ridges), the greedy
-``_shelling_order`` and the pseudomanifold test read the ridge level.
+(the face-avoiding walk and the flag walk's link components, facet to facet
+across shared ridges), the greedy ``_shelling_order``, the pseudomanifold
+test and strong components, one union-find pass over each facet size's
+ridges, read the ridge level.
 
 Vertex adjacency and incidence are read straight off the facet list: each
 vertex has the mask of its neighbours in the 1-skeleton and the facet
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, groupby, repeat
 from math import comb
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInvariantError, ResourceLimitError
@@ -582,17 +583,39 @@ class SimplicialComplex:
         return self._memoized("strong", self._compute_strong)
 
     def _compute_strong(self) -> StrongComponents:
-        # a facet's own bit is its entry in its level; listed in facet order, which
-        # is label order, a component comes out sorted; all sorted by (size, first).
-        # A component is read off bin() in one pass, not bit by bit in O(F^2).
+        # union-find on facet positions, one pass over the ridge level per facet
+        # size, linking the facets of that size over each ridge; a root is linked
+        # under a lower one, so no parent is above its child and each root is its
+        # component's first facet.  Grouped in facet order, which is label order,
+        # a component comes out sorted; all are sorted by (size, first facet).
         levels, facets, masks = self._face_index(), self.facets, self._facet_masks
-        comps, left = [], (1 << len(facets)) - 1
-        while left:
-            first = masks[(left & -left).bit_length() - 1]
-            own = levels[first.bit_count()]  # one search stays among facets of first's size
-            comp = reduce(or_, map(own.__getitem__, map(itemgetter(0), self._strong_search(first))))
-            left &= ~comp
-            comps.append(tuple(f for f, bit in zip(facets, bin(comp)[:1:-1]) if bit == "1"))
+        parent = list(range(len(facets)))
+        for size in set(map(int.bit_count, masks)) - {0}:  # the empty facet has no ridge
+            own = sum(1 << i for i, m in enumerate(masks) if m.bit_count() == size)
+            for fac in levels[size - 1].values():
+                fac &= own
+                low = fac & -fac
+                fac ^= low
+                if not fac:  # no second facet of this size over the ridge
+                    continue
+                a = low.bit_length() - 1
+                while a != parent[a]:
+                    parent[a] = a = parent[parent[a]]  # path halving
+                while fac:
+                    low = fac & -fac
+                    fac ^= low
+                    b = low.bit_length() - 1
+                    while b != parent[b]:
+                        parent[b] = b = parent[parent[b]]
+                    if a < b:
+                        parent[b] = a
+                    elif b < a:
+                        parent[a] = a = b
+        for i, p in enumerate(parent):  # parent[p] is a root already, as p <= i
+            parent[i] = parent[p]
+        by_root = sorted(range(len(facets)), key=parent.__getitem__)  # stable: facet order
+        comps = [tuple(map(facets.__getitem__, same))
+                 for _, same in groupby(by_root, parent.__getitem__)]
         comps.sort(key=lambda c: (len(c[0]), c[0]))
         return StrongComponents(components=tuple(comps), pure=self.is_pure)
 

@@ -88,14 +88,18 @@ def read_complex_text(text: str) -> SimplicialComplex:
     return build_complex(parse_facet_lines(text))
 
 
-def read_complex_file(path) -> SimplicialComplex:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def read_complex_bytes(data: bytes, path) -> SimplicialComplex:
+    """The complex in the bytes of a facet file; path names it in an error."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 at byte {e.start}") from None
     return read_complex_text(text)
+
+
+def read_complex_file(path) -> SimplicialComplex:
+    with open(path, "rb") as fh:
+        return read_complex_bytes(fh.read(), path)
 
 
 def facet_file_text(cx: SimplicialComplex) -> str:

@@ -2,9 +2,10 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from enum import IntEnum
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,25 @@ def test_strong_components_list_facets_in_facet_order(octa, torus):
     assert twins.strong_components().count == 2
     bary5 = barycentric_subdivision(cross_polytope_boundary(5))
     assert bary5.strong_components().components == (tuple(sorted(bary5.facets)),)
+
+
+def test_strong_components_take_one_pass_over_the_ridges():
+    """The 9801 lines of AG(5,3) as triangles on its 243 points: two lines
+    meet in at most a point, so each triangle is a component of its own.
+    One union pass over the ridge level lists them well inside 0.5 s; a
+    listing that scans the facets once per component takes several times
+    that."""
+    points = list(product(range(3), repeat=5))
+    label = {p: i + 1 for i, p in enumerate(points)}
+    directions = [d for d in points if any(d) and next(x for x in d if x) == 1]
+    lines = {tuple(sorted(label[tuple((a + k * b) % 3 for a, b in zip(p, d))] for k in range(3)))
+             for p in points for d in directions}
+    cx = build_complex(sorted(lines))
+    start = time.perf_counter()
+    strong = cx.strong_components()
+    elapsed = time.perf_counter() - start
+    assert (cx.num_vertices, strong.count) == (243, 9801)
+    assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
 def test_pseudomanifold_matches_oracle(corpus):

@@ -1,7 +1,9 @@
+import builtins
 import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -479,6 +481,55 @@ def test_cli_reports_are_byte_identical(octa_file, capsys):
     _, out3, _ = _run(capsys, ["verify", "t2", octa_file, "--all-facets"])
     _, out4, _ = _run(capsys, ["verify", "t2", octa_file, "--all-facets"])
     assert out3 == out4
+
+
+def test_cli_reads_its_input_once_and_hashes_the_bytes_it_parsed(octa_file, capsys, monkeypatch):
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = _run(capsys, ["analyze", octa_file])
+    monkeypatch.undo()
+    assert code == 0
+    assert opened.count(octa_file) == 1
+    with open(octa_file, "rb") as fh:
+        want = hashlib.sha256(fh.read()).hexdigest()
+    assert _report(out)["input"]["sha256"] == want
+
+
+class _Colour(IntEnum):
+    RED = 1
+    HUGE = 10**30
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€𝄞'), st.characters()))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+            | st.sampled_from(list(_Colour)) | _TEXT)
+_REPORT_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.builds(Verdict, st.booleans(), inner, _TEXT)),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_REPORT_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    want = json.dumps(value, indent=2, sort_keys=True, default=cli._verdict_json)
+    assert cli._json_text(value) == want
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [1, 2.0], {1, 2}, {"a": frozenset()}, {1: 2}, [{"a": {None: 3}}], Verdict(False, witness=0.5),
+])
+def test_report_writer_refuses_values_outside_reports(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_cli_out_file_matches_stdout(octa_file, tmp_path, capsys):
