@@ -104,9 +104,6 @@ def _parse_labels(text: str) -> list[int]:
 
 def _cmd_analyze(cx: SimplicialComplex, args) -> tuple[dict, int]:
     field = FieldSpec.parse(args.homology) if args.homology else None
-    flag = cx.is_flag(args.cap)
-    pm = cx.is_pseudomanifold()
-    strong = cx.strong_components()
     results: dict = {
         "complex": {
             "void": cx.is_void,
@@ -116,9 +113,9 @@ def _cmd_analyze(cx: SimplicialComplex, args) -> tuple[dict, int]:
             "facets": len(cx.facets),
             "pure": cx.is_pure,
         },
-        "flag": flag,
-        "pseudomanifold": pm,
-        "strong_components": {"count": strong.count, "pure": strong.pure},
+        "flag": cx.is_flag(args.cap),
+        "pseudomanifold": cx.is_pseudomanifold(),
+        "strong_components": {"count": cx.strong_components().count, "pure": cx.is_pure},
     }
     if cx.is_void:
         results["f_vector"] = None

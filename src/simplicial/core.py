@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, groupby, repeat
 from math import comb
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInvariantError, ResourceLimitError
@@ -115,7 +115,7 @@ class HVector(_Counts):
 
 @dataclass(frozen=True)
 class StrongComponents:
-    """Partition of the facets into strong components, plus a purity flag.
+    """Partition of the facets into strong components.
 
     Two facets are in one component when they are joined by a chain of
     facets in which consecutive entries share a face of codimension one in
@@ -124,7 +124,6 @@ class StrongComponents:
     """
 
     components: tuple[tuple[Face, ...], ...]
-    pure: bool
 
     @property
     def count(self) -> int:
@@ -134,6 +133,19 @@ class StrongComponents:
 def _is_label(v) -> bool:
     """Whether v is a vertex label: an int.  1.0 and True, equal to 1, are not."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _incidence_of(faces: Iterable[Face], masks: Iterable[int], pos: dict) -> tuple[list, list]:
+    """Vertex position -> the bitset of the faces through the vertex (bit j for
+    the j-th face), and -> the OR of their masks; pos maps labels to positions."""
+    inc, union = [0] * len(pos), [0] * len(pos)
+    for j, (f, m) in enumerate(zip(faces, masks)):
+        bit = 1 << j
+        for v in f:
+            i = pos[v]
+            inc[i] |= bit
+            union[i] |= m
+    return inc, union
 
 
 def _validate_face(face: Iterable[int]) -> Face:
@@ -179,16 +191,15 @@ class SimplicialComplex:
         self._labels: tuple[int, ...] = tuple(labels)
         self._pos = {v: i for i, v in enumerate(labels)}
         by_mask = dict(zip(masks, faces))
-        maximal: list[int] = []
-        # scan from large to small; two distinct faces of one size never hold
-        # each other, so a face is tested only against the strictly larger ones
-        by_size = sorted(by_mask, key=int.bit_count, reverse=True)
-        for _, same_size in groupby(by_size, key=int.bit_count):
-            larger = tuple(maximal)
-            maximal.extend(m for m in same_size if not larger or all(m & ~big for big in larger))
-        maximal.sort(key=by_mask.__getitem__)  # by the validated label tuples
-        self._facet_masks: tuple[int, ...] = tuple(maximal)
-        facet_tuples = tuple(map(by_mask.__getitem__, maximal))
+        kept = sorted(by_mask, key=by_mask.__getitem__)  # by the validated label tuples
+        top = max(map(int.bit_count, kept), default=0)  # each face of the top size is maximal
+        if any(m.bit_count() < top for m in kept):
+            # and so is a smaller face that is the only face through all of its vertices
+            inc = _incidence_of(map(by_mask.__getitem__, kept), kept, self._pos)[0]
+            kept = [m for j, m in enumerate(kept) if m.bit_count() == top
+                    or reduce(and_, (inc[b.bit_length() - 1] for b in self._bits(m)), -1) == 1 << j]
+        self._facet_masks: tuple[int, ...] = tuple(kept)
+        facet_tuples = tuple(map(by_mask.__getitem__, kept))
         sizes = set(map(len, facet_tuples))
         self._memo: dict = {"facets": facet_tuples, "dimension": max(sizes, default=0) - 1,
                             "pure": len(sizes) <= 1}
@@ -500,13 +511,7 @@ class SimplicialComplex:
         vertex position -> bitmask of the other vertices of those facets."""
 
         def build():
-            n, pos = len(self._labels), self._pos
-            inc, nbrs = [0] * n, [0] * n
-            for j, (fm, f) in enumerate(zip(self._facet_masks, self.facets)):
-                for v in f:
-                    i = pos[v]
-                    inc[i] |= 1 << j
-                    nbrs[i] |= fm
+            inc, nbrs = _incidence_of(self.facets, self._facet_masks, self._pos)
             return tuple(inc), tuple(m ^ 1 << i for i, m in enumerate(nbrs))
 
         return self._memoized("incidence", build)
@@ -617,7 +622,7 @@ class SimplicialComplex:
         comps = [tuple(map(facets.__getitem__, same))
                  for _, same in groupby(by_root, parent.__getitem__)]
         comps.sort(key=lambda c: (len(c[0]), c[0]))
-        return StrongComponents(components=tuple(comps), pure=self.is_pure)
+        return StrongComponents(components=tuple(comps))
 
     def is_pseudomanifold(self) -> Verdict:
         """Strongly connected and every ridge (codimension one in each

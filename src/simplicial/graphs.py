@@ -38,19 +38,37 @@ class Graph:
     adjacency kept as neighbour masks: bit j of entry i joins nodes i and j."""
 
     def __init__(self, nodes, edges):
-        self.nodes: tuple = tuple(sorted(set(nodes)))
+        nodes = list(nodes)
+        try:
+            self.nodes: tuple = tuple(sorted(set(nodes)))
+        except TypeError:  # name the first node that cannot be hashed or ordered with the first
+            for u in nodes:
+                try:
+                    hash(u), u < nodes[0], nodes[0] < u
+                except TypeError:
+                    raise InputError(f"node {quote_label(u)} is not a sortable hashable label") from None
+            raise InputError(f"nodes {quote_label(nodes)} cannot be sorted together") from None
         self._pos = pos = {u: i for i, u in enumerate(self.nodes)}
         self._nbr = nbr = [0] * len(self.nodes)
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+                i, j = pos.get(u), pos.get(v)
+            except (TypeError, ValueError):  # no pair, or an end that cannot be hashed
+                raise InputError(f"edge {quote_label(e)} is not a pair of nodes") from None
             if u == v:
-                raise InputError(f"loop at {u!r} is not allowed")
-            if u not in pos or v not in pos:
-                raise InputError(f"edge {e!r} leaves the node set")
-            nbr[pos[u]] |= 1 << pos[v]
-            nbr[pos[v]] |= 1 << pos[u]
-        above = (self._labels_of(m >> i + 1 << i + 1) for i, m in enumerate(nbr))  # later neighbours
-        self.edges: tuple = tuple((u, w) for u, ws in zip(self.nodes, above) for w in ws)
+                raise InputError(f"loop at {quote_label(u)} is not allowed")
+            if i is None or j is None:
+                raise InputError(f"edge {quote_label(e)} leaves the node set")
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+
+    @property
+    def edges(self) -> tuple:
+        """Each edge once, as (u, w) with u < w, in label order of u, then w."""
+        nodes, bits = self.nodes, SimplicialComplex._bits
+        return tuple([(nodes[i], nodes[b.bit_length() - 1])  # each later neighbour of node i
+                      for i, m in enumerate(self._nbr) for b in bits(m >> i + 1 << i + 1)])
 
     def _labels_of(self, mask: int) -> list:
         return [self.nodes[b.bit_length() - 1] for b in SimplicialComplex._bits(mask)]
@@ -72,10 +90,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return (self.nodes, self._nbr) == (other.nodes, other._nbr)
 
     def __repr__(self):
-        return f"Graph(nodes={len(self.nodes)}, edges={len(self.edges)})"
+        return f"Graph(nodes={len(self.nodes)}, edges={sum(map(int.bit_count, self._nbr)) // 2})"
 
 
 def graph_of(cx: SimplicialComplex) -> Graph:
@@ -98,18 +116,16 @@ def face_adjacency_graph(cx: SimplicialComplex, k: int) -> Graph:
 
 
 @dataclass(frozen=True)
-class CutCertificate:
-    """Nodes whose removal separates the named pair."""
-
-    cut: tuple
-    separated_pair: tuple
-
-
-@dataclass(frozen=True)
 class ConnectivityResult:
+    """A minimum cut and the pair it separates; both None for a complete graph."""
+
     value: int
-    complete: bool
-    cut: CutCertificate | None
+    cut: tuple | None
+    separated_pair: tuple | None
+
+    @property
+    def complete(self) -> bool:
+        return self.cut is None
 
 
 def _component(nbr: list[int], start: int) -> int:
@@ -292,7 +308,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     # the one holding the lowest bit of their difference is the lesser label tuple
     v = min(range(n), key=lambda i: nbr[i].bit_count())
     if nbr[v].bit_count() == n - 1:
-        return ConnectivityResult(value=n - 1, complete=True, cut=None)
+        return ConnectivityResult(value=n - 1, cut=None, separated_pair=None)
     near = [w for w in range(n) if nbr[v] >> w & 1]
     pairs = [(v, w) for w in range(n) if w != v and not nbr[v] >> w & 1]
     pairs += [(a, b) for a, b in combinations(near, 2) if not nbr[a] >> b & 1]
@@ -307,11 +323,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     best_cut = tuple(g._labels_of(best_mask))
     best_pair = tuple(g.nodes[i] for i in best_pair)
     _check_separates(g, best_cut, *best_pair)
-    return ConnectivityResult(
-        value=len(best_cut),
-        complete=False,
-        cut=CutCertificate(cut=best_cut, separated_pair=best_pair),
-    )
+    return ConnectivityResult(value=len(best_cut), cut=best_cut, separated_pair=best_pair)
 
 
 # -- walks with facet witnesses ---------------------------------------------
@@ -507,8 +519,9 @@ class SubdivisionEmbedding:
     """Witness that a host graph contains a subdivision of a pattern graph.
 
     branch_nodes maps pattern nodes to distinct host nodes; edge_paths
-    maps each pattern edge (as a frozenset) to the host path replacing it,
-    written from one endpoint image to the other.
+    maps each pattern edge, as a frozenset or a (u, v) tuple in either
+    orientation, to the host path replacing it, written from one endpoint
+    image to the other.
     """
 
     branch_nodes: dict

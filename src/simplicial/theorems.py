@@ -35,23 +35,18 @@ from .homology import GF2, FieldSpec, is_homology_manifold, is_m_cohen_macaulay
 
 
 @dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    ok: bool
-    witness: object = None
-
-
-@dataclass(frozen=True)
 class TheoremReport:
+    """hypotheses maps each name to its decider's Verdict, in evaluation order."""
+
     theorem: str
-    hypotheses: tuple[HypothesisCheck, ...]
+    hypotheses: dict[str, Verdict]
     conclusion_ok: bool | None
     details: dict
     field: str | None = None
 
     @property
     def applicable(self) -> bool:
-        return all(h.ok for h in self.hypotheses)
+        return all(self.hypotheses.values())
 
     @property
     def status(self) -> str:
@@ -68,8 +63,8 @@ class TheoremReport:
             "theorem": self.theorem,
             "field": self.field,
             "hypotheses": [
-                {"name": h.name, "ok": h.ok, "witness": h.witness}
-                for h in self.hypotheses
+                {"name": name, "ok": v.ok, "witness": v.witness}
+                for name, v in self.hypotheses.items()
             ],
             "conclusion_ok": self.conclusion_ok,
             "status": self.status,
@@ -77,14 +72,9 @@ class TheoremReport:
         }
 
 
-def _hypothesis(name: str, verdict: Verdict) -> HypothesisCheck:
-    return HypothesisCheck(name, bool(verdict), verdict.witness)
-
-
-def _flag_pseudomanifold(cx: SimplicialComplex, cap: int) -> tuple[HypothesisCheck, ...]:
+def _flag_pseudomanifold(cx: SimplicialComplex, cap: int) -> dict[str, Verdict]:
     """The hypotheses of t1, t2 and lb; both are evaluated."""
-    flag = _hypothesis("flag", cx.is_flag(cap))
-    return flag, _hypothesis("pseudomanifold", cx.is_pseudomanifold())
+    return {"flag": cx.is_flag(cap), "pseudomanifold": cx.is_pseudomanifold()}
 
 
 def _bound_rows(values, bounds) -> list[dict]:
@@ -100,7 +90,7 @@ def check_graph_connectivity_bound(
 ) -> TheoremReport:
     """Flag pseudomanifolds with facets of size d have (2d-2)-connected graphs."""
     hyps = _flag_pseudomanifold(cx, cap)
-    if not all(h.ok for h in hyps):
+    if not all(hyps.values()):
         return TheoremReport("t1", hyps, None, {})
     d = cx.dimension + 1
     ok, details = _connectivity_details(graph_of(cx), d, 2 * d - 2)
@@ -116,9 +106,8 @@ def _connectivity_details(graph: Graph, d: int, bound: int) -> tuple[bool, dict]
         "connectivity": res.value,
         "complete_graph": res.complete,
     }
-    if res.cut is not None:
-        details["minimum_cut"] = res.cut.cut
-        details["separated_pair"] = res.cut.separated_pair
+    if not res.complete:
+        details.update(minimum_cut=res.cut, separated_pair=res.separated_pair)
     return res.value >= bound, details
 
 
@@ -133,12 +122,11 @@ def check_h_vector_bound(
     cross-polytope boundary of matching dimension; the outcome of that
     comparison is informational and never affects the verdict.
     """
-    hyps = [HypothesisCheck("nonvoid", not cx.is_void)]
-    if hyps[0].ok:
-        hyps.append(_hypothesis("flag", cx.is_flag(cap)))
-        hyps.append(_hypothesis("doubly-cohen-macaulay", is_m_cohen_macaulay(cx, 2, field, cap)))
-    hyps = tuple(hyps)
-    if not all(h.ok for h in hyps):
+    hyps = {"nonvoid": Verdict(not cx.is_void)}
+    if hyps["nonvoid"]:
+        hyps["flag"] = cx.is_flag(cap)
+        hyps["doubly-cohen-macaulay"] = is_m_cohen_macaulay(cx, 2, field, cap)
+    if not all(hyps.values()):
         return TheoremReport("t3", hyps, None, {}, field=field.name)
     h = cx.h_vector()
     d = cx.dimension + 1
@@ -177,12 +165,12 @@ def check_face_graph_connectivity_bound(
     """
     if not 0 <= k <= cx.dimension - 1:
         raise InputError(f"k={k} outside 0..{cx.dimension - 1}")
-    hyps = (
-        _hypothesis("flag", cx.is_flag(cap)),
-        _hypothesis("homology-manifold", is_homology_manifold(cx, field)),
-        _connected_graph(cx),
-    )
-    if not all(h.ok for h in hyps):
+    hyps = {
+        "flag": cx.is_flag(cap),
+        "homology-manifold": is_homology_manifold(cx, field),
+        "connected-graph": _connected_graph(cx),
+    }
+    if not all(hyps.values()):
         return TheoremReport("gk", hyps, None, {"k": k}, field=field.name)
     d = cx.dimension + 1
     bound = 2 * (k + 1) * (d - k - 1)
@@ -191,17 +179,17 @@ def check_face_graph_connectivity_bound(
     return TheoremReport("gk", hyps, ok, details, field=field.name)
 
 
-def _connected_graph(cx: SimplicialComplex) -> HypothesisCheck:
+def _connected_graph(cx: SimplicialComplex) -> Verdict:
     """gk's connected-graph hypothesis.  A failure names the least vertex and the
     least vertex outside its component, once no facet is found to meet both."""
     comp = _component(cx._neighbour_masks(), 0)  # bit 0 is the least vertex
     rest = cx._labels_of((1 << cx.num_vertices) - 1 & ~comp)
     if not rest:
-        return HypothesisCheck("connected-graph", True)
+        return Verdict(True)
     inside = set(cx._labels_of(comp))
     if any(0 < len(inside.intersection(f)) < len(f) for f in cx.facets):
         raise InternalInvariantError("a facet meets two components of the graph")
-    return HypothesisCheck("connected-graph", False, (cx.vertices[0], rest[0]))
+    return Verdict(False, (cx.vertices[0], rest[0]), "the graph is not connected")
 
 
 def check_face_lower_bounds_report(
@@ -209,7 +197,7 @@ def check_face_lower_bounds_report(
 ) -> TheoremReport:
     """Face counts of flag pseudomanifolds dominate the cross-polytope's."""
     hyps = _flag_pseudomanifold(cx, cap)
-    if not all(h.ok for h in hyps):
+    if not all(hyps.values()):
         return TheoremReport("lb", hyps, None, {})
     d = cx.dimension + 1
     rows = _bound_rows(cx.f_vector(), [(1 << i) * comb(d, i) for i in range(d + 1)])
@@ -337,7 +325,7 @@ def check_cross_polytope_subdivision(
     from the verifier.
     """
     hyps = _flag_pseudomanifold(cx, cap)
-    if not all(h.ok for h in hyps):
+    if not all(hyps.values()):
         return TheoremReport("t2", hyps, None, {})
     d = cx.dimension + 1
     host = graph_of(cx)

@@ -44,6 +44,28 @@ def test_graph_construction():
         Graph((1, 2), [(1, 3)])
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([1, "a"], [], "node 'a' is not a sortable hashable label"),
+    (["a", 1], [], "node 1 is not a sortable hashable label"),
+    ([[1]], [], "node [1] is not a sortable hashable label"),
+    ([(1, 2), (3, "a"), (3, 4)], [], "nodes [(1, 2), (3, 'a'), (3, 4)] cannot be sorted together"),
+    ([1, 2], [1], "edge 1 is not a pair of nodes"),
+    ([1, 2], [(1,)], "edge (1,) is not a pair of nodes"),
+    ([1, 2], [(1, 2, 3)], "edge (1, 2, 3) is not a pair of nodes"),
+    ([1, 2], [([1], 2)], "edge ([1], 2) is not a pair of nodes"),
+    ([1, 2], [(1, 1)], "loop at 1 is not allowed"),
+    ([1, 2], [(1, 3)], "edge (1, 3) leaves the node set"),
+    (range(2), [(0, 10 ** 60)], "edge (0, 1000000000000000… (66 characters) leaves the node set"),
+    ([2, "x" * 50], [], "node 'xxxxxxxxxxxxxxxxxxx… (52 characters) is not a sortable hashable label"),
+])
+def test_graph_refuses_bad_input_naming_it(nodes, edges, message):
+    """Bad nodes and edges raise InputError, not a bare TypeError or
+    ValueError, and the message names them, long ones cut short."""
+    with pytest.raises(InputError) as info:
+        Graph(nodes, edges)
+    assert str(info.value) == message
+
+
 def test_graph_connectivity_helpers():
     g = Graph((1, 2, 3, 4), [(1, 2), (3, 4)])
     assert not g.is_connected()
@@ -92,8 +114,8 @@ def test_octahedron_connectivity(octa):
     res = vertex_connectivity(graph_of(octa))
     assert res.value == 4
     assert not res.complete
-    assert res.cut.cut == (1, 2, 4, 5)  # common neighbors of the pair {3, 6}
-    a, b = res.cut.separated_pair
+    assert res.cut == (1, 2, 4, 5)  # common neighbors of the pair {3, 6}
+    a, b = res.separated_pair
     assert not graph_of(octa).has_edge(a, b)
 
 
@@ -164,8 +186,8 @@ def test_connectivity_matches_bruteforce_on_corpus(corpus):
         want, _ = O.vertex_connectivity_bruteforce(g.nodes, g.edges)
         assert got.value == want, name
         if got.cut is not None:
-            assert not _connected_without(g, got.cut.cut), name
-            assert len(got.cut.cut) == want, name
+            assert not _connected_without(g, got.cut), name
+            assert len(got.cut) == want, name
 
 
 def test_connectivity_matches_bruteforce_on_random_graphs():
@@ -180,8 +202,8 @@ def test_connectivity_matches_bruteforce_on_random_graphs():
         want, _ = O.vertex_connectivity_bruteforce(nodes, edges)
         assert got.value == want, (trial, edges)
         if got.cut is not None:
-            assert len(got.cut.cut) == want
-            assert not _connected_without(g, got.cut.cut)
+            assert len(got.cut) == want
+            assert not _connected_without(g, got.cut)
 
 
 def _share_interior(paths):

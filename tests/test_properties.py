@@ -420,8 +420,8 @@ def _assert_connectivity_matches_oracle(g):
         return
     pairs = _pair_list(g)
     first = min(range(len(pairs)), key=lambda i: (len(cuts[pairs[i]]), cuts[pairs[i]]))
-    assert got.cut.cut == cuts[pairs[first]]
-    assert got.cut.separated_pair == pairs[first]
+    assert got.cut == cuts[pairs[first]]
+    assert got.separated_pair == pairs[first]
 
 
 def _assert_pairs_match_flow_oracle(g, pairs):

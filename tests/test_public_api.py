@@ -17,7 +17,6 @@ PUBLIC = [
     "BettiTable",
     "ClassificationError",
     "ConnectivityResult",
-    "CutCertificate",
     "DEFAULT_CANDIDATE_CAP",
     "FVector",
     "FieldSpec",
@@ -25,7 +24,6 @@ PUBLIC = [
     "GF3",
     "Graph",
     "HVector",
-    "HypothesisCheck",
     "InputError",
     "InternalInvariantError",
     "RATIONALS",

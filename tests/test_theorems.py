@@ -39,7 +39,7 @@ def test_t1_octahedron(octa):
     r = check_graph_connectivity_bound(octa)
     assert r.theorem == "t1"
     assert r.status == "pass" and r.exit_code == 0
-    assert [(h.name, h.ok) for h in r.hypotheses] == [
+    assert [(n, v.ok) for n, v in r.hypotheses.items()] == [
         ("flag", True), ("pseudomanifold", True)]
     assert r.details["bound"] == 4
     assert r.details["connectivity"] == 4
@@ -65,12 +65,12 @@ def test_t1_not_applicable():
     r = check_graph_connectivity_bound(hollow)
     assert r.status == "not-applicable" and r.exit_code == 4
     assert r.conclusion_ok is None
-    failed = [h.name for h in r.hypotheses if not h.ok]
+    failed = [n for n, v in r.hypotheses.items() if not v]
     assert failed == ["flag"]
     books = build_complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
     r = check_graph_connectivity_bound(books)
     assert r.status == "not-applicable"
-    assert [h.name for h in r.hypotheses if not h.ok] == ["pseudomanifold"]
+    assert [n for n, v in r.hypotheses.items() if not v] == ["pseudomanifold"]
 
 
 def test_report_to_dict_shape(octa):
@@ -116,10 +116,10 @@ def test_t3_rows_carry_binomial_bounds(bary_tetra):
 def test_t3_not_applicable(torus, path_complex):
     r = check_h_vector_bound(torus)
     assert r.status == "not-applicable" and r.exit_code == 4
-    assert "flag" in [h.name for h in r.hypotheses if not h.ok]
+    assert "flag" in [n for n, v in r.hypotheses.items() if not v]
     r = check_h_vector_bound(path_complex)
     assert r.status == "not-applicable"
-    assert [h.name for h in r.hypotheses if not h.ok] == ["doubly-cohen-macaulay"]
+    assert [n for n, v in r.hypotheses.items() if not v] == ["doubly-cohen-macaulay"]
 
 
 def test_gk_octahedron(octa):
@@ -156,7 +156,7 @@ def test_gk_bad_k(octa):
 def test_gk_not_applicable(torus):
     r = check_face_graph_connectivity_bound(torus, 1)
     assert r.status == "not-applicable"
-    assert [h.name for h in r.hypotheses if not h.ok] == ["flag"]
+    assert [n for n, v in r.hypotheses.items() if not v] == ["flag"]
 
 
 def test_gk_names_two_components_of_a_disconnected_graph(octa, tmp_path, capsys):
@@ -164,7 +164,7 @@ def test_gk_names_two_components_of_a_disconnected_graph(octa, tmp_path, capsys)
     twins = build_complex(list(octa.facets) + [tuple(v + 6 for v in f) for f in octa.facets])
     r = check_face_graph_connectivity_bound(twins, 1)
     assert r.status == "not-applicable" and r.exit_code == 4
-    assert [(h.name, h.ok, h.witness) for h in r.hypotheses] == [
+    assert [(n, v.ok, v.witness) for n, v in r.hypotheses.items()] == [
         ("flag", True, None), ("homology-manifold", True, None),
         ("connected-graph", False, (1, 7))]
     path = tmp_path / "twins.txt"
